@@ -236,26 +236,43 @@ def hermitian_min_eig(matrix) -> float:
 # circle means (sub-mean-value test)
 # ---------------------------------------------------------------------------
 
-def circle_mean_test(f, z0: complex, radius: float, m: int = 64) -> float:
+def circle_mean_test(f, z0, radius, m: int = 64):
     """Mean of f on the circle around z0 minus f(z0).
 
     Subharmonic functions must give a nonnegative margin up to
     quadrature error. A -inf center value passes vacuously (+inf).
+
+    ``z0`` and ``radius`` may be arrays of P probes (broadcast against
+    each other): f is then called once on the P centers and once on the
+    (P, m) ring, and an array of P margins is returned. Scalar inputs
+    return a float. Every value is elementwise or a row mean over m
+    contiguous ring values, so a probe's margin does not depend on the
+    batch it is evaluated in.
     """
+    scalar = np.ndim(z0) == 0 and np.ndim(radius) == 0
+    z0, radius = np.broadcast_arrays(np.asarray(z0, dtype=np.complex128),
+                                     np.asarray(radius, dtype=np.float64))
+    z0 = z0.ravel()
+    radius = radius.ravel()
     if m < 16:
         raise ValueError("need at least 16 circle points")
-    if radius <= 0:
+    if np.any(radius <= 0):
         raise ValueError("radius must be positive")
-    center = float(np.asarray(f(np.asarray([z0], dtype=np.complex128)))[0])
-    if center == -np.inf:
-        return np.inf
-    if not np.isfinite(center):
-        raise ValueError(f"function not finite at center {z0}")
-    pts = z0 + radius * np.exp(2j * np.pi * np.arange(m) / m)
-    vals = np.asarray(f(pts), dtype=np.float64)
-    if not np.all(np.isfinite(vals)):
+    center = np.asarray(f(z0), dtype=np.float64)
+    pole = center == -np.inf
+    bad = ~pole & ~np.isfinite(center)
+    if np.any(bad):
+        raise ValueError(f"function not finite at center {z0[np.argmax(bad)]}")
+    ring = np.exp(2j * np.pi * np.arange(m) / m)
+    pts = z0[:, None] + radius[:, None] * ring[None, :]
+    vals = np.asarray(f(pts.ravel()), dtype=np.float64).reshape(z0.size, m)
+    if not np.all(np.isfinite(vals[~pole])):
         raise ValueError("function must be finite on the circle")
-    return float(np.mean(vals) - center)
+    with np.errstate(invalid="ignore"):
+        # rows centered on a pole are replaced by +inf below
+        margins = np.mean(vals, axis=1) - center
+    margins[pole] = np.inf
+    return float(margins[0]) if scalar else margins
 
 
 # ---------------------------------------------------------------------------

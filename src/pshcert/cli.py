@@ -7,14 +7,17 @@
                  --out PATH [--n N] [--trunc J] [--seed S]
 
 Exit codes: 0 all certificates pass, 1 at least one failed, 2 bad usage
-or configuration. The only environment knobs are PSHCERT_BACKEND
-(kernel flavor) and NUMBA_NUM_THREADS (numba thread count).
+or configuration, 3 internal error (any other exception: the program
+broke before reaching a verdict). The only environment knobs are
+PSHCERT_BACKEND (kernel flavor) and NUMBA_NUM_THREADS (numba thread
+count).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .certify import (
     GRID_FUNCTION_IDS,
@@ -130,6 +133,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, never a failed certificate (exit 1)
+        traceback.print_exc()
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,6 +12,12 @@ flavors importable for benchmarks and cross-checks.
 Conventions: points in C are passed as separate float64 arrays of real
 and imaginary parts; log of a modulus is always computed as
 ``0.5*log(dx*dx + dy*dy)``, which yields -inf exactly at a pole hit.
+
+The numpy pole kernels (``sigma_many``, ``u_many``) walk the points in
+fixed blocks of ``_BLOCK`` so that their per-pole temporaries stay in
+cache. Blocking only splits elementwise work: the per-pole term order
+of each point's accumulation is unchanged, so results are bit-identical
+to an unblocked evaluation and independent of the batch a point is in.
 """
 
 from __future__ import annotations
@@ -19,6 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 from ._backend import USING_NUMBA, compile_kernel
+
+# Points per block of the numpy pole kernels: the block's coordinates,
+# accumulator and two reused float64 temporaries (640 KiB in all) stay in L2
+# cache across the per-pole loop, where whole 10^5-point batches spill.
+_BLOCK = 16384
 
 # Radial cutoff profile: 1 on [0, CHI_PLATEAU], 0 on [CHI_SUPPORT, inf),
 # exp-smoothstep in between (all derivatives vanish at both junctions).
@@ -132,11 +143,24 @@ def _taper_many_loop(t, lam, d1, d2):
 def sigma_many_numpy(zr, zi, ar, ai, delta):
     """sum_j delta_j * log|z - a_j| at each point, -inf on an exact pole hit."""
     out = np.zeros_like(zr)
+    npts = zr.shape[0]
+    dx = np.empty(min(npts, _BLOCK))
+    dy = np.empty_like(dx)
     with np.errstate(divide="ignore"):
-        for j in range(ar.shape[0]):
-            dx = zr - ar[j]
-            dy = zi - ai[j]
-            out = out + delta[j] * (0.5 * np.log(dx * dx + dy * dy))
+        for lo in range(0, npts, _BLOCK):
+            hi = min(lo + _BLOCK, npts)
+            bx, by, acc = dx[: hi - lo], dy[: hi - lo], out[lo:hi]
+            for j in range(ar.shape[0]):
+                # acc + delta_j * (0.5 * log(dx*dx + dy*dy)), op by op
+                np.subtract(zr[lo:hi], ar[j], out=bx)
+                np.multiply(bx, bx, out=bx)
+                np.subtract(zi[lo:hi], ai[j], out=by)
+                np.multiply(by, by, out=by)
+                np.add(bx, by, out=bx)
+                np.log(bx, out=bx)
+                np.multiply(0.5, bx, out=bx)
+                np.multiply(delta[j], bx, out=bx)
+                np.add(acc, bx, out=acc)
     return out
 
 
@@ -159,6 +183,14 @@ def _sigma_many_loop(zr, zi, ar, ai, delta, out):
 def u_many_numpy(zr, zi, ar, ai, rad, eps):
     """max(|z|^2 + eps_j*chi(|z-a_j|/r_j)*log|z-a_j|, 1) inside the disc
     around a_j that contains z (the discs are disjoint), |z|^2 elsewhere."""
+    out = np.empty_like(zr)
+    for lo in range(0, zr.shape[0], _BLOCK):
+        hi = min(lo + _BLOCK, zr.shape[0])
+        out[lo:hi] = _u_block(zr[lo:hi], zi[lo:hi], ar, ai, rad, eps)
+    return out
+
+
+def _u_block(zr, zi, ar, ai, rad, eps):
     m2 = zr * zr + zi * zi
     out = m2.copy()
     claimed = np.zeros(zr.shape[0], dtype=bool)

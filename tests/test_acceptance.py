@@ -6,13 +6,14 @@ whole-domain bound checks and the tapered-form floor), seed 42,
 FD step 1e-4.
 """
 
+import hashlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from pshcert.certify import run_suite
+from pshcert.certify import run_suite, serialize_report
 from pshcert.config import CertifyConfig
 
 
@@ -143,6 +144,18 @@ def test_criterion_7_warmup_example(full_report):
     )
     _announce(7, "warm-up witness: sampled Levi floor within 1e-3 of 1 on "
                  "10^4 pole-excluded sublevel samples", ok)
+
+
+# sha256 of `pshcert certify all --seed 42 --report PATH`; a change that
+# moves these bytes on purpose says why and updates the pin
+DEFAULT_REPORT_SHA256 = (
+    "4b250b0d6d9734ad46e3500cc6395cfa9334d6e5035d513934c00dfbeb7e03f5"
+)
+
+
+def test_default_report_bytes_pinned(full_report):
+    text = serialize_report(full_report)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEFAULT_REPORT_SHA256
 
 
 def test_criterion_8_reproducibility(tmp_path):

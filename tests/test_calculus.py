@@ -182,6 +182,57 @@ def test_circle_mean_validation():
         circle_mean_test(f_shifted, 0j, 1.0, 64)
 
 
+def _probes(pole, count=200, seed=11):
+    # random probes plus one centred exactly on a pole
+    rng = np.random.default_rng(seed)
+    z0 = rng.uniform(-3, 3, count) + 1j * rng.uniform(-3, 3, count)
+    z0[count // 2] = pole
+    return z0, rng.uniform(1e-4, 0.05, count)
+
+
+def _circle_mean_one_probe(f, z0, radius, m):
+    # one probe per call: the reference the batched form must reproduce
+    center = float(np.asarray(f(np.asarray([z0], dtype=np.complex128)))[0])
+    if center == -np.inf:
+        return np.inf
+    pts = z0 + radius * np.exp(2j * np.pi * np.arange(m) / m)
+    return float(np.mean(np.asarray(f(pts), dtype=np.float64)) - center)
+
+
+@pytest.mark.parametrize("target", ["thm1-series", "plateau"])
+def test_circle_mean_batch_equals_scalar_loop(target, thm1, plateau):
+    if target == "thm1-series":
+        f, pole = (lambda z: thm1.sigma(z)[0]), thm1.schedule.a[0]
+    else:
+        f, pole = plateau.values, plateau.a[0]
+    z0, rad = _probes(pole)
+    batch = circle_mean_test(f, z0, rad, 64)
+    loop = np.array([_circle_mean_one_probe(f, z, r, 64) for z, r in zip(z0, rad)])
+    scalar = [circle_mean_test(f, z, r, 64) for z, r in zip(z0[:20], rad[:20])]
+    assert all(isinstance(v, float) for v in scalar)
+    assert np.array_equal(batch, loop)
+    assert np.array_equal(batch[:20], scalar)
+    if target == "thm1-series":
+        assert batch[z0.size // 2] == np.inf
+
+
+def test_circle_mean_batch_rejects_any_nonfinite_value():
+    def f_shifted(z):  # pole exactly on the first node of probe 150's circle
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(np.asarray(z) - 1.0))
+
+    z0, rad = _probes(5.0 + 5.0j)
+    z0[150], rad[150] = 0j, 1.0
+    with pytest.raises(ValueError, match="circle"):
+        circle_mean_test(f_shifted, z0, rad, 64)
+    z0[150] = np.nan
+    with pytest.raises(ValueError, match="center"):
+        circle_mean_test(f_shifted, z0, rad, 64)
+    rad[150] = 0.0
+    with pytest.raises(ValueError, match="radius"):
+        circle_mean_test(f_shifted, z0, rad, 64)
+
+
 # --- certificates -----------------------------------------------------------
 
 def test_make_certificate_pass_fail_threshold():

@@ -81,6 +81,13 @@ def test_report_bytes_are_stable(tiny_cfg):
     assert "elapsed" not in a
 
 
+def test_thm2_small_truncation_passes():
+    # pole lines must be drawn among the trunc poles of the truncated
+    # series, not among all j_max = max(trunc, plateau_checks) poles
+    report = run_suite("thm2", CertifyConfig(trunc=10, samples=500))
+    assert report.passed, [c.name for c in report.certificates if not c.passed]
+
+
 def test_unknown_suite_rejected(tiny_cfg):
     with pytest.raises(ConfigError):
         run_suite("nope", tiny_cfg)
@@ -191,6 +198,17 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--fd-step", "9e-3"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_cli_internal_error_exit_code(monkeypatch, capsys):
+    import pshcert.cli as cli_mod
+
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli_mod, "run_suite", broken)
+    assert main(["certify", "lemma3", "--samples", "200"]) == 3
+    assert "internal error: operands" in capsys.readouterr().err
 
 
 def test_report_stable_across_thread_counts(tmp_path):

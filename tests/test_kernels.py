@@ -136,6 +136,69 @@ def test_sigma_backend_agreement():
         np.testing.assert_allclose(v, ref, rtol=1e-13)
 
 
+def _sigma_unblocked(zr, zi, ar, ai, delta):
+    # the per-pole formula over the whole batch at once
+    out = np.zeros_like(zr)
+    with np.errstate(divide="ignore"):
+        for j in range(ar.shape[0]):
+            dx = zr - ar[j]
+            dy = zi - ai[j]
+            out = out + delta[j] * (0.5 * np.log(dx * dx + dy * dy))
+    return out
+
+
+def _u_unblocked(zr, zi, ar, ai, rad, eps):
+    # the per-pole formula over the whole batch at once
+    m2 = zr * zr + zi * zi
+    out = m2.copy()
+    claimed = np.zeros(zr.shape[0], dtype=bool)
+    for j in range(ar.shape[0]):
+        dx = zr - ar[j]
+        dy = zi - ai[j]
+        d2 = dx * dx + dy * dy
+        mask = (~claimed) & (d2 < rad[j] * rad[j])
+        if not np.any(mask):
+            continue
+        claimed |= mask
+        d2m = d2[mask]
+        c = kernels.chi_many_numpy(np.sqrt(d2m) / rad[j])
+        val = m2[mask]
+        inner = c > 0.0
+        if np.any(inner):
+            with np.errstate(divide="ignore"):
+                half_log = 0.5 * np.log(d2m[inner])
+            val = val.copy()
+            val[inner] = m2[mask][inner] + (eps[j] * c[inner]) * half_log
+        out[mask] = np.maximum(val, 1.0)
+    return out
+
+
+def test_blocked_kernels_equal_unblocked_formula(plateau):
+    rng = np.random.default_rng(9)
+    npts = 2 * kernels._BLOCK + 17
+    z = rng.uniform(-3, 3, npts) + 1j * rng.uniform(-3, 3, npts)
+    # inside the discs: plateau core, chi transition and outer ring, in
+    # every block, plus exact pole hits in the second block
+    step = npts // 64
+    for k, frac in enumerate([0.1, 0.4, 0.6, 0.9] * 16):
+        j = k % plateau.j_max
+        z[k * step] = plateau.a[j] + frac * plateau.r[j] * np.exp(1j * k)
+    hits = kernels._BLOCK + np.arange(5) * 1000
+    z[hits] = plateau.a[:5]
+    zr, zi = z.real.copy(), z.imag.copy()
+    ar, ai = plateau.a.real.copy(), plateau.a.imag.copy()
+    delta = 2.0 ** -(np.arange(1, plateau.j_max + 1) + 1.0)
+
+    got = NUMPY_KERNELS["sigma_many"](zr, zi, ar, ai, delta)
+    assert np.array_equal(got, _sigma_unblocked(zr, zi, ar, ai, delta))
+    assert np.all(got[hits] == -np.inf)
+
+    args = (zr, zi, ar, ai, plateau.r.copy(), plateau.eps.copy())
+    got = NUMPY_KERNELS["u_many"](*args)
+    assert np.array_equal(got, _u_unblocked(*args))
+    assert np.all(got[hits] == 1.0)
+
+
 # --- plateau glue -----------------------------------------------------------
 
 def _u_oracle(z, a, r, eps):
