@@ -19,7 +19,7 @@ import numpy as np
 
 from ._backend import BACKEND_NAME
 from .calculus import Certificate, min_eigs_batch, wirtinger_hessian_batch
-from .geometry import EmptyRegionError, register_defining
+from .geometry import EmptyRegionError
 from .config import CertifyConfig, ConfigError
 from .constructions import (
     PlateauFunction,
@@ -300,8 +300,6 @@ def _grid_functions(cfg: CertifyConfig, built: SuiteBuilder) -> dict:
 
         return eval_pts
 
-    example_fn = example_defining(cfg.c_level)
-    register_defining("example1", example_fn, cfg.n)
     return {
         "sigma": ("z-plane", sigma_plane),
         "sigma_thm2": ("z-plane", sigma2_plane),
@@ -310,7 +308,7 @@ def _grid_functions(cfg: CertifyConfig, built: SuiteBuilder) -> dict:
         "d2": ("point", lambda pts: built.get_thm2().defining_values(pts)),
         "phi_thm1": ("point", lambda pts: built.get_thm1().witness_values(pts)),
         "phi_thm2": ("point", lambda pts: built.get_thm2().witness_values(pts)),
-        "example1": ("point", example_fn),
+        "example1": ("point", example_defining(cfg.c_level)),
         "levi_thm1": (
             "point",
             levi_plane(lambda pts: built.get_thm1().witness_smooth_values(pts)),
@@ -374,8 +372,9 @@ def emit_grid(
     """Evaluate a registered function on a 2-D slice and write CSV.
 
     The CSV starts with a header comment describing axes and slice, then
-    "x,y,value" rows in row-major order (y outer, x inner); -inf renders
-    as the string "-inf".
+    "x,y,value" rows in row-major order (y outer, x inner). Numbers are
+    written with ``.17g`` (exact round trip); nonfinite values appear as
+    "-inf", "inf" and "nan". The file is written one grid row at a time.
     """
     cfg.validate()
     if function_id not in GRID_FUNCTION_IDS:
@@ -413,24 +412,13 @@ def emit_grid(
             axes = "re(w),im(w)"
         vals = np.asarray(fn(pts), dtype=np.float64)
 
-    def fmt(v):
-        if np.isneginf(v):
-            return "-inf"
-        if np.isposinf(v):
-            return "inf"
-        if np.isnan(v):
-            return "nan"
-        return format(v, ".17g")
-
-    lines = [f"# axes={axes} slice={slice_spec} region={region_spec} "
-             f"res={nx}x{ny} function={function_id}"]
-    lines.append("x,y,value")
-    for iy in range(ny):
-        for ix in range(nx):
-            lines.append(
-                f"{format(xs[ix], '.17g')},{format(ys[iy], '.17g')},"
-                f"{fmt(vals[iy * nx + ix])}"
-            )
+    # format(float, ".17g") renders -inf, inf, nan (of either sign) and -0
+    xtext = [format(x, ".17g") for x in xs.tolist()]
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# axes={axes} slice={slice_spec} region={region_spec} "
+                 f"res={nx}x{ny} function={function_id}\nx,y,value\n")
+        for iy, y in enumerate(ys.tolist()):
+            mid = f",{y:.17g},"
+            row = vals[iy * nx : (iy + 1) * nx].tolist()
+            fh.write("".join([f"{xt}{mid}{v:.17g}\n" for xt, v in zip(xtext, row)]))
     return GridExport(function_id, region_spec, (nx, ny), slice_spec, vals)

@@ -33,7 +33,6 @@ from .geometry import (
     Sampler,
     SublevelRegion,
     path_connected_probe,
-    register_defining,
     sample,
 )
 from .logpoles import (
@@ -293,9 +292,6 @@ class Thm1Scenario:
     trunc: int
     w0: np.ndarray
 
-    def defining_id(self) -> str:
-        return "d1"
-
     def sigma(self, z):
         return series_values(self.schedule, z, self.trunc)
 
@@ -337,14 +333,14 @@ class Thm1Scenario:
         )
 
     def domain_region(self) -> SublevelRegion:
-        return SublevelRegion("d1", 0.0, self.bulk_window(), label="Omega1")
+        return SublevelRegion(
+            self.defining_values, 0.0, self.bulk_window(), label="Omega1"
+        )
 
 
 def build_thm1(cfg: CertifyConfig) -> Thm1Scenario:
     schedule = make_schedule("thm1", cfg.j_max)
-    sc = Thm1Scenario(cfg.n, schedule, cfg.trunc, _axis_point(_W0_THM1, cfg.n - 1))
-    register_defining("d1", sc.defining_values, cfg.n)
-    return sc
+    return Thm1Scenario(cfg.n, schedule, cfg.trunc, _axis_point(_W0_THM1, cfg.n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +420,9 @@ class Thm2Scenario:
         )
 
     def domain_region(self) -> SublevelRegion:
-        return SublevelRegion("d2", 0.0, self.bulk_window(), label="Omega2")
+        return SublevelRegion(
+            self.defining_values, 0.0, self.bulk_window(), label="Omega2"
+        )
 
     def witness_min_eigs_on_window(self, pts) -> np.ndarray:
         """Exact Levi floor of the witness on the strictness window.
@@ -460,11 +458,9 @@ def build_thm2(cfg: CertifyConfig,
     plateau = plateau if plateau is not None else build_plateau(cfg.j_max)
     schedule = make_schedule("thm2", cfg.j_max, plateau.log_rho)
     form = form if form is not None else build_tapered_form(cfg.taper_radius, cfg.n)
-    sc = Thm2Scenario(
+    return Thm2Scenario(
         cfg.n, schedule, plateau, form, cfg.trunc, _axis_point(_W0_THM2, cfg.n - 1)
     )
-    register_defining("d2", sc.defining_values, cfg.n)
-    return sc
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +488,11 @@ def example1_check(cfg: CertifyConfig, stream: int = 900) -> list[Certificate]:
     h^2-error of the stencil on the log term exceeds the floor tolerance.
     """
     psi = example_defining(cfg.c_level)
-    register_defining("example1", psi, cfg.n)
     window = ProductRegion(
         Disk(0j, 2.2), Ball((0j,) * (cfg.n - 1), 1.3), label="example1-window"
     )
     excl = cfg.example1_exclusion
-    region = SublevelRegion("example1", 0.0, window, label="example1-domain")
+    region = SublevelRegion(psi, 0.0, window, label="example1-domain")
 
     def too_close(pts):
         return _norm2(np.atleast_2d(pts)[:, 1:]) < excl * excl
@@ -977,7 +972,7 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
 
     # boundedness surrogate: members with |w| <= 3 have |z| <= 3
     slab = SublevelRegion(
-        "d2", 0.0,
+        sc.defining_values, 0.0,
         ProductRegion(Disk(0j, 3.2), Ball((0j,) * k, 3.0), label="slab-window"),
         label="Omega2-slab",
     )
@@ -1041,7 +1036,7 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
 
     # no members with z in the closed unit disk near the |w| = 5/2 sphere
     zslab = SublevelRegion(
-        "d2", 0.0,
+        sc.defining_values, 0.0,
         ProductRegion(Disk(0j, 1.0, closed=True), Ball((0j,) * k, 3.0),
                       label="zdisk-window"),
         label="Omega2-zdisk",

@@ -196,30 +196,16 @@ class HalfspaceModulus(Region):
         return self._OPS[self.comparator](mod, self.bound)
 
 
-# registry of defining functions for sublevel regions
-_DEFINING: dict[str, tuple[Callable[[np.ndarray], np.ndarray], int]] = {}
-
-
-def register_defining(fid: str, fn: Callable[[np.ndarray], np.ndarray], dim: int):
-    """Register a batch-evaluating defining function under an id."""
-    _DEFINING[fid] = (fn, dim)
-
-
-def defining_function(fid: str) -> Callable[[np.ndarray], np.ndarray]:
-    if fid not in _DEFINING:
-        raise KeyError(f"unknown defining function id {fid!r}")
-    return _DEFINING[fid][0]
-
-
 @dataclass(frozen=True)
 class SublevelRegion(Region):
     """``{p : defining(p) < level}`` intersected with a bounded proposal window.
 
-    The window only drives rejection sampling; membership itself is the
+    ``defining`` evaluates a batch of points of the window's C^dim. The
+    window only drives rejection sampling; membership itself is the
     sublevel inequality (and the optional extra constraints).
     """
 
-    defining_id: str
+    defining: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     level: float
     window: Region
     constraints: tuple[Region, ...] = ()
@@ -227,12 +213,11 @@ class SublevelRegion(Region):
 
     @property
     def dim(self) -> int:
-        return _DEFINING[self.defining_id][1]
+        return self.window.dim
 
     def contains(self, pts):
         pts = np.asarray(pts, dtype=np.complex128)
-        fn, _ = _DEFINING[self.defining_id]
-        ok = fn(pts) < self.level
+        ok = self.defining(pts) < self.level
         for c in self.constraints:
             ok &= c.contains(pts)
         return ok
@@ -445,7 +430,7 @@ def _rejection_sample(region: SublevelRegion, sampler: Sampler,
 # ---------------------------------------------------------------------------
 
 def path_connected_probe(
-    defining: Callable[[np.ndarray], np.ndarray] | str,
+    defining: Callable[[np.ndarray], np.ndarray],
     level: float,
     p,
     q,
@@ -458,8 +443,6 @@ def path_connected_probe(
     ``(False, t)`` with t in [0, 1] the first violating parameter along
     the polyline. Both endpoints must be members.
     """
-    if isinstance(defining, str):
-        defining = defining_function(defining)
     if steps < 2:
         raise ValueError("steps must be >= 2")
 

@@ -18,6 +18,11 @@ fixed blocks of ``_BLOCK`` so that their per-pole temporaries stay in
 cache. Blocking only splits elementwise work: the per-pole term order
 of each point's accumulation is unchanged, so results are bit-identical
 to an unblocked evaluation and independent of the batch a point is in.
+``sigma_many`` sums every pole at every point of a block. ``u_many``
+sorts each block by x and visits each disc only at the points in its
+x-window (twice the disc radius either side of the centre); a point
+outside that window cannot pass the disc test, so the values are those
+of the all-pairs scan.
 """
 
 from __future__ import annotations
@@ -182,37 +187,54 @@ def _sigma_many_loop(zr, zi, ar, ai, delta, out):
 
 def u_many_numpy(zr, zi, ar, ai, rad, eps):
     """max(|z|^2 + eps_j*chi(|z-a_j|/r_j)*log|z-a_j|, 1) inside the disc
-    around a_j that contains z (the discs are disjoint), |z|^2 elsewhere."""
+    around a_j that contains z (the discs are disjoint), |z|^2 elsewhere.
+
+    Each block sorts its points by x once and visits disc j only at the
+    points with x in the window [re a_j - 2 r_j, re a_j + 2 r_j]. This is
+    exact: rounding is monotone, so fl(d^2) < fl(r_j^2) forces
+    |fl(x - re a_j)| < r_j, and such an x lies inside the window whenever
+    r_j exceeds a few ulps of |a_j| (for r_j = 1/(4j(j+1)) and |a_j| of
+    order 1, every j below about 10^7). Discs are visited in ascending j
+    and each point keeps its first hit, as in an all-pairs scan.
+    """
     out = np.empty_like(zr)
+    win_lo = ar - 2.0 * rad
+    win_hi = ar + 2.0 * rad
     for lo in range(0, zr.shape[0], _BLOCK):
         hi = min(lo + _BLOCK, zr.shape[0])
-        out[lo:hi] = _u_block(zr[lo:hi], zi[lo:hi], ar, ai, rad, eps)
+        out[lo:hi] = _u_block(zr[lo:hi], zi[lo:hi], ar, ai, rad, eps, win_lo, win_hi)
     return out
 
 
-def _u_block(zr, zi, ar, ai, rad, eps):
+def _u_block(zr, zi, ar, ai, rad, eps, win_lo, win_hi):
     m2 = zr * zr + zi * zi
     out = m2.copy()
     claimed = np.zeros(zr.shape[0], dtype=bool)
-    for j in range(ar.shape[0]):
-        dx = zr - ar[j]
-        dy = zi - ai[j]
+    # NaN x sorts last and -inf/+inf outside every finite window
+    order = np.argsort(zr)
+    xs = zr[order]
+    starts = np.searchsorted(xs, win_lo, side="left")
+    stops = np.searchsorted(xs, win_hi, side="right")
+    for j in np.flatnonzero(starts < stops).tolist():
+        win = order[starts[j] : stops[j]]
+        dx = zr[win] - ar[j]
+        dy = zi[win] - ai[j]
         d2 = dx * dx + dy * dy
-        mask = (~claimed) & (d2 < rad[j] * rad[j])
+        mask = (~claimed[win]) & (d2 < rad[j] * rad[j])
         if not np.any(mask):
             continue
-        claimed |= mask
+        idx = win[mask]
+        claimed[idx] = True
         d2m = d2[mask]
         s = np.sqrt(d2m) / rad[j]
         c = chi_many_numpy(s)
-        val = m2[mask]
+        val = m2[idx]
         inner = c > 0.0
         if np.any(inner):
             with np.errstate(divide="ignore"):
                 half_log = 0.5 * np.log(d2m[inner])
-            val = val.copy()
-            val[inner] = m2[mask][inner] + (eps[j] * c[inner]) * half_log
-        out[mask] = np.maximum(val, 1.0)
+            val[inner] = val[inner] + (eps[j] * c[inner]) * half_log
+        out[idx] = np.maximum(val, 1.0)
     return out
 
 

@@ -1,8 +1,11 @@
 """Reports, canonical serialization, grid exports, and the CLI."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from pshcert import certify
 from pshcert.certify import (
     GRID_FUNCTION_IDS,
     SUITES,
@@ -156,6 +159,66 @@ def test_grid_neg_inf_sentinel(tiny_cfg, tmp_path):
     assert "-inf" in body
     row = [ln for ln in body.splitlines() if ln.startswith("0,0,")]
     assert row == ["0,0,-inf"]
+
+
+def _per_cell_csv(header, xs, ys, vals):
+    # the formatter emit_grid used before it streamed rows: one format
+    # call per coordinate and value, nonfinite values spelled out
+    def fmt(v):
+        if np.isneginf(v):
+            return "-inf"
+        if np.isposinf(v):
+            return "inf"
+        if np.isnan(v):
+            return "nan"
+        return format(v, ".17g")
+
+    lines = [header, "x,y,value"]
+    for iy in range(len(ys)):
+        for ix in range(len(xs)):
+            lines.append(
+                f"{format(xs[ix], '.17g')},{format(ys[iy], '.17g')},"
+                f"{fmt(vals[iy * len(xs) + ix])}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def test_grid_csv_matches_per_cell_formatter(tiny_cfg, tmp_path, monkeypatch):
+    special = np.array([-np.inf, np.inf, np.nan, -np.nan, -0.0, 0.0, 5e-324,
+                        -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0])
+
+    def plane(z):
+        vals = z.real * np.pi + z.imag / 7.0
+        vals[::3] = np.resize(special, vals[::3].size)
+        return vals
+
+    monkeypatch.setattr(
+        certify, "_grid_functions", lambda cfg, built: {"sigma": ("z-plane", plane)}
+    )
+    out = tmp_path / "special.csv"
+    region = "-1.5:2.25,-0.3:0.7"
+    export = emit_grid("sigma", "none", region, (13, 7), str(out), tiny_cfg)
+    header = f"# axes=re(z),im(z) slice=none region={region} res=13x7 function=sigma"
+    xs, ys = np.linspace(-1.5, 2.25, 13), np.linspace(-0.3, 0.7, 7)
+    assert out.read_text() == _per_cell_csv(header, xs, ys, export.values)
+
+
+@pytest.mark.parametrize(
+    "fid, slice_spec, region, res, digest",
+    [
+        ("u", "none", "-1.6:1.6,-1.6:1.6", (41, 41),
+         "902a1ce9ff6b1cc5a6f39bb5fb6d01a045a7a82b9b35bedc013bb94d0680b68e"),
+        ("d1", "w=0", "-1:1,-1:1", (3, 3),
+         "1af2c172958f9984b9103fa34f2b913caf654806d3b15f57c6d0bc1d7deeb112"),
+    ],
+    ids=["u-41x41", "d1-3x3"],
+)
+def test_grid_export_bytes_pinned(fid, slice_spec, region, res, digest,
+                                  tiny_cfg, tmp_path):
+    # digests of the per-cell writer's output for the same exports
+    out = tmp_path / f"{fid}.csv"
+    emit_grid(fid, slice_spec, region, res, str(out), tiny_cfg)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_grid_levi_floor_on_window_slice(tiny_cfg, tmp_path):

@@ -301,6 +301,21 @@ def test_dimension_three_smoke():
     assert np.all(min_eigs_batch(H) > 0.5 - 1e-5)
 
 
+def test_domain_region_survives_scenario_of_other_dimension():
+    # each region holds its own defining function, so building an n=3
+    # scenario leaves an earlier n=2 region's samples unchanged
+    from pshcert.constructions import build_thm1
+
+    small = dict(samples=200, submean_probes=40, plateau_checks=8)
+    region2 = build_thm1(CertifyConfig(**small)).domain_region()
+    before = sample(region2, Sampler(3, 100))
+    region3 = build_thm1(CertifyConfig(n=3, **small)).domain_region()
+    after = sample(region2, Sampler(3, 100))
+    assert after.shape == (100, 2)
+    np.testing.assert_array_equal(before, after)
+    assert sample(region3, Sampler(3, 100)).shape == (100, 3)
+
+
 # --- warm-up example --------------------------------------------------------
 
 def test_example_defining_levi_structure(small_cfg):

@@ -21,7 +21,6 @@ from pshcert.geometry import (
     golden_angle,
     golden_angles,
     path_connected_probe,
-    register_defining,
     sample,
 )
 
@@ -159,18 +158,18 @@ def test_low_discrepancy_samples_stay_inside():
 
 
 def test_sublevel_rejection_sampling():
-    register_defining("quad", lambda p: np.sum(np.abs(p) ** 2, axis=1) - 1.0, 2)
     window = ProductRegion(Disk(0j, 1.5), Ball((0j,), 1.5))
-    region = SublevelRegion("quad", 0.0, window)
+    region = SublevelRegion(
+        lambda p: np.sum(np.abs(p) ** 2, axis=1) - 1.0, 0.0, window
+    )
     pts = sample(region, Sampler(4, 500))
     assert pts.shape == (500, 2)
     assert np.all(np.sum(np.abs(pts) ** 2, axis=1) < 1.0)
 
 
 def test_sublevel_empty_raises():
-    register_defining("empty", lambda p: np.ones(p.shape[0]), 2)
     window = ProductRegion(Disk(0j, 1.0), Ball((0j,), 1.0))
-    region = SublevelRegion("empty", 0.0, window)
+    region = SublevelRegion(lambda p: np.ones(p.shape[0]), 0.0, window)
     with pytest.raises(EmptyRegionError):
         sample(region, Sampler(4, 10))
 

@@ -199,6 +199,67 @@ def test_blocked_kernels_equal_unblocked_formula(plateau):
     assert np.all(got[hits] == 1.0)
 
 
+def _disc_edge_points(a, r):
+    # per disc: the pole, points in the chi core, transition and outer
+    # ring, and x exactly at re a_j +- r_j and +- 2 r_j (with one-ulp
+    # neighbours) on the line y = im a_j
+    pts = [a]
+    for k, s in enumerate((0.1, 0.25, 0.26, 0.5, 0.74, 0.75, 0.999, 1.0, 1.5)):
+        pts.append(a + s * r * np.exp(1j * (0.7 + k)))
+    for f in (-2.0, -1.0, 1.0, 2.0):
+        x = a.real + f * r
+        for xx in (x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)):
+            pts.append(xx + 1j * a.imag)
+    return np.concatenate(pts)
+
+
+def _nonfinite_points(a):
+    finite = (0.0, a.real[0], a.imag[0], 2.5)
+    bad = (np.nan, np.inf, -np.inf)
+    pts = [complex(x, y) for x in bad for y in bad + finite]
+    pts += [complex(x, y) for x in finite for y in bad]
+    return np.asarray(pts)
+
+
+def _check_u_windowed(z, a, r, eps):
+    args = (z.real.copy(), z.imag.copy(), a.real.copy(), a.imag.copy(),
+            r.copy(), eps.copy())
+    got = NUMPY_KERNELS["u_many"](*args)
+    assert np.array_equal(got, _u_unblocked(*args), equal_nan=True)
+    return got
+
+
+def test_windowed_u_many_on_disc_edges(plateau):
+    a, r, eps = plateau.a, plateau.r, plateau.eps
+    z = np.concatenate([_disc_edge_points(a, r), _nonfinite_points(a)])
+    got = _check_u_windowed(z, a, r, eps)
+    assert np.all(got[: a.size] == 1.0)  # pole hits
+    m2 = z.real * z.real + z.imag * z.imag
+    assert np.count_nonzero(got[a.size :] != m2[a.size :]) > a.size  # disc hits
+    assert np.all(np.isnan(got[np.isnan(z.real) | np.isnan(z.imag)]))
+
+
+def test_windowed_u_many_block_far_from_discs(plateau):
+    # the first block has no point within any disc's x-window
+    rng = np.random.default_rng(11)
+    n = kernels._BLOCK
+    far = rng.uniform(5.0, 9.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    z = np.concatenate([far, _disc_edge_points(plateau.a, plateau.r)])
+    got = _check_u_windowed(z, plateau.a, plateau.r, plateau.eps)
+    m2 = far.real * far.real + far.imag * far.imag
+    np.testing.assert_array_equal(got[:n], m2)
+
+
+def test_windowed_u_many_tiny_discs():
+    # synthetic disjoint discs on the unit circle, radii down to 1e-13
+    j = np.arange(1, 41)
+    a = np.exp(2j * np.pi * np.mod(j * 0.6180339887498949, 1.0))
+    r = np.logspace(-2, -13, j.size)
+    eps = np.full(j.size, 0.3)
+    got = _check_u_windowed(_disc_edge_points(a, r), a, r, eps)
+    assert np.all(got[: a.size] == 1.0)
+
+
 # --- plateau glue -----------------------------------------------------------
 
 def _u_oracle(z, a, r, eps):
