@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .geometry import CPoint, Region, Sampler, sample
+from .geometry import CPoint, EmptyRegionError, Region, Sampler, sample
 
 HERMITIAN_TOL = 1e-10
 MAX_EIG_DIM = 8
@@ -295,7 +295,8 @@ def certify_psh(
     returns True, refilling deterministically), computes FD Levi forms
     in one batch, and passes when every smallest eigenvalue is at least
     ``strict_floor - tolerance``. Stencil failures appear as -inf
-    margins with witnesses.
+    margins with witnesses. Raises ``EmptyRegionError`` when 50 draws
+    still leave fewer than ``sampler.count`` points.
     """
     want = sampler.count
     chunks = []
@@ -312,6 +313,8 @@ def certify_psh(
         total += pts.shape[0]
         if total >= want:
             break
+    else:
+        raise EmptyRegionError(f"{name}: delivered {total}/{want} points")
     points = np.concatenate(chunks, axis=0)[:want]
     H, ok = wirtinger_hessian_batch(f, points, h)
     eigs = min_eigs_batch(H)

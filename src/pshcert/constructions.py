@@ -10,7 +10,7 @@ functions of the run configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -40,6 +40,7 @@ from .logpoles import (
     disc_separation_margins,
     make_schedule,
     schedule_condition_margin,
+    series_ring_lower_bounds,
     series_values,
 )
 
@@ -50,6 +51,10 @@ _BUILD_SEED = 77003
 _W0_THM1 = 2.0  # |w0| for the first scenario
 _W0_THM2 = 4.0  # |w0| for the second scenario
 _THETA_CUT = 2.5  # |w| switching radius of the second scenario's witness
+
+#: subtracted from the ring bound in ``defining_lower``; it covers the
+#: rounding of the computed series against its exact value (see there)
+_SCREEN_SLACK = 1e-9
 
 
 def _axis_point(modulus: float, k: int) -> np.ndarray:
@@ -296,27 +301,49 @@ class Thm1Scenario:
         return series_values(self.schedule, z, self.trunc)
 
     def _parts(self, pts):
+        """z and the non-series terms of the defining function."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.complex128))
         z = pts[:, 0]
         w = pts[:, 1:]
-        sig, err = self.sigma(z)
         nz2 = z.real**2 + z.imag**2
         with np.errstate(divide="ignore"):
             half_log_z = 0.5 * np.log(nz2)
             dw2 = _norm2(w - self.w0[None, :])
             quarter_log_w = 0.25 * np.log(dw2)
-        return sig, err, half_log_z, quarter_log_w, nz2, _norm2(w)
+        return z, half_log_z, quarter_log_w, nz2, _norm2(w)
 
     def defining_values(self, pts):
-        sig, _, hlz, qlw, nz2, nw2 = self._parts(pts)
+        z, hlz, qlw, nz2, nw2 = self._parts(pts)
+        sig, _ = self.sigma(z)
         return sig + hlz + qlw + nz2 + nw2 - 4.0
 
+    def defining_lower(self, pts):
+        """``defining_values`` with the series replaced by its ring bound.
+
+        Contract: ``defining_lower(p) <= defining_values(p)`` at every p
+        where neither is NaN, so ``domain_region`` may use it as its
+        screen. Error budget: the ring bound R is below the exact series
+        of the float poles a_j. Where R is finite, every |z - a_j|
+        exceeds the 1e-12 ring guard less rounding, so each
+        |log|z - a_j|| is below 710; with S = sum delta_j < 1/4 the
+        computed series fl(sigma) and R itself err by less than
+        (trunc + 3) * 2^-53 * S * 710 < 1e-11 at trunc <= 400, far
+        inside ``_SCREEN_SLACK`` = 1e-9. The other terms are the same
+        arrays as in ``defining_values``, added in the same order, and
+        rounding is monotone: a smaller first summand cannot give a
+        larger sum, so the sums add no error to the budget.
+        """
+        z, hlz, qlw, nz2, nw2 = self._parts(pts)
+        low = series_ring_lower_bounds(self.schedule, z, self.trunc) - _SCREEN_SLACK
+        return low + hlz + qlw + nz2 + nw2 - 4.0
+
     def defining_error_radii(self, pts):
-        _, err, *_ = self._parts(pts)
+        _, err = self.sigma(self._parts(pts)[0])
         return err
 
     def witness_smooth_values(self, pts):
-        sig, _, hlz, qlw, nz2, nw2 = self._parts(pts)
+        z, hlz, qlw, nz2, nw2 = self._parts(pts)
+        sig, _ = self.sigma(z)
         return sig + hlz + qlw + nz2 + 0.5 * nw2
 
     def witness_values(self, pts):
@@ -334,7 +361,8 @@ class Thm1Scenario:
 
     def domain_region(self) -> SublevelRegion:
         return SublevelRegion(
-            self.defining_values, 0.0, self.bulk_window(), label="Omega1"
+            self.defining_values, 0.0, self.bulk_window(), label="Omega1",
+            lower=self.defining_lower,
         )
 
 
@@ -369,15 +397,30 @@ class Thm2Scenario:
     def sigma(self, z):
         return series_values(self.schedule, z, self.trunc)
 
-    def defining_values(self, pts):
+    def _parts(self, pts):
+        """z and the non-series terms of the defining function."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.complex128))
         z = pts[:, 0]
         w = pts[:, 1:]
-        sig, _ = self.sigma(z)
         nz2 = z.real**2 + z.imag**2
         with np.errstate(divide="ignore"):
             log10_w = 0.5 * np.log10(_norm2(w - self.w0[None, :]))
-        return sig + log10_w + nz2 + _norm2(w) - 3.0
+        return z, log10_w, nz2, _norm2(w)
+
+    def defining_values(self, pts):
+        z, log10_w, nz2, nw2 = self._parts(pts)
+        sig, _ = self.sigma(z)
+        return sig + log10_w + nz2 + nw2 - 3.0
+
+    def defining_lower(self, pts):
+        """``defining_values`` with the series replaced by its ring bound.
+
+        Same contract and error budget as ``Thm1Scenario.defining_lower``
+        (the thm2 coefficients are smaller, so the series terms are too).
+        """
+        z, log10_w, nz2, nw2 = self._parts(pts)
+        low = series_ring_lower_bounds(self.schedule, z, self.trunc) - _SCREEN_SLACK
+        return low + log10_w + nz2 + nw2 - 3.0
 
     def witness_smooth_values(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=np.complex128))
@@ -421,8 +464,19 @@ class Thm2Scenario:
 
     def domain_region(self) -> SublevelRegion:
         return SublevelRegion(
-            self.defining_values, 0.0, self.bulk_window(), label="Omega2"
+            self.defining_values, 0.0, self.bulk_window(), label="Omega2",
+            lower=self.defining_lower,
         )
+
+    def slab_region(self) -> SublevelRegion:
+        """The domain in the bulk window, for the boundedness surrogate."""
+        return replace(self.domain_region(), label="Omega2-slab")
+
+    def zdisk_region(self) -> SublevelRegion:
+        """Members over the closed unit z-disk with |w| < 3."""
+        window = ProductRegion(Disk(0j, 1.0, closed=True),
+                               Ball((0j,) * (self.n - 1), 3.0), label="zdisk-window")
+        return replace(self.domain_region(), window=window, label="Omega2-zdisk")
 
     def witness_min_eigs_on_window(self, pts) -> np.ndarray:
         """Exact Levi floor of the witness on the strictness window.
@@ -971,12 +1025,7 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
     certs.append(make_certificate("thm2-series-lower-bound", lows + 1.0, 0.0, z))
 
     # boundedness surrogate: members with |w| <= 3 have |z| <= 3
-    slab = SublevelRegion(
-        sc.defining_values, 0.0,
-        ProductRegion(Disk(0j, 3.2), Ball((0j,) * k, 3.0), label="slab-window"),
-        label="Omega2-slab",
-    )
-    pts = sample(slab, Sampler(seed, cfg.samples, stream=202))
+    pts = sample(sc.slab_region(), Sampler(seed, cfg.samples, stream=202))
     certs.append(
         make_certificate("thm2-bounded-slab", 3.0 - np.abs(pts[:, 0]), 0.0, pts)
     )
@@ -1035,13 +1084,7 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
     )
 
     # no members with z in the closed unit disk near the |w| = 5/2 sphere
-    zslab = SublevelRegion(
-        sc.defining_values, 0.0,
-        ProductRegion(Disk(0j, 1.0, closed=True), Ball((0j,) * k, 3.0),
-                      label="zdisk-window"),
-        label="Omega2-zdisk",
-    )
-    pts = sample(zslab, Sampler(seed, cfg.samples, stream=207))
+    pts = sample(sc.zdisk_region(), Sampler(seed, cfg.samples, stream=207))
     gap = np.abs(np.sqrt(_norm2(pts[:, 1:])) - _THETA_CUT) - cfg.band_margin
     certs.append(make_certificate("thm2-bump-interface-clear", gap, 0.0, pts))
 

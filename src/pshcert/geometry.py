@@ -203,6 +203,14 @@ class SublevelRegion(Region):
     ``defining`` evaluates a batch of points of the window's C^dim. The
     window only drives rejection sampling; membership itself is the
     sublevel inequality (and the optional extra constraints).
+
+    ``lower``, when given, is a cheap screen: a batch function with
+    ``lower(p) <= defining(p)`` wherever both are numbers (NaN is
+    allowed and means "no bound"). ``contains`` evaluates ``defining``
+    only at points with ``not lower(p) >= level``; every other point is
+    certainly outside. ``defining`` must be elementwise (a point's value
+    does not depend on the rest of its batch), so the mask is the same
+    as without the screen, bit for bit.
     """
 
     defining: Callable[[np.ndarray], np.ndarray] = field(compare=False)
@@ -210,6 +218,9 @@ class SublevelRegion(Region):
     window: Region
     constraints: tuple[Region, ...] = ()
     label: str = "sublevel"
+    lower: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -217,7 +228,12 @@ class SublevelRegion(Region):
 
     def contains(self, pts):
         pts = np.asarray(pts, dtype=np.complex128)
-        ok = self.defining(pts) < self.level
+        if self.lower is None:
+            ok = self.defining(pts) < self.level
+        else:
+            ok = np.zeros(pts.shape[0], dtype=bool)
+            maybe = ~(self.lower(pts) >= self.level)
+            ok[maybe] = self.defining(pts[maybe]) < self.level
         for c in self.constraints:
             ok &= c.contains(pts)
         return ok

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from pshcert.config import CertifyConfig
@@ -7,6 +10,21 @@ from pshcert.constructions import (
     build_thm1,
     build_thm2,
 )
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def children_import_this_checkout():
+    """Interpreters that tests start import pshcert from ``src/`` too."""
+    old = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, old) if p)
+    yield
+    if old is None:
+        del os.environ["PYTHONPATH"]
+    else:
+        os.environ["PYTHONPATH"] = old
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,14 @@ from pshcert.calculus import (
     wirtinger_hessian,
     wirtinger_hessian_batch,
 )
-from pshcert.geometry import Ball, CPoint, Disk, ProductRegion, Sampler
+from pshcert.geometry import (
+    Ball,
+    CPoint,
+    Disk,
+    EmptyRegionError,
+    ProductRegion,
+    Sampler,
+)
 
 H_STEP = 1e-4
 
@@ -281,3 +288,12 @@ def test_certify_psh_exclusion_refills_to_count():
     )
     assert cert.samples == 300
     assert cert.passed
+
+
+def test_certify_psh_shortfall_raises():
+    # an exclusion that rejects every point used to certify an empty set
+    region = ProductRegion(Disk(0j, 1.0), Ball((0j,), 1.0))
+    with pytest.raises(EmptyRegionError, match="excl-all: delivered 0/300 points"):
+        certify_psh(_sq_all, region, Sampler(1, 300), H_STEP,
+                    exclude=lambda pts: np.ones(len(pts), dtype=bool),
+                    name="excl-all")

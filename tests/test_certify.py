@@ -110,6 +110,19 @@ def test_construction_failure_becomes_failing_report(tiny_cfg, monkeypatch):
     assert serialize_report(report)
 
 
+def test_psh_sample_shortfall_becomes_failing_report():
+    # an exclusion radius beyond the example1 window leaves no point to
+    # certify; the report says so instead of certifying an empty set
+    cfg = CertifyConfig(samples=100, submean_probes=40, plateau_checks=8,
+                        example1_exclusion=10.0)
+    report = run_suite("example1", cfg)
+    assert not report.passed
+    assert [c.name for c in report.certificates] == ["construction-failure"]
+    assert report.certificates[0].witnesses[0]["error"] == (
+        "example1-strict-psh: delivered 0/100 points"
+    )
+
+
 # --- grids ------------------------------------------------------------------
 
 def test_parse_specs():

@@ -1,13 +1,18 @@
 """Plateau function, tapered form, scenarios, and the warm-up example."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from pshcert.calculus import circle_mean_test, wirtinger_hessian_batch
 from pshcert.config import CertifyConfig
 from pshcert.constructions import (
+    _SCREEN_SLACK,
     _fd_laplacian,
     _perturbation_values,
+    build_thm1,
     build_thm2,
     example1_check,
     example_defining,
@@ -19,7 +24,7 @@ from pshcert.constructions import (
     thm2_properties,
 )
 from pshcert.geometry import Sampler, sample
-from pshcert.logpoles import make_schedule, series_values
+from pshcert.logpoles import make_schedule, series_ring_lower_bounds, series_values
 
 
 # --- plateau function -------------------------------------------------------
@@ -281,7 +286,6 @@ def test_thm2_line_slice_path(thm2):
 
 def test_dimension_three_smoke():
     from pshcert.calculus import min_eigs_batch
-    from pshcert.constructions import build_thm1
 
     cfg = CertifyConfig(n=3, samples=200, submean_probes=40, plateau_checks=8)
     sc = build_thm2(cfg)
@@ -304,8 +308,6 @@ def test_dimension_three_smoke():
 def test_domain_region_survives_scenario_of_other_dimension():
     # each region holds its own defining function, so building an n=3
     # scenario leaves an earlier n=2 region's samples unchanged
-    from pshcert.constructions import build_thm1
-
     small = dict(samples=200, submean_probes=40, plateau_checks=8)
     region2 = build_thm1(CertifyConfig(**small)).domain_region()
     before = sample(region2, Sampler(3, 100))
@@ -314,6 +316,129 @@ def test_domain_region_survives_scenario_of_other_dimension():
     assert after.shape == (100, 2)
     np.testing.assert_array_equal(before, after)
     assert sample(region3, Sampler(3, 100)).shape == (100, 3)
+
+
+# --- screened rejection sampling --------------------------------------------
+
+@pytest.fixture(scope="module")
+def scenarios_by_n(plateau):
+    # the default config: trunc = j_max = 60, the poles the report uses
+    out = {}
+    for n in (2, 3):
+        cfg = CertifyConfig(n=n)
+        assert cfg.j_max == plateau.j_max
+        out[n] = (build_thm1(cfg), build_thm2(cfg, plateau))
+    return out
+
+
+def _adversarial_points(sc) -> np.ndarray:
+    """Points where a ring bound is most likely to overshoot the series."""
+    a = sc.schedule.a[: sc.trunc]
+    moduli = np.abs(a)
+    phi = np.exp(2j * np.pi * np.arange(8) / 8 + 0.3j)
+    circle = np.concatenate([
+        r[:, None] * phi[None, :]
+        for r in (moduli, np.nextafter(moduli, 0.0), np.nextafter(moduli, 9.0))
+    ]).ravel()
+    z = np.concatenate([
+        a,  # the float poles themselves
+        (a[:, None] + 1e-6 * phi[None, :]).ravel(),
+        circle,
+        [0j, np.nan, np.inf, -np.inf, complex(np.inf, np.nan), 1e200],
+    ])
+    k = sc.n - 1
+    w0 = sc.w0
+    nan_w = np.full(k, np.nan, dtype=np.complex128)
+    inf_w = np.full(k, np.inf, dtype=np.complex128)
+    # w = w0 kills the w-log term; |w| = 2.9 makes the non-series terms
+    # positive, so only the series can make such a point a member
+    ws = [np.zeros(k, dtype=np.complex128), w0, w0 + 1e-9,
+          np.full(k, 2.9 / np.sqrt(k), dtype=np.complex128), nan_w, inf_w]
+    return np.concatenate([
+        np.concatenate([z[:, None], np.repeat(w[None, :], z.size, axis=0)], axis=1)
+        for w in ws
+    ])
+
+
+def _screen_points(sc) -> np.ndarray:
+    window = sample(sc.bulk_window(), Sampler(5, 200_000, stream=11))
+    return np.concatenate([window, _adversarial_points(sc)])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_defining_lower_never_exceeds_defining(scenarios_by_n, n):
+    for sc in scenarios_by_n[n]:
+        pts = _screen_points(sc)
+        with np.errstate(invalid="ignore", over="ignore"):
+            lower = sc.defining_lower(pts)
+            values = sc.defining_values(pts)
+        # lower <= values wherever both are numbers; a NaN lower bound
+        # only keeps a point a candidate
+        assert not np.any(lower > values)
+        # the bound is -inf at the float poles (zero ring gap) and NaN
+        # at a NaN coordinate
+        poles = pts[np.isin(pts[:, 0], sc.schedule.a[: sc.trunc])]
+        finite = np.all(np.isfinite(poles), axis=1)
+        assert np.all(sc.defining_lower(poles[finite]) == -np.inf)
+        assert np.isnan(series_ring_lower_bounds(sc.schedule, [np.nan])[0])
+        # and it rejects most window proposals outright, which is the
+        # point of the screen
+        screened = np.mean(lower[:200_000] >= 0.0)
+        assert screened > 0.9, screened
+
+
+def test_ring_bound_slack_covers_series_rounding(scenarios_by_n):
+    # within the window the ring bound minus the slack stays below the
+    # computed series, also right next to the poles
+    for sc in scenarios_by_n[2]:
+        z = _screen_points(sc)[:, 0]
+        z = z[np.isfinite(z) & (np.abs(z) < 3.2)]
+        ring = series_ring_lower_bounds(sc.schedule, z, sc.trunc) - _SCREEN_SLACK
+        sig, _ = sc.sigma(z)
+        assert not np.any(ring > sig)
+
+
+def _screened_regions(pair):
+    sc1, sc2 = pair
+    return [sc1.domain_region(), sc2.domain_region(), sc2.slab_region(),
+            sc2.zdisk_region()]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_screened_mask_equals_unscreened(scenarios_by_n, n):
+    pair = scenarios_by_n[n]
+    pts = {id(sc): _screen_points(sc) for sc in pair}
+    labels = []
+    for region, sc in zip(_screened_regions(pair), (pair[0],) + (pair[1],) * 3):
+        assert region.lower is not None
+        labels.append(region.label)
+        p = pts[id(sc)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            screened = region.contains(p)
+            plain = dataclasses.replace(region, lower=None).contains(p)
+        np.testing.assert_array_equal(screened, plain)
+        assert np.any(screened)
+    assert labels == ["Omega1", "Omega2", "Omega2-slab", "Omega2-zdisk"]
+
+
+# sha256 of sample(region, Sampler(42, 2000, stream=107)) before the screen
+_REJECTION_PINS = {
+    (2, "Omega1"): "5e24cc95c62f425dd1ec4b1cc0f913594d20cde13786a539da8f200fb46f7a2e",
+    (2, "Omega2"): "dab907049c33f9b0992c962b2c30b61d26aa6ae0611eea6b014918b50acb9451",
+    (2, "Omega2-slab"): "dab907049c33f9b0992c962b2c30b61d26aa6ae0611eea6b014918b50acb9451",
+    (3, "Omega1"): "a02096f8a088ff1d300ccecabde865266d579447fd17ec8625dc9f93a57c3716",
+    (3, "Omega2"): "f375af14d89f7aa71c4ca0c29196975e9f44b888237dcedabc92811ba42a0df1",
+    (3, "Omega2-slab"): "f375af14d89f7aa71c4ca0c29196975e9f44b888237dcedabc92811ba42a0df1",
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rejection_sample_bytes_pinned(scenarios_by_n, n):
+    for region in _screened_regions(scenarios_by_n[n])[:3]:
+        pts = sample(region, Sampler(42, 2000, stream=107))
+        assert pts.shape == (2000, n)
+        digest = hashlib.sha256(np.ascontiguousarray(pts).tobytes()).hexdigest()
+        assert digest == _REJECTION_PINS[n, region.label], region.label
 
 
 # --- warm-up example --------------------------------------------------------
