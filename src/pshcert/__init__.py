@@ -8,15 +8,10 @@ Levi-form positivity by deterministic sampling with rigorous series
 tails. See the ``certify`` module for suites and the CLI.
 """
 
-from ._backend import BACKEND_NAME, USING_NUMBA
 from .calculus import (
     Certificate,
-    HermitianSample,
-    StencilError,
     certify_psh,
     circle_mean_test,
-    hermitian_min_eig,
-    wirtinger_hessian,
     wirtinger_hessian_batch,
 )
 from .certify import GridExport, Report, emit_grid, run_suite, serialize_report
@@ -34,24 +29,19 @@ from .constructions import (
 from .geometry import (
     Annulus,
     Ball,
-    CPoint,
     Disk,
-    HalfspaceModulus,
     ProductRegion,
     Region,
     Sampler,
     SublevelRegion,
-    golden_angle,
     golden_angles,
     path_connected_probe,
     sample,
 )
+from .kernels import BACKEND_NAME
 from .logpoles import (
-    CertifiedValue,
     PoleSchedule,
     make_schedule,
-    series_lower_bound_off_discs,
-    series_value,
     series_values,
 )
 
@@ -61,27 +51,21 @@ __all__ = [
     "Annulus",
     "BACKEND_NAME",
     "Ball",
-    "CPoint",
     "Certificate",
-    "CertifiedValue",
     "CertifyConfig",
     "ConfigError",
     "Disk",
     "GridExport",
-    "HalfspaceModulus",
-    "HermitianSample",
     "PlateauFunction",
     "PoleSchedule",
     "ProductRegion",
     "Region",
     "Report",
     "Sampler",
-    "StencilError",
     "SublevelRegion",
     "TaperedForm",
     "Thm1Scenario",
     "Thm2Scenario",
-    "USING_NUMBA",
     "build_plateau",
     "build_tapered_form",
     "build_thm1",
@@ -89,17 +73,12 @@ __all__ = [
     "certify_psh",
     "circle_mean_test",
     "emit_grid",
-    "golden_angle",
     "golden_angles",
-    "hermitian_min_eig",
     "make_schedule",
     "path_connected_probe",
     "run_suite",
     "sample",
     "serialize_report",
-    "series_lower_bound_off_discs",
-    "series_value",
     "series_values",
-    "wirtinger_hessian",
     "wirtinger_hessian_batch",
 ]

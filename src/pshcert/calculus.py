@@ -20,31 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .geometry import CPoint, EmptyRegionError, Region, Sampler, sample
+from .geometry import EmptyRegionError, Region, Sampler, sample
 
-HERMITIAN_TOL = 1e-10
 MAX_EIG_DIM = 8
-
-
-class StencilError(RuntimeError):
-    """A finite-difference stencil hit a nonfinite function value."""
-
-    def __init__(self, point, offset):
-        self.point = point
-        self.offset = offset
-        super().__init__(
-            f"nonfinite value in FD stencil at point {point} offset {offset}"
-        )
-
-
-@dataclass(frozen=True)
-class HermitianSample:
-    """Levi form of a function at one point: matrix plus its smallest eigenvalue."""
-
-    point: np.ndarray
-    matrix: np.ndarray
-    min_eig: float
-    step: float
 
 
 @dataclass(frozen=True)
@@ -172,23 +150,6 @@ def wirtinger_hessian_batch(f, points, h: float):
     return H, ok
 
 
-def wirtinger_hessian(f, p, h: float) -> HermitianSample:
-    """Levi-form sample at a single point; raises StencilError at poles."""
-    if isinstance(p, CPoint):
-        parr = p.as_array()
-    else:
-        parr = np.asarray(p, dtype=np.complex128).ravel()
-    n = parr.size
-    offsets, *_ = _stencil_offsets(n, h)
-    probe = np.asarray(f(parr[None, :] + offsets), dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(probe))
-    if bad.size:
-        raise StencilError(parr, offsets[bad[0]])
-    H, _ = wirtinger_hessian_batch(f, parr[None, :], h)
-    me = float(min_eigs_batch(H)[0])
-    return HermitianSample(parr, H[0], me, h)
-
-
 # ---------------------------------------------------------------------------
 # Hermitian minimal eigenvalues
 # ---------------------------------------------------------------------------
@@ -218,18 +179,6 @@ def min_eigs_batch(H: np.ndarray) -> np.ndarray:
     return kernels.jacobi_min_eig_many(
         np.ascontiguousarray(H.real), np.ascontiguousarray(H.imag)
     )
-
-
-def hermitian_min_eig(matrix) -> float:
-    """Smallest eigenvalue of one Hermitian matrix, symmetry-checked."""
-    H = np.asarray(matrix, dtype=np.complex128)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("matrix must be square")
-    asym = np.abs(H - H.conj().T)
-    if np.any(asym > HERMITIAN_TOL * (1.0 + np.abs(H))):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    Hs = 0.5 * (H + H.conj().T)
-    return float(min_eigs_batch(Hs[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +251,7 @@ def certify_psh(
     chunks = []
     total = 0
     for attempt in range(50):
-        s = Sampler(sampler.seed, want, sampler.strategy, sampler.m,
-                    sampler.stream + 7919 * attempt)
+        s = Sampler(sampler.seed, want, sampler.stream + 7919 * attempt)
         pts = sample(region, s)
         if pts.ndim == 1:
             pts = pts[:, None]

@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._backend import BACKEND_NAME
 from .calculus import Certificate, min_eigs_batch, wirtinger_hessian_batch
 from .geometry import EmptyRegionError
+from .kernels import BACKEND_NAME
 from .config import CertifyConfig, ConfigError
 from .constructions import (
     PlateauFunction,

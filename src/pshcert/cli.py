@@ -8,9 +8,7 @@
 
 Exit codes: 0 all certificates pass, 1 at least one failed, 2 bad usage
 or configuration, 3 internal error (any other exception: the program
-broke before reaching a verdict). The only environment knobs are
-PSHCERT_BACKEND (kernel flavor) and NUMBA_NUM_THREADS (numba thread
-count).
+broke before reaching a verdict).
 """
 
 from __future__ import annotations

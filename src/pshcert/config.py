@@ -5,6 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 
+#: largest series truncation order: the thm2 coefficients delta_j underflow
+#: to exactly 0 from j = 1016 on (thm1 from j = 1071), and a zero term on
+#: its own pole line evaluates 0 * log 0 = NaN
+MAX_TRUNC = 1015
+
+
 class ConfigError(ValueError):
     """Invalid run configuration (maps to process exit code 2)."""
 
@@ -51,8 +57,10 @@ class CertifyConfig:
     def validate(self) -> "CertifyConfig":
         if not 2 <= self.n <= 8:
             raise ConfigError(f"ambient dimension n must be in [2, 8], got {self.n}")
-        if self.trunc < 1:
-            raise ConfigError("truncation order must be >= 1")
+        if not 1 <= self.trunc <= MAX_TRUNC:
+            raise ConfigError(
+                f"truncation order must be in [1, {MAX_TRUNC}], got {self.trunc}"
+            )
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if self.samples < 100:

@@ -32,6 +32,9 @@ from .geometry import (
     ProductRegion,
     Sampler,
     SublevelRegion,
+    _sample_ball,
+    _sample_disk,
+    _unit_directions,
     path_connected_probe,
     sample,
 )
@@ -232,19 +235,6 @@ class TaperedForm:
         lam = kernels.taper_many(np.abs(z1) ** 2)[0]
         denom = np.abs(xi[:, 0]) ** 2 + lam * _norm2(xi[:, 1:])
         return float(np.min(self.levi_contract(z, xi) / denom))
-
-
-def _sample_disk(rng, count):
-    return np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
-
-
-def _sample_ball(rng, count, k, radius):
-    g = rng.standard_normal((count, 2 * k))
-    nrm = np.linalg.norm(g, axis=1)
-    nrm[nrm == 0] = 1.0
-    r = radius * rng.random(count) ** (1.0 / (2 * k))
-    pts = g / nrm[:, None] * r[:, None]
-    return pts[:, :k] + 1j * pts[:, k:]
 
 
 def build_tapered_form(
@@ -576,18 +566,6 @@ def _member_filter(defining, pts):
     return pts[defining(pts) < 0.0]
 
 
-def _ball_points(rng, count, k, radius):
-    return _sample_ball(rng, count, k, radius)
-
-
-def _unit_directions(rng, count, k):
-    g = rng.standard_normal((count, 2 * k))
-    nrm = np.linalg.norm(g, axis=1)
-    nrm[nrm == 0] = 1.0
-    pts = g / nrm[:, None]
-    return pts[:, :k] + 1j * pts[:, k:]
-
-
 def thm1_decay_members(sc: Thm1Scenario, count: int, seed: int,
                        stream: int) -> np.ndarray:
     """Members of the domain with |w| > 4, mixing exact pole-line points
@@ -649,9 +627,9 @@ def closed_polydisk_samples(n: int, count: int, seed: int, stream: int) -> np.nd
     k = n - 1
     m = min(max(count // 16, 8), 256)
     z_in = _sample_disk(rng, count - 2 * m)
-    w_in = _ball_points(rng, count - 2 * m, k, 1.0)
+    w_in = _sample_ball(rng, count - 2 * m, k, 1.0)
     z_bd = np.exp(2j * np.pi * rng.random(m))
-    w_for_zbd = _ball_points(rng, m, k, 1.0)
+    w_for_zbd = _sample_ball(rng, m, k, 1.0)
     z_for_wbd = _sample_disk(rng, m)
     w_bd = _unit_directions(rng, m, k)
     return np.concatenate(
@@ -713,7 +691,7 @@ def thm1_properties(sc: Thm1Scenario, cfg: CertifyConfig) -> list[Certificate]:
     k = sc.n - 1
     idx = rng.integers(0, sc.trunc + 1, cfg.samples)
     z_line = np.where(idx == 0, 0j, sc.schedule.a[np.maximum(idx - 1, 0)])
-    w_line = _ball_points(rng, cfg.samples, k, 10.0)
+    w_line = _sample_ball(rng, cfg.samples, k, 10.0)
     pts = np.concatenate([z_line[:, None], w_line], axis=1)
     certs.append(
         make_certificate("thm1-line-membership", -sc.defining_values(pts), 0.0, pts)
@@ -1061,7 +1039,7 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
     rng = np.random.Generator(np.random.Philox(key=[seed, 205]))
     half = cfg.samples // 2
     idx = rng.integers(0, sc.trunc, half)
-    w = _ball_points(rng, half, k, 6.0)
+    w = _sample_ball(rng, half, k, 6.0)
     e1 = np.concatenate([sc.schedule.a[idx][:, None], w], axis=1)
     z = _sample_disk(rng, cfg.samples - half) * 6.0
     e2 = np.concatenate(

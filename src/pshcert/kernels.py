@@ -1,19 +1,14 @@
-"""Hot numeric kernels: numba loops with pure-numpy fallbacks.
+"""Hot numeric kernels, vectorized in numpy.
 
-Each kernel performs the same arithmetic in the same term order in both
-flavors, so a fixed backend produces bit-stable results and the two
-backends agree to the last few ulps (they may differ in the final bit
-because numpy's vectorized libm calls are not the scalar libm calls).
-
-Exported names resolve to the backend selected in :mod:`pshcert._backend`.
-The dictionaries ``NUMPY_KERNELS`` and ``NUMBA_KERNELS`` keep both
-flavors importable for benchmarks and cross-checks.
+Each kernel performs its arithmetic in a fixed term order, so results
+are bit-stable from run to run and independent of the batch a point is
+evaluated in.
 
 Conventions: points in C are passed as separate float64 arrays of real
 and imaginary parts; log of a modulus is always computed as
 ``0.5*log(dx*dx + dy*dy)``, which yields -inf exactly at a pole hit.
 
-The numpy pole kernels (``sigma_many``, ``u_many``) walk the points in
+The pole kernels (``sigma_many``, ``u_many``) walk the points in
 fixed blocks of ``_BLOCK`` so that their per-pole temporaries stay in
 cache. Blocking only splits elementwise work: the per-pole term order
 of each point's accumulation is unchanged, so results are bit-identical
@@ -29,9 +24,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._backend import USING_NUMBA, compile_kernel
+#: kernel flavor; every report records it as ``config_echo["backend"]``
+BACKEND_NAME = "numpy"
 
-# Points per block of the numpy pole kernels: the block's coordinates,
+# Points per block of the pole kernels: the block's coordinates,
 # accumulator and two reused float64 temporaries (640 KiB in all) stay in L2
 # cache across the per-pole loop, where whole 10^5-point batches spill.
 _BLOCK = 16384
@@ -50,18 +46,7 @@ CHI_SUPPORT = 0.75
 # cutoff profile chi
 # ---------------------------------------------------------------------------
 
-def _chi_scalar(s):
-    if s <= 0.25:
-        return 1.0
-    if s >= 0.75:
-        return 0.0
-    u = (s - 0.25) / 0.5
-    a = np.exp(-1.0 / (1.0 - u))
-    b = np.exp(-1.0 / u)
-    return a / (a + b)
-
-
-def chi_many_numpy(s):
+def chi_many(s):
     s = np.asarray(s, dtype=np.float64)
     out = np.zeros_like(s)
     out[s <= 0.25] = 1.0
@@ -74,16 +59,11 @@ def chi_many_numpy(s):
     return out
 
 
-def _chi_many_loop(s, out):
-    for i in range(s.shape[0]):
-        out[i] = _chi_scalar(s[i])
-
-
 # ---------------------------------------------------------------------------
 # taper profile (value and first two derivatives of g(t)^2)
 # ---------------------------------------------------------------------------
 
-def taper_many_numpy(t):
+def taper_many(t):
     """Return (lam, lam', lam'') of the taper profile at each t >= 0."""
     t = np.asarray(t, dtype=np.float64)
     lam = np.zeros_like(t)
@@ -113,39 +93,11 @@ def taper_many_numpy(t):
     return lam, d1, d2
 
 
-def _taper_scalar(t):
-    if t <= 0.5:
-        return 1.0, 0.0, 0.0
-    if t >= 1.0:
-        return 0.0, 0.0, 0.0
-    p = 1.0 - t
-    q = t - 0.5
-    a = np.exp(-1.0 / p)
-    b = np.exp(-1.0 / q)
-    ap = -a / (p * p)
-    bp = b / (q * q)
-    app = a * (1.0 - 2.0 * p) / (p * p * p * p)
-    bpp = b * (1.0 - 2.0 * q) / (q * q * q * q)
-    s = a + b
-    g = a / s
-    gp = (ap * b - a * bp) / (s * s)
-    gpp = ((app * b - a * bpp) * s - 2.0 * (ap * b - a * bp) * (ap + bp)) / (s * s * s)
-    return g * g, 2.0 * g * gp, 2.0 * (gp * gp + g * gpp)
-
-
-def _taper_many_loop(t, lam, d1, d2):
-    for i in range(t.shape[0]):
-        v0, v1, v2 = _taper_scalar(t[i])
-        lam[i] = v0
-        d1[i] = v1
-        d2[i] = v2
-
-
 # ---------------------------------------------------------------------------
 # truncated log-pole series
 # ---------------------------------------------------------------------------
 
-def sigma_many_numpy(zr, zi, ar, ai, delta):
+def sigma_many(zr, zi, ar, ai, delta):
     """sum_j delta_j * log|z - a_j| at each point, -inf on an exact pole hit."""
     out = np.zeros_like(zr)
     npts = zr.shape[0]
@@ -169,23 +121,11 @@ def sigma_many_numpy(zr, zi, ar, ai, delta):
     return out
 
 
-def _sigma_many_loop(zr, zi, ar, ai, delta, out):
-    npts = zr.shape[0]
-    npoles = ar.shape[0]
-    for i in range(npts):
-        acc = 0.0
-        for j in range(npoles):
-            dx = zr[i] - ar[j]
-            dy = zi[i] - ai[j]
-            acc = acc + delta[j] * (0.5 * np.log(dx * dx + dy * dy))
-        out[i] = acc
-
-
 # ---------------------------------------------------------------------------
 # plateau-glued subharmonic function u
 # ---------------------------------------------------------------------------
 
-def u_many_numpy(zr, zi, ar, ai, rad, eps):
+def u_many(zr, zi, ar, ai, rad, eps):
     """max(|z|^2 + eps_j*chi(|z-a_j|/r_j)*log|z-a_j|, 1) inside the disc
     around a_j that contains z (the discs are disjoint), |z|^2 elsewhere.
 
@@ -227,7 +167,7 @@ def _u_block(zr, zi, ar, ai, rad, eps, win_lo, win_hi):
         claimed[idx] = True
         d2m = d2[mask]
         s = np.sqrt(d2m) / rad[j]
-        c = chi_many_numpy(s)
+        c = chi_many(s)
         val = m2[idx]
         inner = c > 0.0
         if np.any(inner):
@@ -238,34 +178,11 @@ def _u_block(zr, zi, ar, ai, rad, eps, win_lo, win_hi):
     return out
 
 
-def _u_many_loop(zr, zi, ar, ai, rad, eps, out):
-    npts = zr.shape[0]
-    ndiscs = ar.shape[0]
-    for i in range(npts):
-        x = zr[i]
-        y = zi[i]
-        m2 = x * x + y * y
-        val = m2
-        for j in range(ndiscs):
-            dx = x - ar[j]
-            dy = y - ai[j]
-            d2 = dx * dx + dy * dy
-            if d2 < rad[j] * rad[j]:
-                s = np.sqrt(d2) / rad[j]
-                c = _chi_scalar(s)
-                if c > 0.0:
-                    val = m2 + (eps[j] * c) * (0.5 * np.log(d2))
-                if val < 1.0:
-                    val = 1.0
-                break
-        out[i] = val
-
-
 # ---------------------------------------------------------------------------
 # smallest eigenvalue of Hermitian 2x2 matrices [[a, b], [conj(b), c]]
 # ---------------------------------------------------------------------------
 
-def min_eig_2x2_many_numpy(a, c, br, bi):
+def min_eig_2x2_many(a, c, br, bi):
     # det/lmax resolves a tiny bottom eigenvalue without cancellation,
     # but only when m >= 0 (else lmax = m + disc itself cancels); for
     # m < 0 the direct branch m - disc adds same-sign terms and is exact
@@ -281,19 +198,6 @@ def min_eig_2x2_many_numpy(a, c, br, bi):
     return np.where(use_quot, quot, lo)
 
 
-def _min_eig_2x2_loop(a, c, br, bi, out):
-    for i in range(a.shape[0]):
-        m = 0.5 * (a[i] + c[i])
-        d = 0.5 * (a[i] - c[i])
-        b2 = br[i] * br[i] + bi[i] * bi[i]
-        disc = np.sqrt(d * d + b2)
-        lmax = m + disc
-        if m >= 0.0 and lmax > 0.0:
-            out[i] = (a[i] * c[i] - b2) / lmax
-        else:
-            out[i] = m - disc
-
-
 # ---------------------------------------------------------------------------
 # smallest eigenvalue of Hermitian n x n matrices via cyclic Jacobi
 # ---------------------------------------------------------------------------
@@ -302,72 +206,9 @@ _JACOBI_SWEEPS = 60
 _JACOBI_TOL = 1e-14
 
 
-def _jacobi_min_eig_single(hr, hi, n):
-    # in-place cyclic-by-row complex Jacobi on the (real, imag) parts
-    for _ in range(_JACOBI_SWEEPS):
-        off = 0.0
-        scale = 1e-300
-        for p in range(n):
-            scale = max(scale, abs(hr[p, p]))
-            for q in range(p + 1, n):
-                off = max(off, np.sqrt(hr[p, q] ** 2 + hi[p, q] ** 2))
-        if off <= _JACOBI_TOL * max(scale, 1.0):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                r = np.sqrt(hr[p, q] ** 2 + hi[p, q] ** 2)
-                if r <= 1e-300:
-                    continue
-                wr = hr[p, q] / r
-                wi = hi[p, q] / r
-                tau = (hr[q, q] - hr[p, p]) / (2.0 * r)
-                if tau >= 0.0:
-                    tt = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    tt = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                cc = 1.0 / np.sqrt(1.0 + tt * tt)
-                ss = tt * cc
-                hr[p, p] = hr[p, p] - tt * r
-                hr[q, q] = hr[q, q] + tt * r
-                hr[p, q] = 0.0
-                hi[p, q] = 0.0
-                hr[q, p] = 0.0
-                hi[q, p] = 0.0
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    xr = hr[k, p]
-                    xi = hi[k, p]
-                    yr = hr[k, q]
-                    yi = hi[k, q]
-                    # A[k,p] <- c*x - s*conj(w)*y ; A[k,q] <- s*w*x + c*y
-                    cwyr = wr * yr + wi * yi
-                    cwyi = wr * yi - wi * yr
-                    hr[k, p] = cc * xr - ss * cwyr
-                    hi[k, p] = cc * xi - ss * cwyi
-                    wxr = wr * xr - wi * xi
-                    wxi = wr * xi + wi * xr
-                    hr[k, q] = ss * wxr + cc * yr
-                    hi[k, q] = ss * wxi + cc * yi
-                    hr[p, k] = hr[k, p]
-                    hi[p, k] = -hi[k, p]
-                    hr[q, k] = hr[k, q]
-                    hi[q, k] = -hi[k, q]
-    mn = hr[0, 0]
-    for p in range(1, n):
-        if hr[p, p] < mn:
-            mn = hr[p, p]
-    return mn
-
-
-def _jacobi_min_eig_many_loop(hr, hi, out):
-    n = hr.shape[1]
-    for i in range(hr.shape[0]):
-        out[i] = _jacobi_min_eig_single(hr[i].copy(), hi[i].copy(), n)
-
-
-def jacobi_min_eig_many_numpy(hr, hi):
-    """Cyclic Jacobi, vectorized across the batch (same rotation order)."""
+def jacobi_min_eig_many(hr, hi):
+    """Smallest eigenvalues by cyclic-by-row complex Jacobi on the (real,
+    imag) parts, vectorized across the batch."""
     hr = hr.copy()
     hi = hi.copy()
     nmat, n, _ = hr.shape
@@ -414,6 +255,7 @@ def jacobi_min_eig_many_numpy(hr, hi):
                     xi = hi[:, k, p].copy()
                     yr = hr[:, k, q].copy()
                     yi = hi[:, k, q].copy()
+                    # A[k,p] <- c*x - s*conj(w)*y ; A[k,q] <- s*w*x + c*y
                     cwyr = wr * yr + wi * yi
                     cwyi = wr * yi - wi * yr
                     nxr = cc * xr - ss * cwyr
@@ -431,107 +273,3 @@ def jacobi_min_eig_many_numpy(hr, hi):
                     hr[idx, q, k] = hr[:, k, q]
                     hi[idx, q, k] = -hi[:, k, q]
     return hr[:, np.arange(n), np.arange(n)].min(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# backend wiring
-# ---------------------------------------------------------------------------
-
-def _wrap_chi(loop):
-    def chi_many(s):
-        s = np.ascontiguousarray(np.asarray(s, dtype=np.float64).ravel())
-        out = np.empty_like(s)
-        loop(s, out)
-        return out
-
-    return chi_many
-
-
-def _wrap_taper(loop):
-    def taper_many(t):
-        t = np.ascontiguousarray(np.asarray(t, dtype=np.float64).ravel())
-        lam = np.empty_like(t)
-        d1 = np.empty_like(t)
-        d2 = np.empty_like(t)
-        loop(t, lam, d1, d2)
-        return lam, d1, d2
-
-    return taper_many
-
-
-def _wrap_sigma(loop):
-    def sigma_many(zr, zi, ar, ai, delta):
-        zr = np.ascontiguousarray(zr, dtype=np.float64)
-        zi = np.ascontiguousarray(zi, dtype=np.float64)
-        out = np.empty_like(zr)
-        loop(zr, zi, ar, ai, delta, out)
-        return out
-
-    return sigma_many
-
-
-def _wrap_u(loop):
-    def u_many(zr, zi, ar, ai, rad, eps):
-        zr = np.ascontiguousarray(zr, dtype=np.float64)
-        zi = np.ascontiguousarray(zi, dtype=np.float64)
-        out = np.empty_like(zr)
-        loop(zr, zi, ar, ai, rad, eps, out)
-        return out
-
-    return u_many
-
-
-def _wrap_min2(loop):
-    def min_eig_2x2_many(a, c, br, bi):
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        out = np.empty_like(a)
-        loop(a, np.ascontiguousarray(c, dtype=np.float64),
-             np.ascontiguousarray(br, dtype=np.float64),
-             np.ascontiguousarray(bi, dtype=np.float64), out)
-        return out
-
-    return min_eig_2x2_many
-
-
-def _wrap_jacobi(loop):
-    def jacobi_min_eig_many(hr, hi):
-        hr = np.ascontiguousarray(hr, dtype=np.float64)
-        hi = np.ascontiguousarray(hi, dtype=np.float64)
-        out = np.empty(hr.shape[0], dtype=np.float64)
-        loop(hr, hi, out)
-        return out
-
-    return jacobi_min_eig_many
-
-
-NUMPY_KERNELS = {
-    "chi_many": chi_many_numpy,
-    "taper_many": taper_many_numpy,
-    "sigma_many": sigma_many_numpy,
-    "u_many": u_many_numpy,
-    "min_eig_2x2_many": min_eig_2x2_many_numpy,
-    "jacobi_min_eig_many": jacobi_min_eig_many_numpy,
-}
-
-NUMBA_KERNELS = None
-if USING_NUMBA:
-    _chi_scalar = compile_kernel(_chi_scalar)
-    _taper_scalar = compile_kernel(_taper_scalar)
-    _jacobi_min_eig_single = compile_kernel(_jacobi_min_eig_single)
-    NUMBA_KERNELS = {
-        "chi_many": _wrap_chi(compile_kernel(_chi_many_loop)),
-        "taper_many": _wrap_taper(compile_kernel(_taper_many_loop)),
-        "sigma_many": _wrap_sigma(compile_kernel(_sigma_many_loop)),
-        "u_many": _wrap_u(compile_kernel(_u_many_loop)),
-        "min_eig_2x2_many": _wrap_min2(compile_kernel(_min_eig_2x2_loop)),
-        "jacobi_min_eig_many": _wrap_jacobi(compile_kernel(_jacobi_min_eig_many_loop)),
-    }
-
-_ACTIVE = NUMBA_KERNELS if USING_NUMBA else NUMPY_KERNELS
-
-chi_many = _ACTIVE["chi_many"]
-taper_many = _ACTIVE["taper_many"]
-sigma_many = _ACTIVE["sigma_many"]
-u_many = _ACTIVE["u_many"]
-min_eig_2x2_many = _ACTIVE["min_eig_2x2_many"]
-jacobi_min_eig_many = _ACTIVE["jacobi_min_eig_many"]

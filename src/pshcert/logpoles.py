@@ -49,24 +49,6 @@ _TAIL_EXP = {"thm1": 1, "thm2": 4}
 
 
 @dataclass(frozen=True)
-class CertifiedValue:
-    """A real value with a rigorous truncation-error radius.
-
-    ``error_radius`` bounds |ideal - value| coming from cutting the
-    series at finite order; it does not model floating-point rounding.
-    """
-
-    value: float
-    error_radius: float
-
-    def certified_below(self, level: float) -> bool:
-        return self.value + self.error_radius < level
-
-    def certified_above(self, level: float) -> bool:
-        return self.value - self.error_radius > level
-
-
-@dataclass(frozen=True)
 class PoleSchedule:
     """Immutable pole/coefficient schedule for one series variant."""
 
@@ -193,12 +175,6 @@ def series_ring_lower_bounds(schedule: PoleSchedule, z,
         return np.sum(schedule.delta[:trunc]) * np.log(np.clip(gap, 0.0, 1.0))
 
 
-def series_value(schedule: PoleSchedule, z: complex,
-                 trunc: Optional[int] = None) -> CertifiedValue:
-    vals, errs = series_values(schedule, np.asarray([z]), trunc)
-    return CertifiedValue(float(vals[0]), float(errs[0]))
-
-
 def tail_error_radius(schedule: PoleSchedule, absz, trunc: int) -> np.ndarray:
     """Certified bound on the dropped tail ``sum_{j > trunc}``.
 
@@ -239,11 +215,6 @@ def series_lower_bounds_off_discs(schedule: PoleSchedule, z) -> np.ndarray:
     logd = np.maximum(logd, schedule.log_rho[None, :])
     bound = np.sum(schedule.delta[None, :] * logd, axis=1)
     return bound - schedule.tail_bound(schedule.j_max)
-
-
-def series_lower_bound_off_discs(schedule: PoleSchedule, z: complex) -> CertifiedValue:
-    b = series_lower_bounds_off_discs(schedule, np.asarray([z]))
-    return CertifiedValue(float(b[0]), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pshcert.calculus import (
-    StencilError,
     certify_psh,
     circle_mean_test,
-    hermitian_min_eig,
     make_certificate,
     min_eigs_batch,
-    wirtinger_hessian,
     wirtinger_hessian_batch,
 )
 from pshcert.geometry import (
     Ball,
-    CPoint,
     Disk,
     EmptyRegionError,
     ProductRegion,
@@ -47,10 +43,10 @@ def test_hessian_of_first_coordinate_square():
 
 
 def test_hessian_of_norm_square_is_identity():
-    s = wirtinger_hessian(_sq_all, CPoint(0.2 + 0.1j, (1.5j,)), H_STEP)
-    np.testing.assert_allclose(s.matrix, np.eye(2), atol=1e-7)
-    assert s.min_eig == pytest.approx(1.0, abs=1e-7)
-    assert s.step == H_STEP
+    H, ok = wirtinger_hessian_batch(_sq_all, np.array([[0.2 + 0.1j, 1.5j]]), H_STEP)
+    assert ok[0]
+    np.testing.assert_allclose(H[0], np.eye(2), atol=1e-7)
+    assert min_eigs_batch(H)[0] == pytest.approx(1.0, abs=1e-7)
 
 
 def test_hessian_of_pluriharmonic_vanishes():
@@ -110,30 +106,27 @@ def test_stencil_error_at_log_pole():
         with np.errstate(divide="ignore"):
             return np.log(np.abs(Z[:, 1])) + np.sum(np.abs(Z) ** 2, axis=1)
 
-    with pytest.raises(StencilError) as err:
-        wirtinger_hessian(f, CPoint(0.5, (0j,)), H_STEP)
-    assert err.value.offset is not None
-    # batch evaluation flags but does not raise
+    # the stencil around a pole point is flagged and its row zeroed, not raised
     H, ok = wirtinger_hessian_batch(f, np.array([[0.5, 0j], [0.5, 1.0]]), H_STEP)
     assert not ok[0] and ok[1]
+    np.testing.assert_array_equal(H[0], np.zeros((2, 2)))
+    assert np.all(np.isfinite(H[1]))
+    assert np.all(np.isfinite(min_eigs_batch(H)))
 
 
-# --- eigenvalue wrapper -----------------------------------------------------
+# --- minimal eigenvalues ----------------------------------------------------
 
 def test_hermitian_min_eig_examples():
-    assert hermitian_min_eig(np.eye(2)) == pytest.approx(1.0, abs=1e-15)
-    assert hermitian_min_eig(np.diag([50.0, 1.0])) == pytest.approx(1.0, abs=1e-13)
-    H = np.array([[2.0, 1j], [-1j, 2.0]])
-    assert hermitian_min_eig(H) == pytest.approx(1.0, abs=1e-12)
+    H = np.array([np.eye(2), np.diag([50.0, 1.0]), [[2.0, 1j], [-1j, 2.0]]])
+    got = min_eigs_batch(H)
+    assert got[0] == pytest.approx(1.0, abs=1e-15)
+    assert got[1] == pytest.approx(1.0, abs=1e-13)
+    assert got[2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hermitian_min_eig_rejects_bad_input():
     with pytest.raises(ValueError):
-        hermitian_min_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        hermitian_min_eig(np.eye(9))
-    with pytest.raises(ValueError):
-        hermitian_min_eig(np.ones((2, 3)))
+        min_eigs_batch(np.eye(9))
 
 
 @settings(max_examples=100, deadline=None)

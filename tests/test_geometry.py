@@ -1,6 +1,7 @@
 """Angle sequence, regions, samplers, and the connectivity probe."""
 
-import cmath
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pshcert.geometry import (
+    GOLDEN_CONJUGATE,
     Annulus,
     Ball,
-    CPoint,
     Disk,
     EmptyRegionError,
-    HalfspaceModulus,
     ProductRegion,
     Sampler,
     SublevelRegion,
-    boundary_circle_points,
-    golden_angle,
+    _sample_ball,
+    _sample_disk,
+    _unit_directions,
     golden_angles,
     path_connected_probe,
     sample,
@@ -29,15 +30,16 @@ from pshcert.geometry import (
 
 def test_golden_angle_first_values():
     # direct evaluation of 2*pi*frac(j*g)
-    assert golden_angle(1) == pytest.approx(3.883222077450933, abs=1e-12)
-    assert golden_angle(2) == pytest.approx(1.4832588477222806, abs=1e-12)
+    th = golden_angles(2)
+    assert th[0] == pytest.approx(3.883222077450933, abs=1e-12)
+    assert th[1] == pytest.approx(1.4832588477222806, abs=1e-12)
 
 
 def test_golden_angle_rejects_bad_index():
     with pytest.raises(ValueError):
-        golden_angle(0)
+        golden_angles(0)
     with pytest.raises(ValueError):
-        golden_angle(-3)
+        golden_angles(-3)
 
 
 def test_golden_angles_distinct_to_ten_thousand():
@@ -56,21 +58,10 @@ def test_golden_angle_gaps_shrink():
 
 
 def test_golden_angles_match_scalar():
+    # each angle equals the scalar formula 2*pi*frac(j*g) bit for bit
     th = golden_angles(50)
     for j in range(1, 51):
-        assert th[j - 1] == golden_angle(j)
-
-
-# --- points -----------------------------------------------------------------
-
-def test_cpoint_shape_and_roundtrip():
-    p = CPoint(1 + 2j, (3j, 4.0))
-    assert p.n == 3
-    arr = p.as_array()
-    q = CPoint.from_array(arr)
-    assert q == p
-    with pytest.raises(ValueError):
-        CPoint(1j, ())
+        assert th[j - 1] == 2.0 * math.pi * ((j * GOLDEN_CONJUGATE) % 1.0)
 
 
 # --- regions ----------------------------------------------------------------
@@ -96,14 +87,6 @@ def test_region_validation():
         Disk(0j, 0.0)
     with pytest.raises(ValueError):
         Annulus(1.0, 0.5)
-    with pytest.raises(ValueError):
-        HalfspaceModulus("q", "<", 1.0, 2)
-
-
-def test_halfspace_modulus():
-    pts = np.array([[0.5, 3.0], [2.0, 0.1]], dtype=np.complex128)
-    assert list(HalfspaceModulus("z", "<=", 1.0, 2).contains(pts)) == [True, False]
-    assert list(HalfspaceModulus("w", ">", 1.0, 2).contains(pts)) == [True, False]
 
 
 # --- samplers ---------------------------------------------------------------
@@ -139,22 +122,33 @@ def test_ball_and_product_samples():
     assert np.all(prod.contains(pts))
 
 
-def test_boundary_circle_roots_of_unity():
-    pts = sample(Disk(0j, 1.0), Sampler(0, 1, strategy="boundary-circle", m=8))
-    want = np.array([cmath.exp(2j * cmath.pi * k / 8) for k in range(8)])
-    np.testing.assert_allclose(pts, want, atol=1e-15)
-    assert pts.shape == (8,)
+# sha256 of the primitive draws and of a window sample: the points
+# of every report are drawn through them, so a changed bit shows here first
+_DRAWS_SHA = {
+    1: "7bed5e78661228a07361a93596736a9f95bff94d7776a4b28c2bbc1e2d3e7106",
+    2: "6b172ed9ff27a1a684697cf9d4dbde49d359ea9dc32631a9560fb4d18c2d79f3",
+}
+_WINDOW_SHA = {
+    2: "8df406be859432c35d39666c8f3338346dafa9ec94f5b1aaae4e0806037b078d",
+    3: "c894b17fe746d7c9f09a0325ad53d3a492f61a4ba5c133df2913d664f9965473",
+}
 
 
-def test_low_discrepancy_samples_stay_inside():
-    disk = Disk(0.5j, 0.7)
-    pts = sample(disk, Sampler(0, 300, strategy="low-discrepancy-grid"))
-    assert np.all(disk.contains(pts))
-    again = sample(disk, Sampler(5, 300, strategy="low-discrepancy-grid"))
-    np.testing.assert_array_equal(pts, again)  # grid ignores the seed
-    ball = Ball((0j, 0j, 0j), 1.0)
-    w = sample(ball, Sampler(0, 200, strategy="low-discrepancy-grid"))
-    assert np.all(ball.contains(w))
+@pytest.mark.parametrize("k", [1, 2])
+def test_unit_draws_bytes_pinned(k):
+    rng = np.random.Generator(np.random.Philox(key=[42, 30 + k]))
+    h = hashlib.sha256()
+    h.update(_sample_disk(rng, 500).tobytes())
+    h.update(_sample_ball(rng, 500, k, 2.5).tobytes())
+    h.update(_unit_directions(rng, 500, k).tobytes())
+    assert h.hexdigest() == _DRAWS_SHA[k]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_product_window_bytes_pinned(n):
+    region = ProductRegion(Disk(0j, 3.2), Ball((0j,) * (n - 1), 3.0))
+    pts = sample(region, Sampler(42, 1000, stream=5))
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == _WINDOW_SHA[n]
 
 
 def test_sublevel_rejection_sampling():
@@ -231,12 +225,6 @@ def test_probe_waypoints():
         f, 0.0, p, q, steps=256, waypoints=[[1.0 + 2.5j, 0.0]]
     )
     assert ok and t is None
-
-
-def test_boundary_circle_points_helper():
-    pts = boundary_circle_points(1 + 1j, 2.0, 16)
-    assert pts.shape == (16,)
-    np.testing.assert_allclose(np.abs(pts - (1 + 1j)), 2.0, atol=1e-14)
 
 
 def test_probe_one_dimensional():

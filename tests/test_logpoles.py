@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from pshcert.config import MAX_TRUNC
+from pshcert.constructions import build_plateau
 from pshcert.geometry import golden_angles
 from pshcert.logpoles import (
     disc_separation_margins,
     make_schedule,
     render_schedule,
     schedule_condition_margin,
-    series_lower_bound_off_discs,
     series_lower_bounds_off_discs,
-    series_value,
     series_values,
     tail_error_radius,
 )
@@ -89,19 +89,19 @@ def test_disc_separation_margins_positive(sch1):
 
 
 def test_series_at_pole_is_neg_inf(sch1):
-    v = series_value(sch1, complex(sch1.a[0]))
-    assert v.value == -np.inf
-    assert np.isfinite(v.error_radius)
+    vals, errs = series_values(sch1, sch1.a[:1])
+    assert vals[0] == -np.inf
+    assert np.isfinite(errs[0])
 
 
 def test_series_at_origin_matches_direct_sum(sch1):
     want = sum(
         d * math.log(abs(a)) for d, a in zip(sch1.delta, sch1.a)
     )
-    v = series_value(sch1, 0j)
-    assert v.value == pytest.approx(want, rel=1e-12)
-    assert v.value > 0.0
-    assert v.error_radius < 2.0**-60
+    vals, errs = series_values(sch1, np.asarray([0j]))
+    assert vals[0] == pytest.approx(want, rel=1e-12)
+    assert vals[0] > 0.0
+    assert errs[0] < 2.0**-60
 
 
 def test_series_bounded_on_closed_disk(sch1):
@@ -135,17 +135,28 @@ def test_truncation_validation(sch1):
 
 
 def test_lower_bound_examples(sch2):
-    # all poles have modulus > 1, so every term is positive at 0
-    assert series_lower_bound_off_discs(sch2, 0j).value > 0.0
-    assert series_lower_bound_off_discs(sch2, 3.0 + 0j).value > -1.0
-    # just off a pole is outside its plateau disc and still bounded
-    z = complex(sch2.a[4]) + 1e-12
-    assert series_lower_bound_off_discs(sch2, z).value >= -1.0
+    # all poles have modulus > 1, so every term is positive at 0; just
+    # off a pole is outside its plateau disc and still bounded
+    z = np.asarray([0j, 3.0 + 0j, complex(sch2.a[4]) + 1e-12])
+    at_zero, at_three, off_pole = series_lower_bounds_off_discs(sch2, z)
+    assert at_zero > 0.0
+    assert at_three > -1.0
+    assert off_pole >= -1.0
 
 
 def test_lower_bound_rejects_disc_interior(sch2):
     with pytest.raises(ValueError):
         series_lower_bounds_off_discs(sch2, np.asarray([complex(sch2.a[4])]))
+
+
+def test_coefficients_positive_up_to_max_trunc():
+    # MAX_TRUNC is the last index at which both schedules have delta_j > 0;
+    # the thm2 coefficients underflow to exactly 0 at the next one
+    plateau = build_plateau(MAX_TRUNC + 1)
+    sch2 = make_schedule("thm2", MAX_TRUNC + 1, plateau.log_rho)
+    assert np.all(sch2.delta[:MAX_TRUNC] > 0.0)
+    assert sch2.delta[MAX_TRUNC] == 0.0
+    assert np.all(make_schedule("thm1", MAX_TRUNC).delta > 0.0)
 
 
 def test_lower_bound_requires_thm2(sch1):
