@@ -14,7 +14,7 @@ from .calculus import (
     circle_mean_test,
     wirtinger_hessian_batch,
 )
-from .certify import GridExport, Report, emit_grid, run_suite, serialize_report
+from .certify import Report, emit_grid, run_suite, serialize_report
 from .config import CertifyConfig, ConfigError
 from .constructions import (
     PlateauFunction,
@@ -55,7 +55,6 @@ __all__ = [
     "CertifyConfig",
     "ConfigError",
     "Disk",
-    "GridExport",
     "PlateauFunction",
     "PoleSchedule",
     "ProductRegion",

@@ -233,7 +233,6 @@ def certify_psh(
     region: Region,
     sampler: Sampler,
     h: float,
-    strict_floor: float = 0.0,
     tolerance: float = 1e-6,
     exclude: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     name: str = "psh",
@@ -243,8 +242,8 @@ def certify_psh(
     Draws ``sampler.count`` points (skipping any for which ``exclude``
     returns True, refilling deterministically), computes FD Levi forms
     in one batch, and passes when every smallest eigenvalue is at least
-    ``strict_floor - tolerance``. Stencil failures appear as -inf
-    margins with witnesses. Raises ``EmptyRegionError`` when 50 draws
+    ``-tolerance``. Stencil failures appear as -inf margins with
+    witnesses. Raises ``EmptyRegionError`` when 50 draws
     still leave fewer than ``sampler.count`` points.
     """
     want = sampler.count
@@ -266,5 +265,5 @@ def certify_psh(
     points = np.concatenate(chunks, axis=0)[:want]
     H, ok = wirtinger_hessian_batch(f, points, h)
     eigs = min_eigs_batch(H)
-    margins = np.where(ok, eigs - strict_floor, -np.inf)
+    margins = np.where(ok, eigs, -np.inf)
     return make_certificate(name, margins, tolerance, points)

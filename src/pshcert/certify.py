@@ -4,7 +4,8 @@ grid exports for plotting, and the schedule fingerprint.
 Reports serialize to canonical JSON (sorted keys, fixed 17-significant-
 digit floats, nonfinite values as strings), so two runs with the same
 suite, configuration and seed produce byte-identical files. Wall-clock
-time is kept on the in-memory Report only and never serialized.
+time and the schedule text are kept on the in-memory Report only and
+never serialized; the report carries the text's sha256.
 """
 
 from __future__ import annotations
@@ -12,20 +13,16 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .calculus import Certificate, min_eigs_batch, wirtinger_hessian_batch
 from .geometry import EmptyRegionError
 from .kernels import BACKEND_NAME
-from .config import CertifyConfig, ConfigError
+from .config import C_LEVEL, CertifyConfig, ConfigError
 from .constructions import (
-    PlateauFunction,
-    TaperedForm,
-    Thm1Scenario,
-    Thm2Scenario,
     build_plateau,
     build_tapered_form,
     build_thm1,
@@ -37,9 +34,7 @@ from .constructions import (
     thm1_properties,
     thm2_properties,
 )
-from .logpoles import make_schedule, render_schedule, series_values
-
-SUITES = ("example1", "thm1", "lemma21", "lemma3", "thm2", "all")
+from .logpoles import render_schedule, series_values
 
 
 @dataclass(frozen=True)
@@ -47,7 +42,7 @@ class Report:
     suite: str
     config_echo: dict
     certificates: list
-    schedule_fingerprint: str
+    schedule_text: str
     seed: int
     elapsed_ms: int
     status: str
@@ -56,14 +51,9 @@ class Report:
     def passed(self) -> bool:
         return self.status == "pass"
 
-
-@dataclass(frozen=True)
-class GridExport:
-    function_id: str
-    region: str
-    resolution: tuple
-    slice_spec: str
-    values: np.ndarray
+    @property
+    def schedule_fingerprint(self) -> str:
+        return "sha256:" + hashlib.sha256(self.schedule_text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -104,23 +94,12 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _certificate_dict(cert: Certificate) -> dict:
-    return {
-        "name": cert.name,
-        "status": cert.status,
-        "samples": cert.samples,
-        "worst_margin": cert.worst_margin,
-        "tolerance": cert.tolerance,
-        "witnesses": cert.witnesses,
-    }
-
-
 def serialize_report(report: Report) -> str:
-    """Canonical report text; excludes elapsed_ms so bytes are stable."""
+    """Canonical report text; excludes elapsed_ms and the schedule text."""
     payload = {
         "suite": report.suite,
         "config_echo": report.config_echo,
-        "certificates": [_certificate_dict(c) for c in report.certificates],
+        "certificates": [asdict(c) for c in report.certificates],
         "schedule_fingerprint": report.schedule_fingerprint,
         "seed": report.seed,
         "status": report.status,
@@ -128,123 +107,87 @@ def serialize_report(report: Report) -> str:
     return canonical_json(payload) + "\n"
 
 
-def _fingerprint(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # suite construction
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SuiteBuilder:
-    """Constructed objects shared across the suites of one run."""
+    """The constructed objects of one run, each built on first use."""
 
-    cfg: CertifyConfig
-    plateau: Optional[PlateauFunction] = None
-    form: Optional[TaperedForm] = None
-    thm1: Optional[Thm1Scenario] = None
-    thm2: Optional[Thm2Scenario] = None
+    def __init__(self, cfg: CertifyConfig):
+        self.cfg = cfg
 
-    def get_plateau(self):
-        if self.plateau is None:
-            self.plateau = build_plateau(self.cfg.j_max)
-        return self.plateau
+    @cached_property
+    def plateau(self):
+        return build_plateau(self.cfg.j_max)
 
-    def get_form(self):
-        if self.form is None:
-            self.form = build_tapered_form(self.cfg.taper_radius, self.cfg.n)
-        return self.form
+    @cached_property
+    def form(self):
+        return build_tapered_form(self.cfg.n)
 
-    def get_thm1(self):
-        if self.thm1 is None:
-            self.thm1 = build_thm1(self.cfg)
-        return self.thm1
+    @cached_property
+    def thm1(self):
+        return build_thm1(self.cfg)
 
-    def get_thm2(self):
-        if self.thm2 is None:
-            self.thm2 = build_thm2(self.cfg, self.get_plateau(), self.get_form())
-        return self.thm2
+    @cached_property
+    def thm2(self):
+        return build_thm2(self.cfg, self.plateau, self.form)
 
 
-def _suite_certs(name: str, built: SuiteBuilder) -> list:
-    cfg = built.cfg
-    if name == "example1":
-        return example1_check(cfg)
-    if name == "thm1":
-        return thm1_properties(built.get_thm1(), cfg)
-    if name == "lemma21":
-        plateau = built.get_plateau()
-        schedule = make_schedule("thm2", cfg.j_max, plateau.log_rho)
-        return plateau_properties(plateau, schedule, cfg)
-    if name == "lemma3":
-        return tapered_form_properties(built.get_form(), cfg)
-    if name == "thm2":
-        return thm2_properties(built.get_thm2(), cfg)
-    if name == "all":
-        out = []
-        for sub in ("example1", "thm1", "lemma21", "lemma3", "thm2"):
-            out.extend(_suite_certs(sub, built))
-        return out
-    raise ConfigError(f"unknown suite {name!r} (choose from {SUITES})")
+# schedule exports: the text each suite's fingerprint hashes
+
+def _form_constants(form) -> dict:
+    return {
+        "taper_radius": form.radius,
+        "growth_const": form.growth_const,
+        "mix_const": form.mix_const,
+        "quad_weight": form.quad_weight,
+        "epsilon_out": form.epsilon_out,
+    }
 
 
-def render_schedules(name: str, built: SuiteBuilder) -> str:
-    """Schedule export text for the fingerprint (and --dump-schedule)."""
-    cfg = built.cfg
-    parts = []
-    if name in ("thm1", "all"):
-        sc = built.get_thm1()
-        parts.append(render_schedule(sc.schedule, {"w0_modulus": 2.0, "n": cfg.n}))
-    if name in ("lemma21", "thm2", "all"):
-        plateau = built.get_plateau()
-        schedule = make_schedule("thm2", cfg.j_max, plateau.log_rho)
-        extras = {"w0_modulus": 4.0, "n": cfg.n}
-        if name in ("thm2", "all"):
-            form = built.get_form()
-            extras.update(
-                {
-                    "taper_radius": form.radius,
-                    "growth_const": form.growth_const,
-                    "mix_const": form.mix_const,
-                    "quad_weight": form.quad_weight,
-                    "small_c": form.small_c,
-                    "epsilon_out": form.epsilon_out,
-                }
-            )
-        parts.append(render_schedule(schedule, extras))
-    if name == "lemma3":
-        form = built.get_form()
-        parts.append(
-            "# tapered form constants\n"
-            + "".join(
-                f"# {k}={v!r}\n"
-                for k, v in sorted(
-                    {
-                        "taper_radius": form.radius,
-                        "growth_const": form.growth_const,
-                        "mix_const": form.mix_const,
-                        "quad_weight": form.quad_weight,
-                        "epsilon_out": form.epsilon_out,
-                    }.items()
-                )
-            )
-        )
-    if not parts:
-        parts.append("# no pole schedule used by this suite\n")
-    return "".join(parts)
+def _thm1_text(built: SuiteBuilder) -> str:
+    return render_schedule(built.thm1.schedule, {"w0_modulus": 2.0, "n": built.cfg.n})
+
+
+def _thm2_text(built: SuiteBuilder, with_form: bool = False) -> str:
+    extras = {"w0_modulus": 4.0, "n": built.cfg.n}
+    if with_form:
+        extras.update(_form_constants(built.form), small_c=built.form.small_c)
+    return render_schedule(built.plateau.thm2_schedule, extras)
+
+
+def _lemma3_text(built: SuiteBuilder) -> str:
+    constants = sorted(_form_constants(built.form).items())
+    return "# tapered form constants\n" + "".join(f"# {k}={v!r}\n" for k, v in constants)
+
+
+#: suite name -> (its certificates, its schedule text), both of a builder
+SUITES = {
+    "example1": (lambda b: example1_check(b.cfg),
+                 lambda b: "# no pole schedule used by this suite\n"),
+    "thm1": (lambda b: thm1_properties(b.thm1, b.cfg), _thm1_text),
+    "lemma21": (lambda b: plateau_properties(b.plateau, b.cfg), _thm2_text),
+    "lemma3": (lambda b: tapered_form_properties(b.form, b.cfg), _lemma3_text),
+    "thm2": (lambda b: thm2_properties(b.thm2, b.cfg),
+             lambda b: _thm2_text(b, with_form=True)),
+    "all": (lambda b: [cert for name, (certs, _) in SUITES.items() if name != "all"
+                       for cert in certs(b)],  # every other suite, in this order
+            lambda b: _thm1_text(b) + _thm2_text(b, with_form=True)),
+}
 
 
 def run_suite(name: str, cfg: CertifyConfig) -> Report:
     """Run one named suite and aggregate its certificates into a Report."""
     cfg.validate()
     if name not in SUITES:
-        raise ConfigError(f"unknown suite {name!r} (choose from {SUITES})")
+        raise ConfigError(f"unknown suite {name!r} (choose from {tuple(SUITES)})")
+    certificates, schedule = SUITES[name]
     t0 = time.perf_counter()
     built = SuiteBuilder(cfg)
     try:
-        certs = _suite_certs(name, built)
-        schedule_text = render_schedules(name, built)
+        certs = certificates(built)
+        schedule_text = schedule(built)
     except (RuntimeError, EmptyRegionError) as exc:
         # construction failures (no positive form floor after retries,
         # starved rejection sampler) become a failing report, not a crash
@@ -263,7 +206,7 @@ def run_suite(name: str, cfg: CertifyConfig) -> Report:
         suite=name,
         config_echo=echo,
         certificates=certs,
-        schedule_fingerprint=_fingerprint(schedule_text),
+        schedule_text=schedule_text,
         seed=cfg.seed,
         elapsed_ms=elapsed_ms,
         status=status,
@@ -274,56 +217,29 @@ def run_suite(name: str, cfg: CertifyConfig) -> Report:
 # grid exports
 # ---------------------------------------------------------------------------
 
-def _grid_functions(cfg: CertifyConfig, built: SuiteBuilder) -> dict:
-    """Registered grid ids mapped to plane evaluators.
-
-    One-variable ids take a complex z plane; two-variable ids take full
-    C^n points assembled from the slice.
-    """
-
-    def sigma_plane(z):
-        sc = built.get_thm1()
-        return series_values(sc.schedule, z, cfg.trunc)[0]
-
-    def sigma2_plane(z):
-        sc = built.get_thm2()
-        return series_values(sc.schedule, z, cfg.trunc)[0]
-
-    def u_plane(z):
-        return built.get_plateau().values(z)
-
-    def levi_plane(fn):
-        def eval_pts(pts):
-            H, ok = wirtinger_hessian_batch(fn, pts, cfg.fd_step)
-            eigs = min_eigs_batch(H)
-            return np.where(ok, eigs, -np.inf)
-
-        return eval_pts
-
-    return {
-        "sigma": ("z-plane", sigma_plane),
-        "sigma_thm2": ("z-plane", sigma2_plane),
-        "u": ("z-plane", u_plane),
-        "d1": ("point", lambda pts: built.get_thm1().defining_values(pts)),
-        "d2": ("point", lambda pts: built.get_thm2().defining_values(pts)),
-        "phi_thm1": ("point", lambda pts: built.get_thm1().witness_values(pts)),
-        "phi_thm2": ("point", lambda pts: built.get_thm2().witness_values(pts)),
-        "example1": ("point", example_defining(cfg.c_level)),
-        "levi_thm1": (
-            "point",
-            levi_plane(lambda pts: built.get_thm1().witness_smooth_values(pts)),
-        ),
-        "levi_thm2": (
-            "point",
-            levi_plane(lambda pts: built.get_thm2().witness_values(pts)),
-        ),
-    }
+def _levi_floor(f, pts, h: float) -> np.ndarray:
+    H, ok = wirtinger_hessian_batch(f, pts, h)
+    return np.where(ok, min_eigs_batch(H), -np.inf)
 
 
-GRID_FUNCTION_IDS = (
-    "sigma", "sigma_thm2", "u", "d1", "d2", "phi_thm1", "phi_thm2",
-    "example1", "levi_thm1", "levi_thm2",
-)
+#: grid id -> (kind, evaluator of a builder and a batch): "z-plane" ids
+#: take the complex z plane, "point" ids full C^n points from the slice
+GRID_FUNCTIONS = {
+    "sigma": ("z-plane",
+              lambda b, z: series_values(b.thm1.schedule, z, b.cfg.trunc)[0]),
+    "sigma_thm2": ("z-plane", lambda b, z: series_values(
+        b.plateau.thm2_schedule, z, b.cfg.trunc)[0]),
+    "u": ("z-plane", lambda b, z: b.plateau.values(z)),
+    "d1": ("point", lambda b, pts: b.thm1.defining_values(pts)),
+    "d2": ("point", lambda b, pts: b.thm2.defining_values(pts)),
+    "phi_thm1": ("point", lambda b, pts: b.thm1.witness_values(pts)),
+    "phi_thm2": ("point", lambda b, pts: b.thm2.witness_values(pts)),
+    "example1": ("point", lambda b, pts: example_defining(C_LEVEL)(pts)),
+    "levi_thm1": ("point", lambda b, pts: _levi_floor(
+        b.thm1.witness_smooth_values, pts, b.cfg.fd_step)),
+    "levi_thm2": ("point", lambda b, pts: _levi_floor(
+        b.thm2.witness_values, pts, b.cfg.fd_step)),
+}
 
 
 def parse_region_spec(spec: str):
@@ -347,7 +263,11 @@ def parse_slice_spec(spec: str, n: int):
         raise ConfigError(f"bad slice spec {spec!r}")
     which, _, rest = spec.partition("=")
     which = which.strip()
-    vals = [complex(v.strip().replace(" ", "")) for v in rest.split(";") if v.strip()]
+    try:
+        vals = [complex(v.strip().replace(" ", "")) for v in rest.split(";")
+                if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad slice spec {spec!r}: {exc}") from exc
     if which == "w":
         if len(vals) != n - 1:
             raise ConfigError(f"slice w needs {n - 1} complex value(s)")
@@ -368,8 +288,9 @@ def emit_grid(
     resolution: tuple,
     out_path: str,
     cfg: CertifyConfig,
-) -> GridExport:
-    """Evaluate a registered function on a 2-D slice and write CSV.
+) -> np.ndarray:
+    """Evaluate a registered function on a 2-D slice, write CSV and
+    return the values (row-major, y outer).
 
     The CSV starts with a header comment describing axes and slice, then
     "x,y,value" rows in row-major order (y outer, x inner). Numbers are
@@ -377,16 +298,16 @@ def emit_grid(
     "-inf", "inf" and "nan". The file is written one grid row at a time.
     """
     cfg.validate()
-    if function_id not in GRID_FUNCTION_IDS:
+    if function_id not in GRID_FUNCTIONS:
         raise ConfigError(
-            f"unknown function id {function_id!r} (choose from {GRID_FUNCTION_IDS})"
+            f"unknown function id {function_id!r} (choose from {tuple(GRID_FUNCTIONS)})"
         )
     nx, ny = resolution
     if nx < 2 or ny < 2:
         raise ConfigError("resolution must be at least 2x2")
     x0, x1, y0, y1 = parse_region_spec(region_spec)
     built = SuiteBuilder(cfg)
-    kind, fn = _grid_functions(cfg, built)[function_id]
+    kind, fn = GRID_FUNCTIONS[function_id]
     varying, fixed = parse_slice_spec(slice_spec, cfg.n)
 
     xs = np.linspace(x0, x1, nx)
@@ -395,7 +316,7 @@ def emit_grid(
     plane = (gx + 1j * gy).ravel()
 
     if kind == "z-plane":
-        vals = np.asarray(fn(plane), dtype=np.float64)
+        vals = np.asarray(fn(built, plane), dtype=np.float64)
         axes = "re(z),im(z)"
     else:
         if fixed is None:
@@ -410,7 +331,7 @@ def emit_grid(
                 [np.full((plane.size, 1), fixed[0]), plane[:, None]], axis=1
             )
             axes = "re(w),im(w)"
-        vals = np.asarray(fn(pts), dtype=np.float64)
+        vals = np.asarray(fn(built, pts), dtype=np.float64)
 
     # format(float, ".17g") renders -inf, inf, nan (of either sign) and -0
     xtext = [format(x, ".17g") for x in xs.tolist()]
@@ -421,4 +342,4 @@ def emit_grid(
             mid = f",{y:.17g},"
             row = vals[iy * nx : (iy + 1) * nx].tolist()
             fh.write("".join([f"{xt}{mid}{v:.17g}\n" for xt, v in zip(xtext, row)]))
-    return GridExport(function_id, region_spec, (nx, ny), slice_spec, vals)
+    return vals

@@ -17,15 +17,7 @@ import argparse
 import sys
 import traceback
 
-from .certify import (
-    GRID_FUNCTION_IDS,
-    SUITES,
-    SuiteBuilder,
-    emit_grid,
-    render_schedules,
-    run_suite,
-    serialize_report,
-)
+from .certify import GRID_FUNCTIONS, SUITES, emit_grid, run_suite, serialize_report
 from .config import CertifyConfig, ConfigError
 
 
@@ -37,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("certify", help="run a certificate suite")
-    pc.add_argument("suite", choices=SUITES)
+    pc.add_argument("suite", choices=list(SUITES))
     pc.add_argument("--n", type=int, default=2, help="ambient complex dimension")
     pc.add_argument("--trunc", type=int, default=60, help="series truncation order")
     pc.add_argument("--samples", type=int, default=10_000,
@@ -47,10 +39,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--fd-step", type=float, default=1e-4)
     pc.add_argument("--report", metavar="PATH", help="write the canonical report")
     pc.add_argument("--dump-schedule", metavar="PATH",
-                    help="write the full-precision schedule export")
+                    help="write the full-precision schedule export that the "
+                         "report's schedule_fingerprint hashes")
 
     pg = sub.add_parser("grid", help="export a function slice as CSV")
-    pg.add_argument("function_id", choices=GRID_FUNCTION_IDS)
+    pg.add_argument("function_id", choices=list(GRID_FUNCTIONS))
     pg.add_argument("--slice", required=True, dest="slice_spec",
                     help='"none", "w=<c>[;<c>...]" or "z=<c>"')
     pg.add_argument("--region", required=True,
@@ -92,9 +85,8 @@ def _run_certify(args) -> int:
             fh.write(serialize_report(report))
         print(f"report written to {args.report}")
     if args.dump_schedule:
-        text = render_schedules(args.suite, SuiteBuilder(cfg))
         with open(args.dump_schedule, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(report.schedule_text)
         print(f"schedule written to {args.dump_schedule}")
     return 0 if report.passed else 1
 
@@ -105,13 +97,9 @@ def _run_grid(args) -> int:
         nx, ny = (int(v) for v in args.res.lower().split("x"))
     except ValueError as exc:
         raise ConfigError(f"bad resolution {args.res!r}, want NXxNY") from exc
-    export = emit_grid(
-        args.function_id, args.slice_spec, args.region, (nx, ny), args.out, cfg
-    )
-    print(
-        f"grid {export.function_id} {nx}x{ny} slice={export.slice_spec} "
-        f"written to {args.out}"
-    )
+    emit_grid(args.function_id, args.slice_spec, args.region, (nx, ny), args.out, cfg)
+    print(f"grid {args.function_id} {nx}x{ny} slice={args.slice_spec} "
+          f"written to {args.out}")
     return 0
 
 

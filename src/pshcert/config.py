@@ -2,13 +2,44 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 
 
 #: largest series truncation order: the thm2 coefficients delta_j underflow
 #: to exactly 0 from j = 1016 on (thm1 from j = 1071), and a zero term on
 #: its own pole line evaluates 0 * log 0 = NaN
 MAX_TRUNC = 1015
+
+#: largest seed: Philox keys are built with np.asarray([seed, stream]),
+#: which turns float64 from 2**63 on and merges neighbouring seeds
+MAX_SEED = 2**63 - 1
+
+# Constants of the constructions. Every report echoes them in
+# ``config_echo`` next to the settable fields.
+C_LEVEL = 1.0  # level of the warm-up sublevel set
+TAPER_RADIUS = 2.5  # radius R of the w-ball of the tapered form
+PSD_TOL = 5e-6  # tolerance of the finite-difference Levi floors of thm2
+# The margins keep finite-difference stencils away from the places where
+# they are invalid or unresolvable in float64: FLAT_MARGIN shrinks the
+# strictness window off the taper's exponentially flat junction at
+# |z| = 1, POLE_MARGIN excludes small neighborhoods of the poles,
+# BAND_MARGIN excludes the |w| = 5/2 switching sphere, and
+# EXAMPLE1_EXCLUSION keeps the warm-up check away from its log pole.
+FLAT_MARGIN = 5e-3
+POLE_MARGIN = 1e-2
+BAND_MARGIN = 1e-2
+EXAMPLE1_EXCLUSION = 5e-2
+
+_ECHOED_CONSTANTS = {
+    "c_level": C_LEVEL,
+    "taper_radius": TAPER_RADIUS,
+    "psd_tol": PSD_TOL,
+    "flat_margin": FLAT_MARGIN,
+    "pole_margin": POLE_MARGIN,
+    "band_margin": BAND_MARGIN,
+    "example1_exclusion": EXAMPLE1_EXCLUSION,
+}
 
 
 class ConfigError(ValueError):
@@ -21,13 +52,8 @@ class CertifyConfig:
 
     ``samples`` is the per-certificate sample count; whole-domain bound
     checks and the tapered-form inequality use ``big_samples`` (10x).
-    The margin fields keep finite-difference stencils away from the
-    places where they are invalid or unresolvable in float64:
-    ``flat_margin`` shrinks the strictness window off the taper's
-    exponentially flat junction at |z| = 1, ``pole_margin`` excludes
-    small neighborhoods of the poles, ``band_margin`` excludes the
-    |w| = 5/2 switching sphere, and ``example1_exclusion`` keeps the
-    warm-up check away from its logarithmic pole.
+    ``submean_probes`` and ``plateau_checks`` size the circle-mean and
+    per-disc plateau checks.
     """
 
     n: int = 2
@@ -36,13 +62,6 @@ class CertifyConfig:
     seed: int = 42
     tol: float = 1e-6
     fd_step: float = 1e-4
-    c_level: float = 1.0
-    taper_radius: float = 2.5
-    psd_tol: float = 5e-6
-    flat_margin: float = 5e-3
-    pole_margin: float = 1e-2
-    band_margin: float = 1e-2
-    example1_exclusion: float = 5e-2
     submean_probes: int = 1000
     plateau_checks: int = 50
 
@@ -61,20 +80,19 @@ class CertifyConfig:
             raise ConfigError(
                 f"truncation order must be in [1, {MAX_TRUNC}], got {self.trunc}"
             )
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError(f"seed must be an integer in [0, {MAX_SEED}]")
         if self.samples < 100:
             raise ConfigError("need at least 100 samples per certificate")
         if not 0 < self.fd_step < 1e-2:
             raise ConfigError("fd step must lie in (0, 1e-2)")
-        if self.tol <= 0 or self.psd_tol <= 0:
-            raise ConfigError("tolerances must be positive")
-        if self.taper_radius <= 0:
-            raise ConfigError("taper radius must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         return self
 
     def echo(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(_ECHOED_CONSTANTS)
         out["big_samples"] = self.big_samples
         out["j_max"] = self.j_max
         return out

@@ -11,7 +11,7 @@ functions of the run configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +24,16 @@ from .calculus import (
     min_eigs_batch,
     wirtinger_hessian_batch,
 )
-from .config import CertifyConfig
+from .config import (
+    BAND_MARGIN,
+    C_LEVEL,
+    EXAMPLE1_EXCLUSION,
+    FLAT_MARGIN,
+    POLE_MARGIN,
+    PSD_TOL,
+    TAPER_RADIUS,
+    CertifyConfig,
+)
 from .geometry import (
     Annulus,
     Ball,
@@ -35,6 +44,7 @@ from .geometry import (
     _sample_ball,
     _sample_disk,
     _unit_directions,
+    golden_angles,
     path_connected_probe,
     sample,
 )
@@ -43,6 +53,7 @@ from .logpoles import (
     disc_separation_margins,
     make_schedule,
     schedule_condition_margin,
+    series_lower_bounds_off_discs,
     series_ring_lower_bounds,
     series_values,
 )
@@ -96,6 +107,11 @@ class PlateauFunction:
     def j_max(self) -> int:
         return self.a.size
 
+    @cached_property
+    def thm2_schedule(self) -> PoleSchedule:
+        """The thm2 pole schedule: its coefficients depend on these discs."""
+        return make_schedule("thm2", self.j_max, self.log_rho)
+
     def values(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128).ravel()
         return kernels.u_many(
@@ -106,9 +122,6 @@ class PlateauFunction:
             np.ascontiguousarray(self.r),
             np.ascontiguousarray(self.eps),
         )
-
-    def value(self, z: complex) -> float:
-        return float(self.values(np.asarray([z]))[0])
 
 
 def _perturbation_values(a_j: complex, r_j: float, z: np.ndarray) -> np.ndarray:
@@ -130,16 +143,16 @@ def _annulus_sample(a_j: complex, r_j: float, count: int, rng) -> np.ndarray:
     return a_j + r_j * np.sqrt(s2) * np.exp(1j * ang)
 
 
-def plateau_eps(a_j: complex, r_j: float, probes: int = 1000,
-                stream: int = 0) -> float:
+def plateau_eps(a_j: complex, r_j: float, stream: int = 0) -> float:
     """Perturbation size for one disc: eps_j = 2 / K_j.
 
-    K_j doubles the sampled sup of |Laplacian(chi(|.|/r_j) log|.|)| over
-    the transition annulus (floored at 1), so the finite-difference
-    Laplacian of |z|^2 + eps_j * perturbation stays >= 2 on the disc.
+    K_j doubles the sup of |Laplacian(chi(|.|/r_j) log|.|)| over 1000
+    samples of the transition annulus (floored at 1), so the finite-
+    difference Laplacian of |z|^2 + eps_j * perturbation stays >= 2 on
+    the disc.
     """
     rng = np.random.Generator(np.random.Philox(key=[_BUILD_SEED, 11_000 + stream]))
-    z = _annulus_sample(a_j, r_j, probes, rng)
+    z = _annulus_sample(a_j, r_j, 1000, rng)
     lap = _fd_laplacian(lambda zz: _perturbation_values(a_j, r_j, zz), z, r_j * 1e-3)
     if not np.all(np.isfinite(lap)):
         raise RuntimeError("nonfinite Laplacian probe in plateau construction")
@@ -161,9 +174,10 @@ def plateau_log_rho(r_j: float, eps_j: float) -> float:
 
 
 def build_plateau(j_max: int) -> PlateauFunction:
-    theta = make_schedule("thm1", j_max).theta  # same angles for both variants
+    # bit for bit the poles and radii of make_schedule: the thm2 schedule and
+    # the disc-separation certificate rely on these copies
     j = np.arange(1, j_max + 1, dtype=np.float64)
-    a = (1.0 + 1.0 / j) * np.exp(1j * theta)
+    a = (1.0 + 1.0 / j) * np.exp(1j * golden_angles(j_max))
     r = 1.0 / (4.0 * j * (j + 1.0))
     eps = np.array([plateau_eps(a[i], r[i], stream=i + 1) for i in range(j_max)])
     log_rho = np.array([plateau_log_rho(r[i], eps[i]) for i in range(j_max)])
@@ -237,19 +251,18 @@ class TaperedForm:
         return float(np.min(self.levi_contract(z, xi) / denom))
 
 
-def build_tapered_form(
-    radius: float, n: int = 2, grid: int = 10_000, epsilon_samples: int = 100_000,
-    seed: int = _BUILD_SEED, retries: int = 6,
-) -> TaperedForm:
-    """Fix the form's constants and certify a positive sampled floor.
+def build_tapered_form(n: int) -> TaperedForm:
+    """Fix the form's constants on C x B(0, TAPER_RADIUS) in C^n and
+    certify a positive sampled floor.
 
     The growth constant comes from a finite-difference scan of the
-    taper's square root on a uniform grid (5% safety), the mixed bound
-    from the analytic derivatives, and the quadratic weight from the
-    explicit formula 2(B + R^2 L) + 1, doubled up to ``retries`` times
-    if the sampled floor fails to come out positive.
+    taper's square root on a uniform 10^4-point grid (5% safety), the
+    mixed bound from the analytic derivatives, and the quadratic weight
+    from the explicit formula 2(B + R^2 L) + 1, doubled up to 6 times if
+    the floor sampled at 10^5 points fails to come out positive.
     """
-    t = (np.arange(grid, dtype=np.float64) + 0.5) / grid
+    radius = TAPER_RADIUS
+    t = (np.arange(10_000, dtype=np.float64) + 0.5) / 10_000
     h = 1e-6
     lam_p, _, _ = kernels.taper_many(t + h)
     lam_m, _, _ = kernels.taper_many(t - h)
@@ -260,9 +273,9 @@ def build_tapered_form(
     lam, lamp, lampp = kernels.taper_many(t)
     mix = float(np.max(np.abs(lampp * t + lamp)))
     quad = 2.0 * (mix + radius * radius * growth) + 1.0
-    for _ in range(retries + 1):
+    for _ in range(7):  # the first try and up to 6 doublings
         form = TaperedForm(radius, growth, mix, quad, 0.0)
-        eps_out = form.sampled_epsilon(n, epsilon_samples, seed)
+        eps_out = form.sampled_epsilon(n, 100_000, _BUILD_SEED)
         if eps_out > 0.0:
             return TaperedForm(radius, growth, mix, quad, eps_out)
         quad *= 2.0
@@ -270,16 +283,23 @@ def build_tapered_form(
 
 
 # ---------------------------------------------------------------------------
-# scenario 1: locally bounded strictly-psh witness
+# the two sublevel-domain scenarios
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Thm1Scenario:
-    """Sublevel domain of ``series + log|z| + (1/2)log|w-w0| + |z|^2 + |w|^2 < 4``.
+def _split(pts):
+    """(z, w, |z|^2) of a batch of points of C x C^{n-1}."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.complex128))
+    z = pts[:, 0]
+    return z, pts[:, 1:], z.real**2 + z.imag**2
 
-    The witness is ``max(smooth_witness, -2)`` where the smooth witness
-    replaces |w|^2 by |w|^2/2; the strictness window is the product of
-    the annulus 1/2 < |z| < 1 with the unit ball.
+
+@dataclass(frozen=True)
+class _Scenario:
+    """Sublevel domain ``series(z) + terms(z, w) - _BOUND < 0`` in C x C^{n-1}.
+
+    A scenario supplies its non-series terms (``_terms``, in summation
+    order), ``_BOUND`` and the label of its domain region. Rejection
+    sampling of the domain proposes from the window Disk(3.2) x Ball(3).
     """
 
     n: int
@@ -290,22 +310,14 @@ class Thm1Scenario:
     def sigma(self, z):
         return series_values(self.schedule, z, self.trunc)
 
-    def _parts(self, pts):
-        """z and the non-series terms of the defining function."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.complex128))
-        z = pts[:, 0]
-        w = pts[:, 1:]
-        nz2 = z.real**2 + z.imag**2
-        with np.errstate(divide="ignore"):
-            half_log_z = 0.5 * np.log(nz2)
-            dw2 = _norm2(w - self.w0[None, :])
-            quarter_log_w = 0.25 * np.log(dw2)
-        return z, half_log_z, quarter_log_w, nz2, _norm2(w)
+    def _sum(self, series, terms):
+        for term in terms:
+            series = series + term
+        return series - self._BOUND
 
     def defining_values(self, pts):
-        z, hlz, qlw, nz2, nw2 = self._parts(pts)
-        sig, _ = self.sigma(z)
-        return sig + hlz + qlw + nz2 + nw2 - 4.0
+        z, terms = self._terms(pts)
+        return self._sum(self.sigma(z)[0], terms)
 
     def defining_lower(self, pts):
         """``defining_values`` with the series replaced by its ring bound.
@@ -318,42 +330,57 @@ class Thm1Scenario:
         |log|z - a_j|| is below 710; with S = sum delta_j < 1/4 the
         computed series fl(sigma) and R itself err by less than
         (trunc + 3) * 2^-53 * S * 710 < 1e-11 at trunc <= 400, far
-        inside ``_SCREEN_SLACK`` = 1e-9. The other terms are the same
-        arrays as in ``defining_values``, added in the same order, and
-        rounding is monotone: a smaller first summand cannot give a
+        inside ``_SCREEN_SLACK`` = 1e-9 (the thm2 coefficients are
+        smaller, so its series terms are too). The other terms are the
+        same arrays as in ``defining_values``, added in the same order,
+        and rounding is monotone: a smaller first summand cannot give a
         larger sum, so the sums add no error to the budget.
         """
-        z, hlz, qlw, nz2, nw2 = self._parts(pts)
+        z, terms = self._terms(pts)
         low = series_ring_lower_bounds(self.schedule, z, self.trunc) - _SCREEN_SLACK
-        return low + hlz + qlw + nz2 + nw2 - 4.0
+        return self._sum(low, terms)
+
+    def bulk_window(self) -> ProductRegion:
+        return ProductRegion(Disk(0j, 3.2), Ball((0j,) * (self.n - 1), 3.0))
+
+    def domain_region(self) -> SublevelRegion:
+        return SublevelRegion(
+            self.defining_values, self.bulk_window(), label=self._LABEL,
+            lower=self.defining_lower,
+        )
+
+
+@dataclass(frozen=True)
+class Thm1Scenario(_Scenario):
+    """Sublevel domain of ``series + log|z| + (1/2)log|w-w0| + |z|^2 + |w|^2 < 4``.
+
+    The witness is ``max(smooth_witness, -2)`` where the smooth witness
+    replaces |w|^2 by |w|^2/2; the strictness window is the product of
+    the annulus 1/2 < |z| < 1 with the unit ball.
+    """
+
+    _BOUND = 4.0
+    _LABEL = "Omega1"
+
+    def _terms(self, pts):
+        z, w, nz2 = _split(pts)
+        with np.errstate(divide="ignore"):
+            half_log_z = 0.5 * np.log(nz2)
+            quarter_log_w = 0.25 * np.log(_norm2(w - self.w0[None, :]))
+        return z, (half_log_z, quarter_log_w, nz2, _norm2(w))
 
     def defining_error_radii(self, pts):
-        _, err = self.sigma(self._parts(pts)[0])
-        return err
+        return self.sigma(_split(pts)[0])[1]
 
     def witness_smooth_values(self, pts):
-        z, hlz, qlw, nz2, nw2 = self._parts(pts)
-        sig, _ = self.sigma(z)
-        return sig + hlz + qlw + nz2 + 0.5 * nw2
+        z, (hlz, qlw, nz2, nw2) = self._terms(pts)
+        return self.sigma(z)[0] + hlz + qlw + nz2 + 0.5 * nw2
 
     def witness_values(self, pts):
         return np.maximum(self.witness_smooth_values(pts), -2.0)
 
     def strict_window(self) -> ProductRegion:
-        return ProductRegion(
-            Annulus(0.5, 1.0), Ball((0j,) * (self.n - 1), 1.0), label="omega1"
-        )
-
-    def bulk_window(self) -> ProductRegion:
-        return ProductRegion(
-            Disk(0j, 3.2), Ball((0j,) * (self.n - 1), 3.0), label="omega1-window"
-        )
-
-    def domain_region(self) -> SublevelRegion:
-        return SublevelRegion(
-            self.defining_values, 0.0, self.bulk_window(), label="Omega1",
-            lower=self.defining_lower,
-        )
+        return ProductRegion(Annulus(0.5, 1.0), Ball((0j,) * (self.n - 1), 1.0))
 
 
 def build_thm1(cfg: CertifyConfig) -> Thm1Scenario:
@@ -361,12 +388,8 @@ def build_thm1(cfg: CertifyConfig) -> Thm1Scenario:
     return Thm1Scenario(cfg.n, schedule, cfg.trunc, _axis_point(_W0_THM1, cfg.n - 1))
 
 
-# ---------------------------------------------------------------------------
-# scenario 2: continuous strictly-psh witness
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
-class Thm2Scenario:
+class Thm2Scenario(_Scenario):
     """Sublevel domain of ``series + log10|w-w0| + |z|^2 + |w|^2 < 3``.
 
     The w-pole term uses the decimal log: with the natural log the
@@ -377,51 +400,26 @@ class Thm2Scenario:
     |w|^2 bump.
     """
 
-    n: int
-    schedule: PoleSchedule
     plateau: PlateauFunction
     form: TaperedForm
-    trunc: int
-    w0: np.ndarray
 
-    def sigma(self, z):
-        return series_values(self.schedule, z, self.trunc)
+    _BOUND = 3.0
+    _LABEL = "Omega2"
 
-    def _parts(self, pts):
-        """z and the non-series terms of the defining function."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.complex128))
-        z = pts[:, 0]
-        w = pts[:, 1:]
-        nz2 = z.real**2 + z.imag**2
+    def _terms(self, pts):
+        z, w, nz2 = _split(pts)
         with np.errstate(divide="ignore"):
             log10_w = 0.5 * np.log10(_norm2(w - self.w0[None, :]))
-        return z, log10_w, nz2, _norm2(w)
-
-    def defining_values(self, pts):
-        z, log10_w, nz2, nw2 = self._parts(pts)
-        sig, _ = self.sigma(z)
-        return sig + log10_w + nz2 + nw2 - 3.0
-
-    def defining_lower(self, pts):
-        """``defining_values`` with the series replaced by its ring bound.
-
-        Same contract and error budget as ``Thm1Scenario.defining_lower``
-        (the thm2 coefficients are smaller, so the series terms are too).
-        """
-        z, log10_w, nz2, nw2 = self._parts(pts)
-        low = series_ring_lower_bounds(self.schedule, z, self.trunc) - _SCREEN_SLACK
-        return low + log10_w + nz2 + nw2 - 3.0
+        return z, (log10_w, nz2, _norm2(w))
 
     def witness_smooth_values(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.complex128))
-        u = self.plateau.values(pts[:, 0])
-        return np.where(_norm2(pts[:, 1:]) < _THETA_CUT**2, u, 1.0)
+        z, w, _ = _split(pts)
+        return np.where(_norm2(w) < _THETA_CUT**2, self.plateau.values(z), 1.0)
 
     def bump_values(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.complex128))
-        nz2 = pts[:, 0].real ** 2 + pts[:, 0].imag ** 2
+        _, w, nz2 = _split(pts)
         lam = kernels.taper_many(nz2)[0]
-        nw2 = _norm2(pts[:, 1:])
+        nw2 = _norm2(w)
         return np.where(nw2 < _THETA_CUT**2, lam * nw2, 0.0)
 
     def witness_values(self, pts):
@@ -430,33 +428,17 @@ class Thm2Scenario:
         )
 
     def strict_window(self) -> ProductRegion:
-        return ProductRegion(
-            Disk(0j, 1.0), Ball((0j,) * (self.n - 1), 1.0), label="omega2"
-        )
+        return ProductRegion(Disk(0j, 1.0), Ball((0j,) * (self.n - 1), 1.0))
 
-    def strict_window_resolvable(self, flat_margin: float) -> ProductRegion:
+    def strict_window_resolvable(self) -> ProductRegion:
         """Strictness window minus the collar where the taper underflows.
 
-        Within ``flat_margin`` of |z| = 1 the taper is below the float64
+        Within ``FLAT_MARGIN`` of |z| = 1 the taper is below the float64
         subnormal range, so no arithmetic can distinguish the witness's
         Levi floor from zero there; the window keeps |z| <= 1 - margin.
         """
-        return ProductRegion(
-            Disk(0j, 1.0 - flat_margin),
-            Ball((0j,) * (self.n - 1), 1.0),
-            label="omega2-resolvable",
-        )
-
-    def bulk_window(self) -> ProductRegion:
-        return ProductRegion(
-            Disk(0j, 3.2), Ball((0j,) * (self.n - 1), 3.0), label="omega2-window"
-        )
-
-    def domain_region(self) -> SublevelRegion:
-        return SublevelRegion(
-            self.defining_values, 0.0, self.bulk_window(), label="Omega2",
-            lower=self.defining_lower,
-        )
+        return ProductRegion(Disk(0j, 1.0 - FLAT_MARGIN),
+                             Ball((0j,) * (self.n - 1), 1.0))
 
     def slab_region(self) -> SublevelRegion:
         """The domain in the bulk window, for the boundedness surrogate."""
@@ -465,7 +447,7 @@ class Thm2Scenario:
     def zdisk_region(self) -> SublevelRegion:
         """Members over the closed unit z-disk with |w| < 3."""
         window = ProductRegion(Disk(0j, 1.0, closed=True),
-                               Ball((0j,) * (self.n - 1), 3.0), label="zdisk-window")
+                               Ball((0j,) * (self.n - 1), 3.0))
         return replace(self.domain_region(), window=window, label="Omega2-zdisk")
 
     def witness_min_eigs_on_window(self, pts) -> np.ndarray:
@@ -478,10 +460,7 @@ class Thm2Scenario:
         spanned by the z-axis and the w-direction; the 2x2 closed form
         there stays accurate down to subnormal taper values.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.complex128))
-        z = pts[:, 0]
-        w = pts[:, 1:]
-        t = z.real**2 + z.imag**2
+        z, w, t = _split(pts)
         lam, lamp, lampp = kernels.taper_many(t)
         c = self.form.small_c
         nw2 = _norm2(w)
@@ -496,14 +475,11 @@ class Thm2Scenario:
         )
 
 
-def build_thm2(cfg: CertifyConfig,
-               plateau: Optional[PlateauFunction] = None,
-               form: Optional[TaperedForm] = None) -> Thm2Scenario:
-    plateau = plateau if plateau is not None else build_plateau(cfg.j_max)
-    schedule = make_schedule("thm2", cfg.j_max, plateau.log_rho)
-    form = form if form is not None else build_tapered_form(cfg.taper_radius, cfg.n)
+def build_thm2(cfg: CertifyConfig, plateau: PlateauFunction,
+               form: TaperedForm) -> Thm2Scenario:
     return Thm2Scenario(
-        cfg.n, schedule, plateau, form, cfg.trunc, _axis_point(_W0_THM2, cfg.n - 1)
+        cfg.n, plateau.thm2_schedule, cfg.trunc, _axis_point(_W0_THM2, cfg.n - 1),
+        plateau, form,
     )
 
 
@@ -522,21 +498,19 @@ def example_defining(level: float):
     return psi
 
 
-def example1_check(cfg: CertifyConfig, stream: int = 900) -> list[Certificate]:
+def example1_check(cfg: CertifyConfig) -> list[Certificate]:
     """Certify the warm-up witness is strictly psh off the w-pole.
 
     The quadratic part contributes the identity to the Levi form and the
     log term is positive semidefinite with the radial direction in its
     kernel, so the sampled floor must come out at 1 (within FD error).
-    Samples keep |w| >= cfg.example1_exclusion: closer to the pole the
+    Samples keep |w| >= EXAMPLE1_EXCLUSION: closer to the pole the
     h^2-error of the stencil on the log term exceeds the floor tolerance.
     """
-    psi = example_defining(cfg.c_level)
-    window = ProductRegion(
-        Disk(0j, 2.2), Ball((0j,) * (cfg.n - 1), 1.3), label="example1-window"
-    )
-    excl = cfg.example1_exclusion
-    region = SublevelRegion(psi, 0.0, window, label="example1-domain")
+    psi = example_defining(C_LEVEL)
+    window = ProductRegion(Disk(0j, 2.2), Ball((0j,) * (cfg.n - 1), 1.3))
+    excl = EXAMPLE1_EXCLUSION
+    region = SublevelRegion(psi, window, label="example1-domain")
 
     def too_close(pts):
         return _norm2(np.atleast_2d(pts)[:, 1:]) < excl * excl
@@ -544,9 +518,8 @@ def example1_check(cfg: CertifyConfig, stream: int = 900) -> list[Certificate]:
     cert_floor = certify_psh(
         psi,
         region,
-        Sampler(cfg.seed, cfg.samples, stream=stream),
+        Sampler(cfg.seed, cfg.samples, stream=900),
         cfg.fd_step,
-        strict_floor=0.0,
         tolerance=cfg.tol,
         exclude=too_close,
         name="example1-strict-psh",
@@ -589,36 +562,35 @@ def thm1_decay_members(sc: Thm1Scenario, count: int, seed: int,
     return _member_filter(sc.defining_values, pts)
 
 
-def thm1_member_mixture(sc: Thm1Scenario, count: int, seed: int,
-                        stream: int) -> np.ndarray:
-    """Domain members: bulk rejection samples plus thin-tube samples near
-    the w0 line (log-uniform radii), capped at ``count``."""
+def _member_mixture(sc: _Scenario, count: int, seed: int, stream: int,
+                    z_radius: float, tube_radii) -> np.ndarray:
+    """Domain members: bulk rejection samples plus samples of the thin tube
+    around the w0 line (z in Disk(z_radius), distance ``tube_radii(rng,
+    m)`` from w0), capped at ``count``."""
     n_tube = count // 20
     bulk = sample(sc.domain_region(), Sampler(seed, count - n_tube, stream=stream))
     rng = np.random.Generator(np.random.Philox(key=[seed, stream + 1]))
-    k = sc.n - 1
-    z = _sample_disk(rng, 2 * n_tube) * 2.5
-    rho = np.exp(rng.uniform(-60.0, -16.0, 2 * n_tube))
-    w = sc.w0[None, :] + _unit_directions(rng, 2 * n_tube, k) * rho[:, None]
+    z = _sample_disk(rng, 2 * n_tube) * z_radius
+    rho = tube_radii(rng, 2 * n_tube)
+    w = sc.w0[None, :] + _unit_directions(rng, 2 * n_tube, sc.n - 1) * rho[:, None]
     tube = _member_filter(sc.defining_values,
                           np.concatenate([z[:, None], w], axis=1))[:n_tube]
     return np.concatenate([bulk, tube], axis=0)
+
+
+def thm1_member_mixture(sc: Thm1Scenario, count: int, seed: int,
+                        stream: int) -> np.ndarray:
+    """Members of the first domain; tube radii log-uniform in [e^-60, e^-16]."""
+    return _member_mixture(sc, count, seed, stream, 2.5,
+                           lambda rng, m: np.exp(rng.uniform(-60.0, -16.0, m)))
 
 
 def thm2_member_mixture(sc: Thm2Scenario, count: int, seed: int,
                         stream: int) -> np.ndarray:
-    """Domain members: bulk samples plus points in the thin tube around
-    the w0 line (these exercise the |w| >= 5/2 witness branch)."""
-    n_tube = count // 20
-    bulk = sample(sc.domain_region(), Sampler(seed, count - n_tube, stream=stream))
-    rng = np.random.Generator(np.random.Philox(key=[seed, stream + 1]))
-    k = sc.n - 1
-    z = _sample_disk(rng, 2 * n_tube) * 1.5
-    rho = 10.0 ** rng.uniform(-25.0, -16.0, 2 * n_tube)
-    w = sc.w0[None, :] + _unit_directions(rng, 2 * n_tube, k) * rho[:, None]
-    tube = _member_filter(sc.defining_values,
-                          np.concatenate([z[:, None], w], axis=1))[:n_tube]
-    return np.concatenate([bulk, tube], axis=0)
+    """Members of the second domain; the tube radii, log-uniform in
+    [1e-25, 1e-16], exercise the |w| >= 5/2 witness branch."""
+    return _member_mixture(sc, count, seed, stream, 1.5,
+                           lambda rng, m: 10.0 ** rng.uniform(-25.0, -16.0, m))
 
 
 def closed_polydisk_samples(n: int, count: int, seed: int, stream: int) -> np.ndarray:
@@ -667,6 +639,17 @@ def _submean_pairs(schedule: PoleSchedule, count: int, seed: int, stream: int):
         zs.extend(zk[:take])
         rs.extend(rk[:take])
     return np.asarray(zs), np.asarray(rs)
+
+
+def _connectivity(name: str, sc: _Scenario, paths) -> Certificate:
+    """Margin +1 per (start, end, waypoints) polyline whose 512 samples all
+    lie in the domain, -1 per other path."""
+    margins = [
+        1.0 if path_connected_probe(sc.defining_values, p, q, steps=512,
+                                    waypoints=wp)[0] else -1.0
+        for p, q, wp in paths
+    ]
+    return make_certificate(name, np.asarray(margins), 0.0)
 
 
 def thm1_properties(sc: Thm1Scenario, cfg: CertifyConfig) -> list[Certificate]:
@@ -718,7 +701,6 @@ def thm1_properties(sc: Thm1Scenario, cfg: CertifyConfig) -> list[Certificate]:
             sc.strict_window(),
             Sampler(seed, cfg.samples, stream=104),
             cfg.fd_step,
-            strict_floor=0.0,
             tolerance=cfg.tol,
             name="thm1-window-strict-psh",
         )
@@ -767,22 +749,15 @@ def thm1_properties(sc: Thm1Scenario, cfg: CertifyConfig) -> list[Certificate]:
 
     # sampled path connectivity from the basepoint (0, 0)
     base = np.zeros(sc.n, dtype=np.complex128)
-    targets = [
-        np.asarray([0.75] + [0.0] * (sc.n - 1), dtype=np.complex128),
-        np.asarray([0.9] + [0.8] + [0.0] * (sc.n - 2), dtype=np.complex128),
-        np.concatenate([[1.5], sc.w0]),
-    ]
-    waypoints = [None, None, [np.concatenate([[0.0], sc.w0])]]
-    margins = []
-    for tgt, wp in zip(targets, waypoints):
-        ok, _ = path_connected_probe(sc.defining_values, 0.0, base, tgt,
-                                     steps=512, waypoints=wp)
-        margins.append(1.0 if ok else -1.0)
-    certs.append(make_certificate("thm1-connectivity", np.asarray(margins), 0.0))
+    certs.append(_connectivity("thm1-connectivity", sc, [
+        (base, np.asarray([0.75] + [0.0] * (sc.n - 1), dtype=np.complex128), None),
+        (base, np.asarray([0.9, 0.8] + [0.0] * (sc.n - 2), dtype=np.complex128), None),
+        (base, np.concatenate([[1.5], sc.w0]), [np.concatenate([[0.0], sc.w0])]),
+    ]))
     return certs
 
 
-def plateau_properties(plateau: PlateauFunction, schedule: PoleSchedule,
+def plateau_properties(plateau: PlateauFunction,
                        cfg: CertifyConfig) -> list[Certificate]:
     certs = []
     seed = cfg.seed
@@ -871,7 +846,7 @@ def plateau_properties(plateau: PlateauFunction, schedule: PoleSchedule,
     certs.append(make_certificate("plateau-submean", margins, 1e-6, z0))
 
     # disjointness of the glue discs, pairwise and from the unit disk
-    pairwise, unit = disc_separation_margins(schedule)
+    pairwise, unit = disc_separation_margins(plateau.a, plateau.r)
     certs.append(
         make_certificate("plateau-disc-separation",
                          np.concatenate([pairwise, unit]), 0.0)
@@ -997,8 +972,6 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
     near = sc.schedule.a[:10] + 1e-12 * np.exp(2j * np.pi * rng.random(10))
     z = np.concatenate([z, near])
     z = z[sc.schedule.outside_all_discs(z)]
-    from .logpoles import series_lower_bounds_off_discs
-
     lows = series_lower_bounds_off_discs(sc.schedule, z)
     certs.append(make_certificate("thm2-series-lower-bound", lows + 1.0, 0.0, z))
 
@@ -1063,20 +1036,19 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
 
     # no members with z in the closed unit disk near the |w| = 5/2 sphere
     pts = sample(sc.zdisk_region(), Sampler(seed, cfg.samples, stream=207))
-    gap = np.abs(np.sqrt(_norm2(pts[:, 1:])) - _THETA_CUT) - cfg.band_margin
+    gap = np.abs(np.sqrt(_norm2(pts[:, 1:])) - _THETA_CUT) - BAND_MARGIN
     certs.append(make_certificate("thm2-bump-interface-clear", gap, 0.0, pts))
 
     # witness positivity on the strictness window: FD check within the
     # discretization tolerance plus the exact strict floor
-    window = sc.strict_window_resolvable(cfg.flat_margin)
+    window = sc.strict_window_resolvable()
     certs.append(
         certify_psh(
             sc.witness_values,
             window,
             Sampler(seed, cfg.samples, stream=208),
             cfg.fd_step,
-            strict_floor=0.0,
-            tolerance=cfg.psd_tol,
+            tolerance=PSD_TOL,
             name="thm2-window-psd-fd",
         )
     )
@@ -1099,12 +1071,12 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
     pts = thm2_member_mixture(sc, cfg.samples, seed, 211)
     dmin = np.min(np.abs(pts[:, 0][:, None] - sc.schedule.a[None, :]), axis=1)
     wmod = np.sqrt(_norm2(pts[:, 1:]))
-    keep = (dmin >= cfg.pole_margin) & (np.abs(wmod - _THETA_CUT) >= cfg.band_margin)
+    keep = (dmin >= POLE_MARGIN) & (np.abs(wmod - _THETA_CUT) >= BAND_MARGIN)
     pts = pts[keep]
     H, ok = wirtinger_hessian_batch(sc.witness_values, pts, cfg.fd_step)
     eigs = min_eigs_batch(H)
     margins = np.where(ok, eigs, -np.inf)
-    certs.append(make_certificate("thm2-global-psd-fd", margins, cfg.psd_tol, pts))
+    certs.append(make_certificate("thm2-global-psd-fd", margins, PSD_TOL, pts))
 
     # schedule inequality
     certs.append(
@@ -1116,16 +1088,9 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
 
     # sampled path connectivity: bulk paths from (0, 0), line path along w0
     base = np.zeros(sc.n, dtype=np.complex128)
-    line_base = np.concatenate([[0.0], sc.w0])
-    margins = []
-    for p, q, wp in [
+    certs.append(_connectivity("thm2-connectivity", sc, [
         (base, np.asarray([0.7, 0.5] + [0.0] * (sc.n - 2), dtype=np.complex128), None),
-        (base, np.asarray([0.95, 0.9] + [0.0] * (sc.n - 2), dtype=np.complex128),
-         None),
-        (line_base, np.concatenate([[2.5], sc.w0]), None),
-    ]:
-        ok, _ = path_connected_probe(sc.defining_values, 0.0, p, q, steps=512,
-                                     waypoints=wp)
-        margins.append(1.0 if ok else -1.0)
-    certs.append(make_certificate("thm2-connectivity", np.asarray(margins), 0.0))
+        (base, np.asarray([0.95, 0.9] + [0.0] * (sc.n - 2), dtype=np.complex128), None),
+        (np.concatenate([[0.0], sc.w0]), np.concatenate([[2.5], sc.w0]), None),
+    ]))
     return certs

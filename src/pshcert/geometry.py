@@ -34,9 +34,8 @@ def golden_angles(count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Region:
-    """Base class: a named, sampleable subset of C^dim."""
+    """Base class: a sampleable subset of C^dim."""
 
-    label: str
     dim: int
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -47,7 +46,6 @@ class Region:
 class Disk(Region):
     center: complex
     radius: float
-    label: str = "disk"
     closed: bool = False
     dim: int = field(default=1, init=False)
 
@@ -66,7 +64,6 @@ class Annulus(Region):
 
     inner: float
     outer: float
-    label: str = "annulus"
     dim: int = field(default=1, init=False)
 
     def __post_init__(self):
@@ -80,12 +77,10 @@ class Annulus(Region):
 
 @dataclass(frozen=True)
 class Ball(Region):
-    """Ball in C^k; pts is an (N, k) complex array."""
+    """Open ball in C^k; pts is an (N, k) complex array."""
 
     center: tuple[complex, ...]
     radius: float
-    label: str = "ball"
-    closed: bool = False
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -103,7 +98,7 @@ class Ball(Region):
             pts = pts[:, None]
         c = np.asarray(self.center, dtype=np.complex128)
         d = np.sqrt(np.sum(np.abs(pts - c[None, :]) ** 2, axis=1))
-        return d <= self.radius if self.closed else d < self.radius
+        return d < self.radius
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,6 @@ class ProductRegion(Region):
 
     region_z: Region
     region_w: Region
-    label: str = "product"
 
     @property
     def dim(self) -> int:
@@ -125,25 +119,23 @@ class ProductRegion(Region):
 
 @dataclass(frozen=True)
 class SublevelRegion(Region):
-    """``{p : defining(p) < level}`` intersected with a bounded proposal window.
+    """``{p : defining(p) < 0}`` intersected with a bounded proposal window.
 
     ``defining`` evaluates a batch of points of the window's C^dim. The
     window only drives rejection sampling; membership itself is the
-    sublevel inequality (and the optional extra constraints).
+    sublevel inequality.
 
     ``lower``, when given, is a cheap screen: a batch function with
     ``lower(p) <= defining(p)`` wherever both are numbers (NaN is
     allowed and means "no bound"). ``contains`` evaluates ``defining``
-    only at points with ``not lower(p) >= level``; every other point is
+    only at points with ``not lower(p) >= 0``; every other point is
     certainly outside. ``defining`` must be elementwise (a point's value
     does not depend on the rest of its batch), so the mask is the same
     as without the screen, bit for bit.
     """
 
     defining: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    level: float
     window: Region
-    constraints: tuple[Region, ...] = ()
     label: str = "sublevel"
     lower: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False
@@ -156,13 +148,10 @@ class SublevelRegion(Region):
     def contains(self, pts):
         pts = np.asarray(pts, dtype=np.complex128)
         if self.lower is None:
-            ok = self.defining(pts) < self.level
-        else:
-            ok = np.zeros(pts.shape[0], dtype=bool)
-            maybe = ~(self.lower(pts) >= self.level)
-            ok[maybe] = self.defining(pts[maybe]) < self.level
-        for c in self.constraints:
-            ok &= c.contains(pts)
+            return self.defining(pts) < 0.0
+        ok = np.zeros(pts.shape[0], dtype=bool)
+        maybe = ~(self.lower(pts) >= 0.0)
+        ok[maybe] = self.defining(pts[maybe]) < 0.0
         return ok
 
 
@@ -304,13 +293,12 @@ def _rejection_sample(region: SublevelRegion, sampler: Sampler,
 
 def path_connected_probe(
     defining: Callable[[np.ndarray], np.ndarray],
-    level: float,
     p,
     q,
     steps: int = 512,
     waypoints: Optional[Sequence] = None,
 ):
-    """Check a sampled polyline from p to q stays in ``{defining < level}``.
+    """Check a sampled polyline from p to q stays in ``{defining < 0}``.
 
     Returns ``(True, None)`` when every sampled point is a member, else
     ``(False, t)`` with t in [0, 1] the first violating parameter along
@@ -328,7 +316,7 @@ def path_connected_probe(
     nodes.append(to_arr(q))
 
     ends = defining(np.stack([nodes[0], nodes[-1]]))
-    if not np.all(ends < level):
+    if not np.all(ends < 0.0):
         raise ValueError("path endpoints must lie in the sublevel set")
 
     nseg = len(nodes) - 1
@@ -336,7 +324,7 @@ def path_connected_probe(
     for i in range(nseg):
         seg = nodes[i][None, :] + t_local[:, None] * (nodes[i + 1] - nodes[i])[None, :]
         vals = defining(seg)
-        bad = np.flatnonzero(~(vals < level))
+        bad = np.flatnonzero(~(vals < 0.0))
         if bad.size:
             t_global = (i + t_local[bad[0]]) / nseg
             return False, float(t_global)

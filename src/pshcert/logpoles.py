@@ -58,7 +58,6 @@ class PoleSchedule:
     a: np.ndarray
     delta: np.ndarray
     r: np.ndarray
-    eps: Optional[np.ndarray] = None
     log_rho: Optional[np.ndarray] = None
 
     @property
@@ -221,17 +220,16 @@ def series_lower_bounds_off_discs(schedule: PoleSchedule, z) -> np.ndarray:
 # schedule geometry certificates (used by suites and tests)
 # ---------------------------------------------------------------------------
 
-def disc_separation_margins(schedule: PoleSchedule):
+def disc_separation_margins(a: np.ndarray, r: np.ndarray):
     """Margins of pairwise disc disjointness and disjointness from D-bar.
 
-    Returns ``(pairwise, unit)``: pairwise[i] = |a_j - a_k| - (r_j + r_k)
-    over all j < k, unit[j] = (|a_j| - r_j) - 1. All must be positive.
+    For the discs D(a_j, r_j) returns ``(pairwise, unit)``:
+    pairwise[i] = |a_j - a_k| - (r_j + r_k) over all j < k,
+    unit[j] = (|a_j| - r_j) - 1. All must be positive.
     """
-    a = schedule.a
-    r = schedule.r
     diff = np.abs(a[:, None] - a[None, :])
     rsum = r[:, None] + r[None, :]
-    iu = np.triu_indices(schedule.j_max, k=1)
+    iu = np.triu_indices(a.size, k=1)
     pairwise = (diff - rsum)[iu]
     unit = (np.abs(a) - r) - 1.0
     return pairwise, unit

@@ -39,7 +39,7 @@ def plateau(small_cfg):
 
 @pytest.fixture(scope="session")
 def tapered(small_cfg):
-    return build_tapered_form(small_cfg.taper_radius, small_cfg.n)
+    return build_tapered_form(small_cfg.n)
 
 
 @pytest.fixture(scope="session")

@@ -255,10 +255,10 @@ def test_make_certificate_caps_witnesses():
 def test_certify_psh_positive_case():
     region = ProductRegion(Disk(0j, 1.0), Ball((0j,), 1.0))
     cert = certify_psh(_sq_all, region, Sampler(1, 500), H_STEP,
-                       strict_floor=0.5, tolerance=1e-6, name="sq")
+                       tolerance=1e-6, name="sq")
     assert cert.passed
     assert cert.samples == 500
-    assert cert.worst_margin == pytest.approx(0.5, abs=1e-6)
+    assert cert.worst_margin == pytest.approx(1.0, abs=1e-6)
 
 
 def test_certify_psh_negative_case_with_witnesses():

@@ -1,13 +1,15 @@
 """Reports, canonical serialization, grid exports, and the CLI."""
 
 import hashlib
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pshcert import certify
 from pshcert.certify import (
-    GRID_FUNCTION_IDS,
+    GRID_FUNCTIONS,
     SUITES,
     canonical_json,
     emit_grid,
@@ -17,7 +19,7 @@ from pshcert.certify import (
     serialize_report,
 )
 from pshcert.cli import main
-from pshcert.config import MAX_TRUNC, CertifyConfig, ConfigError
+from pshcert.config import MAX_TRUNC, PSD_TOL, CertifyConfig, ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,26 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         CertifyConfig(fd_step=0.5).validate()
     assert CertifyConfig().validate() is not None
+
+
+def test_seed_must_fit_in_int64(capsys):
+    # Philox keys go through np.asarray([seed, stream]), which turns
+    # float64 from 2**63 on and merges neighbouring seeds
+    assert CertifyConfig(seed=2**63 - 1).validate() is not None
+    for seed in (2**63, 2**63 + 1, 2**64):
+        with pytest.raises(ConfigError):
+            CertifyConfig(seed=seed).validate()
+    assert main(["certify", "example1", "--seed", str(2**63)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_tol_must_be_finite_and_positive(capsys):
+    for tol in (float("nan"), float("inf"), 0.0, -1e-6):
+        with pytest.raises(ConfigError):
+            CertifyConfig(tol=tol).validate()
+    for tol in ("nan", "inf"):
+        assert main(["certify", "example1", "--tol", tol]) == 2
+    assert "tol" in capsys.readouterr().err
 
 
 def test_trunc_capped_at_last_nonzero_coefficient(capsys):
@@ -101,6 +123,68 @@ def test_thm2_small_truncation_passes():
     assert report.passed, [c.name for c in report.certificates if not c.passed]
 
 
+# sha256 of serialize_report(run_suite(suite, tiny_cfg at n)); perfbench
+# pins only the full-size "all" reports at n = 2 and n = 3
+_REPORT_PINS = {
+    ("example1", 2): "653dbb365637e35e41dc7575546655edb47f55a80230e9949741b66aad66e8bf",
+    ("thm1", 2): "58f388872cfb8449db8a7ac75d66f438c370b226f03e3c0bf5e2a7b7a9339b6c",
+    ("lemma21", 2): "505b552337e72d2194fe8c55bbe17b1aa5bbe2368e6824164e7e14e9079e80e1",
+    ("lemma3", 2): "acc147345e490cd33d6e40018bb8acfedbd90351a3cebe98ef11111aa49ae458",
+    ("thm2", 2): "0833d8cbc785eb3f8a6dc4f331b41758a2363442556ad67e9d2d43961c825332",
+    ("all", 2): "7433f8eff7525c4fb80c98981d971e356ceef1358683e06a9f6d649fd570bb6e",
+    ("all", 3): "033d3a5d7d6d6cf34ac9fa4cc2d1383436d9af37405a8e020e7e9bd5337985dc",
+}
+
+
+@pytest.mark.parametrize("suite, n", list(_REPORT_PINS))
+def test_suite_report_bytes_pinned(suite, n, tiny_cfg):
+    text = serialize_report(run_suite(suite, replace(tiny_cfg, n=n)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _REPORT_PINS[suite, n]
+
+
+# sha256 of the --dump-schedule text of each suite (at --samples 100)
+_SCHEDULE_PINS = {
+    "example1": "49cc95cf3feb66c7b99c044161ba06bd17412a1d47460ac0f1ff036357495d63",
+    "thm1": "bd701e8e852016001fdee1f3c3cdc3ba4a480d9a6b1d18013247d368ebf1fa3f",
+    "lemma21": "8615128a9d50b87fd480e1ea903ec5508808c7bb1037cd712ee125cbcd14c40f",
+    "lemma3": "6d9695ab9e7915a888a26fff8b99e63b1f68dbc241f389b2f5d69cb4877bef41",
+    "thm2": "7950ef204832694b40fc4a0173ac099ca61d380cd266353a139c0de6af9a76e2",
+    "all": "eaf6d48dc62ea132e160c88fdd8ba72153c6cf9bb5f7341adf62063cd3807738",
+}
+
+
+def _certify_with_dump(suite, tmp_path):
+    rpt, sched = tmp_path / "report.json", tmp_path / "schedule.txt"
+    code = main(["certify", suite, "--samples", "100",
+                 "--report", str(rpt), "--dump-schedule", str(sched)])
+    fingerprint = json.loads(rpt.read_text())["schedule_fingerprint"]
+    return code, sched.read_bytes(), fingerprint
+
+
+@pytest.mark.parametrize("suite", list(_SCHEDULE_PINS))
+def test_dump_schedule_bytes_pinned(suite, tmp_path, capsys):
+    code, text, fingerprint = _certify_with_dump(suite, tmp_path)
+    capsys.readouterr()
+    assert code == 0
+    digest = hashlib.sha256(text).hexdigest()
+    assert digest == _SCHEDULE_PINS[suite]
+    assert fingerprint == "sha256:" + digest
+
+
+def test_dump_schedule_after_construction_failure(monkeypatch, tmp_path, capsys):
+    # the dump is the text the failing report fingerprints, not a rebuild
+    # that raises a second time
+    def broken(*args, **kwargs):
+        raise RuntimeError("no positive floor after doubling retries")
+
+    monkeypatch.setattr(certify, "build_tapered_form", broken)
+    code, text, fingerprint = _certify_with_dump("lemma3", tmp_path)
+    capsys.readouterr()
+    assert code == 1
+    assert text == b"# construction failed\n"
+    assert fingerprint == "sha256:" + hashlib.sha256(text).hexdigest()
+
+
 def test_unknown_suite_rejected(tiny_cfg):
     with pytest.raises(ConfigError):
         run_suite("nope", tiny_cfg)
@@ -120,11 +204,13 @@ def test_construction_failure_becomes_failing_report(tiny_cfg, monkeypatch):
     assert serialize_report(report)
 
 
-def test_psh_sample_shortfall_becomes_failing_report():
+def test_psh_sample_shortfall_becomes_failing_report(monkeypatch):
     # an exclusion radius beyond the example1 window leaves no point to
     # certify; the report says so instead of certifying an empty set
-    cfg = CertifyConfig(samples=100, submean_probes=40, plateau_checks=8,
-                        example1_exclusion=10.0)
+    from pshcert import constructions
+
+    monkeypatch.setattr(constructions, "EXAMPLE1_EXCLUSION", 10.0)
+    cfg = CertifyConfig(samples=100, submean_probes=40, plateau_checks=8)
     report = run_suite("example1", cfg)
     assert not report.passed
     assert [c.name for c in report.certificates] == ["construction-failure"]
@@ -152,25 +238,35 @@ def test_parse_specs():
         parse_slice_spec("z=1", 3)
 
 
+def test_malformed_slice_value_is_config_error(tmp_path, capsys):
+    for spec in ("w=abc", "z=1+", "w=1j;;x"):
+        with pytest.raises(ConfigError, match="slice"):
+            parse_slice_spec(spec, 2)
+    out = tmp_path / "d1.csv"
+    code = main(["grid", "d1", "--slice", "w=abc", "--region=-1:1,-1:1",
+                 "--res", "3x3", "--out", str(out)])
+    assert code == 2
+    assert "slice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_row_count_and_values(tiny_cfg, tmp_path):
     out = tmp_path / "sigma.csv"
-    export = emit_grid("sigma", "none", "-3:3,-3:3", (200, 200), str(out), tiny_cfg)
+    values = emit_grid("sigma", "none", "-3:3,-3:3", (200, 200), str(out), tiny_cfg)
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("# axes=re(z),im(z)")
     assert lines[1] == "x,y,value"
     assert len(lines) == 2 + 200 * 200
-    assert export.values.size == 40_000
+    assert values.size == 40_000
 
 
 def test_grid_u_equals_square_inside_disk(tiny_cfg, tmp_path):
     out = tmp_path / "u.csv"
-    export = emit_grid("u", "none", "-3:3,-3:3", (41, 41), str(out), tiny_cfg)
+    values = emit_grid("u", "none", "-3:3,-3:3", (41, 41), str(out), tiny_cfg)
     xs = np.linspace(-3, 3, 41)
     gx, gy = np.meshgrid(xs, xs)
     inside = (gx**2 + gy**2).ravel() <= 1.0
-    np.testing.assert_array_equal(
-        export.values[inside], (gx**2 + gy**2).ravel()[inside]
-    )
+    np.testing.assert_array_equal(values[inside], (gx**2 + gy**2).ravel()[inside])
 
 
 def test_grid_neg_inf_sentinel(tiny_cfg, tmp_path):
@@ -215,15 +311,13 @@ def test_grid_csv_matches_per_cell_formatter(tiny_cfg, tmp_path, monkeypatch):
         vals[::3] = np.resize(special, vals[::3].size)
         return vals
 
-    monkeypatch.setattr(
-        certify, "_grid_functions", lambda cfg, built: {"sigma": ("z-plane", plane)}
-    )
+    monkeypatch.setitem(GRID_FUNCTIONS, "sigma", ("z-plane", lambda b, z: plane(z)))
     out = tmp_path / "special.csv"
     region = "-1.5:2.25,-0.3:0.7"
-    export = emit_grid("sigma", "none", region, (13, 7), str(out), tiny_cfg)
+    values = emit_grid("sigma", "none", region, (13, 7), str(out), tiny_cfg)
     header = f"# axes=re(z),im(z) slice=none region={region} res=13x7 function=sigma"
     xs, ys = np.linspace(-1.5, 2.25, 13), np.linspace(-0.3, 0.7, 7)
-    assert out.read_text() == _per_cell_csv(header, xs, ys, export.values)
+    assert out.read_text() == _per_cell_csv(header, xs, ys, values)
 
 
 @pytest.mark.parametrize(
@@ -246,17 +340,28 @@ def test_grid_export_bytes_pinned(fid, slice_spec, region, res, digest,
 
 def test_grid_levi_floor_on_window_slice(tiny_cfg, tmp_path):
     out = tmp_path / "levi.csv"
-    export = emit_grid(
+    values = emit_grid(
         "levi_thm2", "w=0", "-0.9:0.9,-0.9:0.9", (12, 12), str(out), tiny_cfg
     )
-    assert np.all(export.values >= -tiny_cfg.psd_tol)
+    assert np.all(values >= -PSD_TOL)
+
+
+def test_sigma_thm2_grid_builds_no_tapered_form(tiny_cfg, tmp_path, monkeypatch):
+    # the thm2 series depends on the plateau discs only
+    def broken(*args, **kwargs):
+        raise RuntimeError("no positive floor after doubling retries")
+
+    monkeypatch.setattr(certify, "build_tapered_form", broken)
+    values = emit_grid("sigma_thm2", "none", "-1:1,-1:1", (3, 3),
+                       str(tmp_path / "s.csv"), tiny_cfg)
+    assert values.size == 9
 
 
 def test_grid_unknown_function(tiny_cfg, tmp_path):
     with pytest.raises(ConfigError):
         emit_grid("mystery", "none", "-1:1,-1:1", (4, 4),
                   str(tmp_path / "x.csv"), tiny_cfg)
-    assert "mystery" not in GRID_FUNCTION_IDS
+    assert "mystery" not in GRID_FUNCTIONS
 
 
 # --- CLI --------------------------------------------------------------------

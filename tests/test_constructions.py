@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from pshcert.calculus import circle_mean_test, wirtinger_hessian_batch
-from pshcert.config import CertifyConfig
+from pshcert.config import C_LEVEL, PSD_TOL, CertifyConfig
 from pshcert.constructions import (
     _SCREEN_SLACK,
     _fd_laplacian,
     _perturbation_values,
+    build_plateau,
+    build_tapered_form,
     build_thm1,
     build_thm2,
     example1_check,
@@ -24,18 +26,17 @@ from pshcert.constructions import (
     thm2_properties,
 )
 from pshcert.geometry import Sampler, sample
-from pshcert.logpoles import make_schedule, series_ring_lower_bounds, series_values
+from pshcert.logpoles import series_ring_lower_bounds
 
 
 # --- plateau function -------------------------------------------------------
 
 def test_plateau_value_examples(plateau):
-    assert plateau.value(0j) == 0.0
-    assert plateau.value(3.0 + 0j) == 9.0  # verified off-disc below
+    # 3 lies off every disc, so the value there is |3|^2
+    assert plateau.values([0j, 3.0 + 0j]).tolist() == [0.0, 9.0]
     d = np.abs((3.0 + 0j) - plateau.a)
     assert np.all(d > plateau.r)
-    for j in range(10):
-        assert plateau.value(complex(plateau.a[j])) == 1.0
+    np.testing.assert_array_equal(plateau.values(plateau.a[:10]), 1.0)
 
 
 def test_plateau_offset_inside_saturated_disc_collapses(plateau):
@@ -46,7 +47,7 @@ def test_plateau_offset_inside_saturated_disc_collapses(plateau):
     for j in range(min(50, plateau.j_max)):
         z = complex(plateau.a[j] + rho_half[j] / 2)
         assert z == complex(plateau.a[j])
-        assert plateau.value(z) == 1.0
+        assert plateau.values([z])[0] == 1.0
 
 
 def test_plateau_eps_positive_and_laplacian_margin(plateau):
@@ -99,8 +100,7 @@ def test_plateau_eps_deterministic(plateau):
 
 
 def test_plateau_property_bundle(plateau, small_cfg):
-    schedule = make_schedule("thm2", plateau.j_max, plateau.log_rho)
-    certs = plateau_properties(plateau, schedule, small_cfg)
+    certs = plateau_properties(plateau, small_cfg)
     assert all(c.passed for c in certs), [c.name for c in certs if not c.passed]
 
 
@@ -245,8 +245,7 @@ def test_thm2_witness_on_window_is_scaled_form(thm2):
 
 
 def test_thm2_window_min_eigs_positive_and_match_fd(thm2, small_cfg):
-    pts = sample(thm2.strict_window_resolvable(small_cfg.flat_margin),
-                 Sampler(6, 200))
+    pts = sample(thm2.strict_window_resolvable(), Sampler(6, 200))
     eigs = thm2.witness_min_eigs_on_window(pts)
     assert np.all(eigs > 0.0)
     H, ok = wirtinger_hessian_batch(thm2.witness_values, pts, small_cfg.fd_step)
@@ -263,7 +262,7 @@ def test_thm2_branch_values(thm2):
     a0 = complex(thm2.schedule.a[0])
     lo = np.array([[a0, 2.0 + 0j]])
     hi = np.array([[a0, 3.0 + 0j]])
-    assert thm2.witness_smooth_values(lo)[0] == thm2.plateau.value(a0) == 1.0
+    assert thm2.witness_smooth_values(lo)[0] == thm2.plateau.values([a0])[0] == 1.0
     assert thm2.witness_smooth_values(hi)[0] == 1.0
     assert thm2.bump_values(hi)[0] == 0.0
 
@@ -280,7 +279,7 @@ def test_thm2_line_slice_path(thm2):
 
     p = np.concatenate([[0.0], thm2.w0])
     q = np.concatenate([[thm2.schedule.a[0]], thm2.w0])
-    ok, t = path_connected_probe(thm2.defining_values, 0.0, p, q, steps=256)
+    ok, t = path_connected_probe(thm2.defining_values, p, q, steps=256)
     assert ok and t is None
 
 
@@ -288,14 +287,14 @@ def test_dimension_three_smoke():
     from pshcert.calculus import min_eigs_batch
 
     cfg = CertifyConfig(n=3, samples=200, submean_probes=40, plateau_checks=8)
-    sc = build_thm2(cfg)
-    pts = sample(sc.strict_window_resolvable(cfg.flat_margin), Sampler(7, 100))
+    sc = build_thm2(cfg, build_plateau(cfg.j_max), build_tapered_form(cfg.n))
+    pts = sample(sc.strict_window_resolvable(), Sampler(7, 100))
     assert pts.shape == (100, 3)
     eigs = sc.witness_min_eigs_on_window(pts)
     assert np.all(eigs > 0.0)
     H, ok = wirtinger_hessian_batch(sc.witness_values, pts, cfg.fd_step)
     assert np.all(ok)
-    assert np.all(min_eigs_batch(H) > -cfg.psd_tol)
+    assert np.all(min_eigs_batch(H) > -PSD_TOL)
     # first scenario: the smooth witness keeps floor 1/2 plus a
     # positive-semidefinite log contribution in the extra w coordinates
     sc1 = build_thm1(cfg)
@@ -327,7 +326,7 @@ def scenarios_by_n(plateau):
     for n in (2, 3):
         cfg = CertifyConfig(n=n)
         assert cfg.j_max == plateau.j_max
-        out[n] = (build_thm1(cfg), build_thm2(cfg, plateau))
+        out[n] = (build_thm1(cfg), build_thm2(cfg, plateau, build_tapered_form(n)))
     return out
 
 
@@ -444,7 +443,7 @@ def test_rejection_sample_bytes_pinned(scenarios_by_n, n):
 # --- warm-up example --------------------------------------------------------
 
 def test_example_defining_levi_structure(small_cfg):
-    psi = example_defining(small_cfg.c_level)
+    psi = example_defining(C_LEVEL)
     pts = np.array([[0.5 + 0.2j, 0.3 - 0.4j]])
     H, ok = wirtinger_hessian_batch(psi, pts, small_cfg.fd_step)
     assert ok[0]

@@ -154,7 +154,7 @@ def test_product_window_bytes_pinned(n):
 def test_sublevel_rejection_sampling():
     window = ProductRegion(Disk(0j, 1.5), Ball((0j,), 1.5))
     region = SublevelRegion(
-        lambda p: np.sum(np.abs(p) ** 2, axis=1) - 1.0, 0.0, window
+        lambda p: np.sum(np.abs(p) ** 2, axis=1) - 1.0, window
     )
     pts = sample(region, Sampler(4, 500))
     assert pts.shape == (500, 2)
@@ -163,7 +163,7 @@ def test_sublevel_rejection_sampling():
 
 def test_sublevel_empty_raises():
     window = ProductRegion(Disk(0j, 1.0), Ball((0j,), 1.0))
-    region = SublevelRegion(lambda p: np.ones(p.shape[0]), 0.0, window)
+    region = SublevelRegion(lambda p: np.ones(p.shape[0]), window)
     with pytest.raises(EmptyRegionError):
         sample(region, Sampler(4, 10))
 
@@ -186,7 +186,7 @@ def _quad(pts):
 
 def test_probe_convex_sublevel():
     ok, t = path_connected_probe(
-        lambda p: _quad(p) - 4.0, 0.0, [0.0, 0.0], [1.0, 0.0], steps=64
+        lambda p: _quad(p) - 4.0, [0.0, 0.0], [1.0, 0.0], steps=64
     )
     assert ok and t is None
 
@@ -197,7 +197,7 @@ def test_probe_reports_first_violation():
         d = np.abs(np.atleast_2d(pts)[:, 0])
         return 1.0 - np.abs(d - 1.0) * 2.0
 
-    ok, t = path_connected_probe(f, 0.0, [0.0, 0.0], [2.0, 0.0], steps=128)
+    ok, t = path_connected_probe(f, [0.0, 0.0], [2.0, 0.0], steps=128)
     assert not ok
     assert 0.2 < t < 0.8
 
@@ -205,7 +205,7 @@ def test_probe_reports_first_violation():
 def test_probe_requires_member_endpoints():
     with pytest.raises(ValueError):
         path_connected_probe(
-            lambda p: _quad(p) - 1.0, 0.0, [0.0, 0.0], [5.0, 0.0], steps=16
+            lambda p: _quad(p) - 1.0, [0.0, 0.0], [5.0, 0.0], steps=16
         )
 
 
@@ -219,10 +219,10 @@ def test_probe_waypoints():
         return np.where(wall, 1.0, -1.0)
 
     p, q = [0.0, 0.0], [2.0, 0.0]
-    ok, _ = path_connected_probe(f, 0.0, p, q, steps=256)
+    ok, _ = path_connected_probe(f, p, q, steps=256)
     assert not ok
     ok, t = path_connected_probe(
-        f, 0.0, p, q, steps=256, waypoints=[[1.0 + 2.5j, 0.0]]
+        f, p, q, steps=256, waypoints=[[1.0 + 2.5j, 0.0]]
     )
     assert ok and t is None
 
@@ -231,5 +231,5 @@ def test_probe_one_dimensional():
     def f(pts):
         return np.abs(np.atleast_2d(pts)[:, 0]) ** 2 - 1.0
 
-    ok, t = path_connected_probe(f, 0.0, [0.5], [-0.5], steps=64)
+    ok, t = path_connected_probe(f, [0.5], [-0.5], steps=64)
     assert ok and t is None

@@ -82,7 +82,7 @@ def test_disc_disjointness_brute_force():
 
 
 def test_disc_separation_margins_positive(sch1):
-    pairwise, unit = disc_separation_margins(sch1)
+    pairwise, unit = disc_separation_margins(sch1.a, sch1.r)
     assert pairwise.size == 60 * 59 // 2
     assert np.min(pairwise) > 0.0
     assert np.min(unit) > 0.0
