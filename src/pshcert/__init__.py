@@ -27,13 +27,9 @@ from .constructions import (
     build_thm2,
 )
 from .geometry import (
-    Annulus,
-    Ball,
-    Disk,
-    ProductRegion,
-    Region,
     Sampler,
     SublevelRegion,
+    Window,
     golden_angles,
     path_connected_probe,
     sample,
@@ -48,23 +44,19 @@ from .logpoles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Annulus",
     "BACKEND_NAME",
-    "Ball",
     "Certificate",
     "CertifyConfig",
     "ConfigError",
-    "Disk",
     "PlateauFunction",
     "PoleSchedule",
-    "ProductRegion",
-    "Region",
     "Report",
     "Sampler",
     "SublevelRegion",
     "TaperedForm",
     "Thm1Scenario",
     "Thm2Scenario",
+    "Window",
     "build_plateau",
     "build_tapered_form",
     "build_thm1",

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .geometry import EmptyRegionError, Region, Sampler, sample
+from .geometry import EmptyRegionError, Sampler, SublevelRegion, Window, sample
 
 MAX_EIG_DIM = 8
 
@@ -230,7 +230,7 @@ def circle_mean_test(f, z0, radius, m: int = 64):
 
 def certify_psh(
     f,
-    region: Region,
+    region: Window | SublevelRegion,
     sampler: Sampler,
     h: float,
     tolerance: float = 1e-6,
@@ -252,8 +252,6 @@ def certify_psh(
     for attempt in range(50):
         s = Sampler(sampler.seed, want, sampler.stream + 7919 * attempt)
         pts = sample(region, s)
-        if pts.ndim == 1:
-            pts = pts[:, None]
         if exclude is not None:
             pts = pts[~np.asarray(exclude(pts), dtype=bool)]
         chunks.append(pts)

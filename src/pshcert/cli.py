@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from dataclasses import fields
 
 from .certify import GRID_FUNCTIONS, SUITES, emit_grid, run_suite, serialize_report
 from .config import CertifyConfig, ConfigError
@@ -30,13 +31,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("certify", help="run a certificate suite")
     pc.add_argument("suite", choices=list(SUITES))
-    pc.add_argument("--n", type=int, default=2, help="ambient complex dimension")
-    pc.add_argument("--trunc", type=int, default=60, help="series truncation order")
-    pc.add_argument("--samples", type=int, default=10_000,
+    pc.add_argument("--n", type=int, default=CertifyConfig.n,
+                    help="ambient complex dimension")
+    pc.add_argument("--trunc", type=int, default=CertifyConfig.trunc,
+                    help="series truncation order")
+    pc.add_argument("--samples", type=int, default=CertifyConfig.samples,
                     help="samples per certificate")
-    pc.add_argument("--seed", type=int, default=42)
-    pc.add_argument("--tol", type=float, default=1e-6)
-    pc.add_argument("--fd-step", type=float, default=1e-4)
+    pc.add_argument("--seed", type=int, default=CertifyConfig.seed)
+    pc.add_argument("--tol", type=float, default=CertifyConfig.tol)
+    pc.add_argument("--fd-step", type=float, default=CertifyConfig.fd_step)
     pc.add_argument("--report", metavar="PATH", help="write the canonical report")
     pc.add_argument("--dump-schedule", metavar="PATH",
                     help="write the full-precision schedule export that the "
@@ -50,20 +53,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="grid rectangle, xmin:xmax,ymin:ymax")
     pg.add_argument("--res", required=True, help="resolution NXxNY")
     pg.add_argument("--out", required=True, help="output CSV path")
-    pg.add_argument("--n", type=int, default=2)
-    pg.add_argument("--trunc", type=int, default=60)
-    pg.add_argument("--seed", type=int, default=42)
+    pg.add_argument("--n", type=int, default=CertifyConfig.n)
+    pg.add_argument("--trunc", type=int, default=CertifyConfig.trunc)
+    pg.add_argument("--seed", type=int, default=CertifyConfig.seed)
     return parser
 
 
 def _config_from_args(args) -> CertifyConfig:
+    # options a subcommand lacks keep their CertifyConfig defaults
+    names = {f.name for f in fields(CertifyConfig)}
     return CertifyConfig(
-        n=args.n,
-        trunc=args.trunc,
-        samples=getattr(args, "samples", 10_000),
-        seed=args.seed,
-        tol=getattr(args, "tol", 1e-6),
-        fd_step=getattr(args, "fd_step", 1e-4),
+        **{k: v for k, v in vars(args).items() if k in names}
     ).validate()
 
 

@@ -88,6 +88,8 @@ class CertifyConfig:
             raise ConfigError("fd step must lie in (0, 1e-2)")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be finite and positive, got {self.tol}")
+        if self.submean_probes < 1 or self.plateau_checks < 1:
+            raise ConfigError("submean_probes and plateau_checks must be >= 1")
         return self
 
     def echo(self) -> dict:

@@ -35,16 +35,12 @@ from .config import (
     CertifyConfig,
 )
 from .geometry import (
-    Annulus,
-    Ball,
-    Disk,
-    ProductRegion,
     Sampler,
     SublevelRegion,
+    Window,
     _sample_ball,
     _sample_disk,
     _unit_directions,
-    golden_angles,
     path_connected_probe,
     sample,
 )
@@ -52,6 +48,7 @@ from .logpoles import (
     PoleSchedule,
     disc_separation_margins,
     make_schedule,
+    pole_discs,
     schedule_condition_margin,
     series_lower_bounds_off_discs,
     series_ring_lower_bounds,
@@ -174,11 +171,7 @@ def plateau_log_rho(r_j: float, eps_j: float) -> float:
 
 
 def build_plateau(j_max: int) -> PlateauFunction:
-    # bit for bit the poles and radii of make_schedule: the thm2 schedule and
-    # the disc-separation certificate rely on these copies
-    j = np.arange(1, j_max + 1, dtype=np.float64)
-    a = (1.0 + 1.0 / j) * np.exp(1j * golden_angles(j_max))
-    r = 1.0 / (4.0 * j * (j + 1.0))
+    _, a, r = pole_discs(j_max)
     eps = np.array([plateau_eps(a[i], r[i], stream=i + 1) for i in range(j_max)])
     log_rho = np.array([plateau_log_rho(r[i], eps[i]) for i in range(j_max)])
     return PlateauFunction(a, r, eps, log_rho)
@@ -299,7 +292,7 @@ class _Scenario:
 
     A scenario supplies its non-series terms (``_terms``, in summation
     order), ``_BOUND`` and the label of its domain region. Rejection
-    sampling of the domain proposes from the window Disk(3.2) x Ball(3).
+    sampling of the domain proposes from the window |z| < 3.2, |w| < 3.
     """
 
     n: int
@@ -340,8 +333,8 @@ class _Scenario:
         low = series_ring_lower_bounds(self.schedule, z, self.trunc) - _SCREEN_SLACK
         return self._sum(low, terms)
 
-    def bulk_window(self) -> ProductRegion:
-        return ProductRegion(Disk(0j, 3.2), Ball((0j,) * (self.n - 1), 3.0))
+    def bulk_window(self) -> Window:
+        return Window(self.n, 3.2, 3.0)
 
     def domain_region(self) -> SublevelRegion:
         return SublevelRegion(
@@ -379,8 +372,8 @@ class Thm1Scenario(_Scenario):
     def witness_values(self, pts):
         return np.maximum(self.witness_smooth_values(pts), -2.0)
 
-    def strict_window(self) -> ProductRegion:
-        return ProductRegion(Annulus(0.5, 1.0), Ball((0j,) * (self.n - 1), 1.0))
+    def strict_window(self) -> Window:
+        return Window(self.n, 1.0, 1.0, z_inner=0.5)
 
 
 def build_thm1(cfg: CertifyConfig) -> Thm1Scenario:
@@ -427,28 +420,26 @@ class Thm2Scenario(_Scenario):
             pts
         )
 
-    def strict_window(self) -> ProductRegion:
-        return ProductRegion(Disk(0j, 1.0), Ball((0j,) * (self.n - 1), 1.0))
+    def strict_window(self) -> Window:
+        return Window(self.n, 1.0, 1.0)
 
-    def strict_window_resolvable(self) -> ProductRegion:
+    def strict_window_resolvable(self) -> Window:
         """Strictness window minus the collar where the taper underflows.
 
         Within ``FLAT_MARGIN`` of |z| = 1 the taper is below the float64
         subnormal range, so no arithmetic can distinguish the witness's
         Levi floor from zero there; the window keeps |z| <= 1 - margin.
         """
-        return ProductRegion(Disk(0j, 1.0 - FLAT_MARGIN),
-                             Ball((0j,) * (self.n - 1), 1.0))
+        return Window(self.n, 1.0 - FLAT_MARGIN, 1.0)
 
     def slab_region(self) -> SublevelRegion:
         """The domain in the bulk window, for the boundedness surrogate."""
         return replace(self.domain_region(), label="Omega2-slab")
 
     def zdisk_region(self) -> SublevelRegion:
-        """Members over the closed unit z-disk with |w| < 3."""
-        window = ProductRegion(Disk(0j, 1.0, closed=True),
-                               Ball((0j,) * (self.n - 1), 3.0))
-        return replace(self.domain_region(), window=window, label="Omega2-zdisk")
+        """Members with |z| < 1 and |w| < 3 (draws from the open unit z-disk)."""
+        return replace(self.domain_region(), window=Window(self.n, 1.0, 3.0),
+                       label="Omega2-zdisk")
 
     def witness_min_eigs_on_window(self, pts) -> np.ndarray:
         """Exact Levi floor of the witness on the strictness window.
@@ -508,7 +499,7 @@ def example1_check(cfg: CertifyConfig) -> list[Certificate]:
     h^2-error of the stencil on the log term exceeds the floor tolerance.
     """
     psi = example_defining(C_LEVEL)
-    window = ProductRegion(Disk(0j, 2.2), Ball((0j,) * (cfg.n - 1), 1.3))
+    window = Window(cfg.n, 2.2, 1.3)
     excl = EXAMPLE1_EXCLUSION
     region = SublevelRegion(psi, window, label="example1-domain")
 
@@ -565,7 +556,7 @@ def thm1_decay_members(sc: Thm1Scenario, count: int, seed: int,
 def _member_mixture(sc: _Scenario, count: int, seed: int, stream: int,
                     z_radius: float, tube_radii) -> np.ndarray:
     """Domain members: bulk rejection samples plus samples of the thin tube
-    around the w0 line (z in Disk(z_radius), distance ``tube_radii(rng,
+    around the w0 line (|z| < z_radius, distance ``tube_radii(rng,
     m)`` from w0), capped at ``count``."""
     n_tube = count // 20
     bulk = sample(sc.domain_region(), Sampler(seed, count - n_tube, stream=stream))
@@ -1034,7 +1025,7 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
         make_certificate("thm2-branch-agreement", -np.abs(u - 1.0), 1e-12, pts)
     )
 
-    # no members with z in the closed unit disk near the |w| = 5/2 sphere
+    # no members with z in the open unit disk near the |w| = 5/2 sphere
     pts = sample(sc.zdisk_region(), Sampler(seed, cfg.samples, stream=207))
     gap = np.abs(np.sqrt(_norm2(pts[:, 1:])) - _THETA_CUT) - BAND_MARGIN
     certs.append(make_certificate("thm2-bump-interface-clear", gap, 0.0, pts))

@@ -1,8 +1,9 @@
 """Regions of C^n = C x C^{n-1}, with deterministic uniform samplers.
 
-Regions know their complex dimension and expose a vectorized membership
-predicate. Samplers are counter-based (Philox), so a given
-(seed, stream, count, region) tuple reproduces the identical
+Every region is an origin-centred product window (a z-disk or z-annulus
+times a w-ball) or the sublevel set of a defining function inside such a
+window, sampled by rejection. Samplers are counter-based (Philox), so a
+given (seed, stream, count, region) tuple reproduces the identical
 point sequence bit for bit, independent of thread count.
 
 The dense angle sequence that drives all pole positions is the golden
@@ -33,95 +34,32 @@ def golden_angles(count: int) -> np.ndarray:
 # regions
 # ---------------------------------------------------------------------------
 
-class Region:
-    """Base class: a sampleable subset of C^dim."""
-
-    dim: int
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class Disk(Region):
-    center: complex
-    radius: float
-    closed: bool = False
-    dim: int = field(default=1, init=False)
+class Window:
+    """Proposal window ``{z_inner < |z| < z_radius} x {|w| < w_radius}``.
+
+    A subset of C x C^{n-1} with both factors centred at the origin:
+    the z factor is the open disk when ``z_inner`` is 0, else an open
+    annulus; the w factor is the open ball. It only drives sampling.
+    """
+
+    n: int
+    z_radius: float
+    w_radius: float
+    z_inner: float = 0.0
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("disk radius must be positive")
-
-    def contains(self, pts):
-        d = np.abs(np.asarray(pts, dtype=np.complex128) - self.center)
-        return d <= self.radius if self.closed else d < self.radius
+        if self.n < 2:
+            raise ValueError("a window needs n >= 2")
+        if not (0.0 <= self.z_inner < self.z_radius and self.w_radius > 0.0):
+            raise ValueError("need 0 <= z_inner < z_radius and w_radius > 0")
 
 
 @dataclass(frozen=True)
-class Annulus(Region):
-    """Open annulus ``inner < |z| < outer`` centered at the origin."""
-
-    inner: float
-    outer: float
-    dim: int = field(default=1, init=False)
-
-    def __post_init__(self):
-        if not (0 < self.inner < self.outer):
-            raise ValueError("need 0 < inner < outer")
-
-    def contains(self, pts):
-        d = np.abs(np.asarray(pts, dtype=np.complex128))
-        return (d > self.inner) & (d < self.outer)
-
-
-@dataclass(frozen=True)
-class Ball(Region):
-    """Open ball in C^k; pts is an (N, k) complex array."""
-
-    center: tuple[complex, ...]
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
-        if len(self.center) < 1:
-            raise ValueError("ball needs at least one complex coordinate")
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    def contains(self, pts):
-        pts = np.asarray(pts, dtype=np.complex128)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        c = np.asarray(self.center, dtype=np.complex128)
-        d = np.sqrt(np.sum(np.abs(pts - c[None, :]) ** 2, axis=1))
-        return d < self.radius
-
-
-@dataclass(frozen=True)
-class ProductRegion(Region):
-    """Product of a 1-D region (the z factor) and a region in C^{n-1}."""
-
-    region_z: Region
-    region_w: Region
-
-    @property
-    def dim(self) -> int:
-        return self.region_z.dim + self.region_w.dim
-
-    def contains(self, pts):
-        pts = np.asarray(pts, dtype=np.complex128)
-        return self.region_z.contains(pts[:, 0]) & self.region_w.contains(pts[:, 1:])
-
-
-@dataclass(frozen=True)
-class SublevelRegion(Region):
+class SublevelRegion:
     """``{p : defining(p) < 0}`` intersected with a bounded proposal window.
 
-    ``defining`` evaluates a batch of points of the window's C^dim. The
+    ``defining`` evaluates a batch of points of the window's C^n. The
     window only drives rejection sampling; membership itself is the
     sublevel inequality.
 
@@ -135,15 +73,11 @@ class SublevelRegion(Region):
     """
 
     defining: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    window: Region
+    window: Window
     label: str = "sublevel"
     lower: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False
     )
-
-    @property
-    def dim(self) -> int:
-        return self.window.dim
 
     def contains(self, pts):
         pts = np.asarray(pts, dtype=np.complex128)
@@ -202,15 +136,13 @@ def _unit_directions(rng, count, k):
     return pts[:, :k] + 1j * pts[:, k:]
 
 
-def _sample_disk_uniform(disk, count, rng):
-    # (radius * sqrt(u)) * e^{i theta}: not bit-equal to _sample_disk scaled
-    u = rng.random(count)
-    th = 2.0 * np.pi * rng.random(count)
-    return disk.center + disk.radius * np.sqrt(u) * np.exp(1j * th)
-
-
-def _sample_annulus_uniform(annulus, count, rng):
-    inner, outer = annulus.inner, annulus.outer
+def _sample_z(rng, count, inner, outer):
+    """Uniform points of the open disk (inner = 0) or annulus inner < |z| < outer."""
+    if inner == 0.0:
+        # (radius * sqrt(u)) * e^{i theta}: not bit-equal to _sample_disk scaled
+        u = rng.random(count)
+        th = 2.0 * np.pi * rng.random(count)
+        return outer * np.sqrt(u) * np.exp(1j * th)
     out = np.empty(count, dtype=np.complex128)
     got = 0
     while got < count:
@@ -224,40 +156,23 @@ def _sample_annulus_uniform(annulus, count, rng):
     return out
 
 
-def _sample_ball_uniform(ball, count, rng):
-    center = np.asarray(ball.center, dtype=np.complex128)
-    return _sample_ball(rng, count, ball.dim, ball.radius) + center[None, :]
+def sample(region: Window | SublevelRegion, sampler: Sampler) -> np.ndarray:
+    """Draw ``sampler.count`` points of a ``Window`` or a ``SublevelRegion``.
 
-
-def sample(region: Region, sampler: Sampler) -> np.ndarray:
-    """Draw points of ``region``; (N,) complex for 1-D regions, (N, dim) else.
-
-    Every returned point satisfies the region's membership predicate.
+    Returns an (N, n) complex array. A window draws from one generator in
+    a fixed order: the z block first, then the w block.
     """
-    rng = sampler.generator()
-    n = sampler.count
-
-    if isinstance(region, Disk):
-        return _sample_disk_uniform(region, n, rng)
-    if isinstance(region, Annulus):
-        return _sample_annulus_uniform(region, n, rng)
-    if isinstance(region, Ball):
-        return _sample_ball_uniform(region, n, rng)
-    if isinstance(region, ProductRegion):
-        # one generator, fixed draw order: z block first, then w block
-        if isinstance(region.region_z, Disk):
-            z = _sample_disk_uniform(region.region_z, n, rng)
-        elif isinstance(region.region_z, Annulus):
-            z = _sample_annulus_uniform(region.region_z, n, rng)
-        else:
-            raise ValueError("product z-factor must be a disk or annulus")
-        if not isinstance(region.region_w, Ball):
-            raise ValueError("product w-factor must be a ball")
-        w = _sample_ball_uniform(region.region_w, n, rng)
-        return np.concatenate([z[:, None], w], axis=1)
     if isinstance(region, SublevelRegion):
         return _rejection_sample(region, sampler)
-    raise ValueError(f"cannot sample region of type {type(region).__name__}")
+    rng = sampler.generator()
+    count = sampler.count
+    # filled in place, and z drawn in a function of its own so that its
+    # temporaries are freed before the w draw: both keep the peak memory
+    # of the rejection proposals (4x the wanted count) down
+    out = np.empty((count, region.n), dtype=np.complex128)
+    out[:, 0] = _sample_z(rng, count, region.z_inner, region.z_radius)
+    out[:, 1:] = _sample_ball(rng, count, region.n - 1, region.w_radius)
+    return out
 
 
 class EmptyRegionError(RuntimeError):
@@ -267,7 +182,7 @@ class EmptyRegionError(RuntimeError):
 def _rejection_sample(region: SublevelRegion, sampler: Sampler,
                       max_batches: int = 200) -> np.ndarray:
     want = sampler.count
-    out = np.empty((want, region.dim), dtype=np.complex128)
+    out = np.empty((want, region.window.n), dtype=np.complex128)
     got = 0
     for batch in range(max_batches):
         proposal = Sampler(

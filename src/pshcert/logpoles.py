@@ -85,6 +85,19 @@ class PoleSchedule:
         return ~np.any(self.disc_log_memberships(z), axis=1)
 
 
+def pole_discs(j_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta_j, a_j, r_j) for j = 1..j_max: the golden angles, the poles
+    a_j = (1 + 1/j) e^{i theta_j} and the plateau-disc radii 1/(4j(j+1)).
+
+    The thm2 schedule and the plateau function both take their discs from
+    here, so ``plateau-disc-separation`` sees one set of poles.
+    """
+    j = np.arange(1, j_max + 1, dtype=np.float64)
+    theta = golden_angles(j_max)
+    a = (1.0 + 1.0 / j) * np.exp(1j * theta)
+    return theta, a, 1.0 / (4.0 * j * (j + 1.0))
+
+
 def make_schedule(
     variant: str, j_max: int, log_rho: Optional[np.ndarray] = None
 ) -> PoleSchedule:
@@ -98,9 +111,7 @@ def make_schedule(
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     j = np.arange(1, j_max + 1, dtype=np.float64)
-    theta = golden_angles(j_max)
-    a = (1.0 + 1.0 / j) * np.exp(1j * theta)
-    r = 1.0 / (4.0 * j * (j + 1.0))
+    theta, a, r = pole_discs(j_max)
     if variant == "thm1":
         if log_rho is not None:
             raise ValueError("thm1 takes no plateau-disc input")

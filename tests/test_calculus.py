@@ -12,13 +12,7 @@ from pshcert.calculus import (
     min_eigs_batch,
     wirtinger_hessian_batch,
 )
-from pshcert.geometry import (
-    Ball,
-    Disk,
-    EmptyRegionError,
-    ProductRegion,
-    Sampler,
-)
+from pshcert.geometry import EmptyRegionError, Sampler, Window
 
 H_STEP = 1e-4
 
@@ -253,7 +247,7 @@ def test_make_certificate_caps_witnesses():
 
 
 def test_certify_psh_positive_case():
-    region = ProductRegion(Disk(0j, 1.0), Ball((0j,), 1.0))
+    region = Window(2, 1.0, 1.0)
     cert = certify_psh(_sq_all, region, Sampler(1, 500), H_STEP,
                        tolerance=1e-6, name="sq")
     assert cert.passed
@@ -265,7 +259,7 @@ def test_certify_psh_negative_case_with_witnesses():
     def f(Z):
         return -_sq_all(Z)
 
-    region = ProductRegion(Disk(0j, 1.0), Ball((0j,), 1.0))
+    region = Window(2, 1.0, 1.0)
     cert = certify_psh(f, region, Sampler(1, 200), H_STEP, name="neg")
     assert not cert.passed
     assert cert.worst_margin == pytest.approx(-1.0, abs=1e-6)
@@ -273,7 +267,7 @@ def test_certify_psh_negative_case_with_witnesses():
 
 
 def test_certify_psh_exclusion_refills_to_count():
-    region = ProductRegion(Disk(0j, 1.0), Ball((0j,), 1.0))
+    region = Window(2, 1.0, 1.0)
     cert = certify_psh(
         _sq_all, region, Sampler(1, 300), H_STEP,
         exclude=lambda pts: np.abs(np.atleast_2d(pts)[:, 0]) < 0.5,
@@ -285,7 +279,7 @@ def test_certify_psh_exclusion_refills_to_count():
 
 def test_certify_psh_shortfall_raises():
     # an exclusion that rejects every point used to certify an empty set
-    region = ProductRegion(Disk(0j, 1.0), Ball((0j,), 1.0))
+    region = Window(2, 1.0, 1.0)
     with pytest.raises(EmptyRegionError, match="excl-all: delivered 0/300 points"):
         certify_psh(_sq_all, region, Sampler(1, 300), H_STEP,
                     exclude=lambda pts: np.ones(len(pts), dtype=bool),

@@ -18,7 +18,7 @@ from pshcert.certify import (
     run_suite,
     serialize_report,
 )
-from pshcert.cli import main
+from pshcert.cli import _build_parser, _config_from_args, main
 from pshcert.config import MAX_TRUNC, PSD_TOL, CertifyConfig, ConfigError
 
 
@@ -53,7 +53,22 @@ def test_config_validation():
         CertifyConfig(samples=10).validate()
     with pytest.raises(ConfigError):
         CertifyConfig(fd_step=0.5).validate()
+    # zero probes or checks used to fail plateau certificates on 0 samples
+    for bad in (dict(submean_probes=0), dict(plateau_checks=0),
+                dict(plateau_checks=-3)):
+        with pytest.raises(ConfigError):
+            CertifyConfig(samples=100, **bad).validate()
     assert CertifyConfig().validate() is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "all"],
+    ["grid", "u", "--slice", "none", "--region", "0:1,0:1", "--res", "2x2",
+     "--out", "g.csv"],
+], ids=["certify", "grid"])
+def test_cli_defaults_are_config_defaults(argv):
+    args = _build_parser().parse_args(argv)
+    assert _config_from_args(args) == CertifyConfig()
 
 
 def test_seed_must_fit_in_int64(capsys):

@@ -1,4 +1,4 @@
-"""Angle sequence, regions, samplers, and the connectivity probe."""
+"""Angle sequence, windows, samplers, and the connectivity probe."""
 
 import hashlib
 import math
@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 
 from pshcert.geometry import (
     GOLDEN_CONJUGATE,
-    Annulus,
-    Ball,
-    Disk,
     EmptyRegionError,
-    ProductRegion,
     Sampler,
     SublevelRegion,
+    Window,
     _sample_ball,
     _sample_disk,
     _unit_directions,
@@ -64,62 +61,50 @@ def test_golden_angles_match_scalar():
         assert th[j - 1] == 2.0 * math.pi * ((j * GOLDEN_CONJUGATE) % 1.0)
 
 
-# --- regions ----------------------------------------------------------------
+# --- windows ----------------------------------------------------------------
 
-def test_region_membership_matches_closed_form():
-    rng = np.random.default_rng(3)
-    z = rng.uniform(-2, 2, 100_000) + 1j * rng.uniform(-2, 2, 100_000)
-    disk = Disk(0.3 + 0.1j, 0.8)
-    np.testing.assert_array_equal(disk.contains(z), np.abs(z - (0.3 + 0.1j)) < 0.8)
-    ann = Annulus(0.5, 1.0)
-    np.testing.assert_array_equal(
-        ann.contains(z), (np.abs(z) > 0.5) & (np.abs(z) < 1.0)
-    )
-    w = rng.uniform(-2, 2, (100_000, 2)) + 1j * rng.uniform(-2, 2, (100_000, 2))
-    ball = Ball((0j, 0j), 1.2)
-    np.testing.assert_array_equal(
-        ball.contains(w), np.sqrt(np.sum(np.abs(w) ** 2, axis=1)) < 1.2
-    )
+def _in_window(pts, window):
+    z = np.abs(pts[:, 0])
+    w = np.sqrt(np.sum(np.abs(pts[:, 1:]) ** 2, axis=1))
+    return (z > window.z_inner) & (z < window.z_radius) & (w < window.w_radius)
 
 
 def test_region_validation():
-    with pytest.raises(ValueError):
-        Disk(0j, 0.0)
-    with pytest.raises(ValueError):
-        Annulus(1.0, 0.5)
+    for args in [(2, 0.0, 1.0), (2, 1.0, 0.0), (2, 0.5, 1.0, 1.0),
+                 (2, 1.0, 1.0, -0.1), (1, 1.0, 1.0)]:
+        with pytest.raises(ValueError):
+            Window(*args)
 
 
 # --- samplers ---------------------------------------------------------------
 
 def test_sampler_determinism_bitwise():
-    disk = Disk(0j, 1.0)
-    a = sample(disk, Sampler(7, 1000))
-    b = sample(disk, Sampler(7, 1000))
+    window = Window(2, 1.0, 1.0)
+    a = sample(window, Sampler(7, 1000))
+    b = sample(window, Sampler(7, 1000))
     np.testing.assert_array_equal(a, b)
-    c = sample(disk, Sampler(8, 1000))
+    c = sample(window, Sampler(8, 1000))
     assert not np.array_equal(a, c)
 
 
 def test_disk_sample_membership():
-    pts = sample(Disk(0j, 1.0), Sampler(7, 3))
-    assert pts.shape == (3,)
-    assert np.all(np.abs(pts) < 1.0)
+    window = Window(2, 1.0, 1.0)
+    pts = sample(window, Sampler(7, 3))
+    assert pts.shape == (3, 2)
+    assert np.all(_in_window(pts, window))
 
 
 def test_annulus_sample_membership():
-    pts = sample(Annulus(0.5, 1.0), Sampler(11, 500))
-    assert np.all((np.abs(pts) > 0.5) & (np.abs(pts) < 1.0))
+    window = Window(2, 1.0, 1.0, z_inner=0.5)
+    pts = sample(window, Sampler(11, 500))
+    assert np.all(_in_window(pts, window))
 
 
 def test_ball_and_product_samples():
-    ball = Ball((0j, 0j), 1.0)
-    w = sample(ball, Sampler(2, 400))
-    assert w.shape == (400, 2)
-    assert np.all(ball.contains(w))
-    prod = ProductRegion(Annulus(0.5, 1.0), ball)
-    pts = sample(prod, Sampler(2, 400))
+    window = Window(3, 1.0, 1.0, z_inner=0.5)
+    pts = sample(window, Sampler(2, 400))
     assert pts.shape == (400, 3)
-    assert np.all(prod.contains(pts))
+    assert np.all(_in_window(pts, window))
 
 
 # sha256 of the primitive draws and of a window sample: the points
@@ -127,10 +112,6 @@ def test_ball_and_product_samples():
 _DRAWS_SHA = {
     1: "7bed5e78661228a07361a93596736a9f95bff94d7776a4b28c2bbc1e2d3e7106",
     2: "6b172ed9ff27a1a684697cf9d4dbde49d359ea9dc32631a9560fb4d18c2d79f3",
-}
-_WINDOW_SHA = {
-    2: "8df406be859432c35d39666c8f3338346dafa9ec94f5b1aaae4e0806037b078d",
-    3: "c894b17fe746d7c9f09a0325ad53d3a492f61a4ba5c133df2913d664f9965473",
 }
 
 
@@ -144,17 +125,34 @@ def test_unit_draws_bytes_pinned(k):
     assert h.hexdigest() == _DRAWS_SHA[k]
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_product_window_bytes_pinned(n):
-    region = ProductRegion(Disk(0j, 3.2), Ball((0j,) * (n - 1), 3.0))
-    pts = sample(region, Sampler(42, 1000, stream=5))
-    assert hashlib.sha256(pts.tobytes()).hexdigest() == _WINDOW_SHA[n]
+# the bulk window |z| < 3.2, |w| < 3 and the thm1 strictness window
+# 1/2 < |z| < 1, |w| < 1 (the annulus refill loop)
+@pytest.mark.parametrize("window, sha", [
+    pytest.param(
+        Window(2, 3.2, 3.0),
+        "8df406be859432c35d39666c8f3338346dafa9ec94f5b1aaae4e0806037b078d",
+        id="2"),
+    pytest.param(
+        Window(3, 3.2, 3.0),
+        "c894b17fe746d7c9f09a0325ad53d3a492f61a4ba5c133df2913d664f9965473",
+        id="3"),
+    pytest.param(
+        Window(2, 1.0, 1.0, z_inner=0.5),
+        "739992b03042c05d7a37fe60c282d352acf2eedb414cf7b130e4de97fc55b084",
+        id="annulus-2"),
+    pytest.param(
+        Window(3, 1.0, 1.0, z_inner=0.5),
+        "1c0914ded786f89df2b5be8c6d4f4ea34d5cda4128b008448c31c5b4b1969b6e",
+        id="annulus-3"),
+])
+def test_product_window_bytes_pinned(window, sha):
+    pts = sample(window, Sampler(42, 1000, stream=5))
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == sha
 
 
 def test_sublevel_rejection_sampling():
-    window = ProductRegion(Disk(0j, 1.5), Ball((0j,), 1.5))
     region = SublevelRegion(
-        lambda p: np.sum(np.abs(p) ** 2, axis=1) - 1.0, window
+        lambda p: np.sum(np.abs(p) ** 2, axis=1) - 1.0, Window(2, 1.5, 1.5)
     )
     pts = sample(region, Sampler(4, 500))
     assert pts.shape == (500, 2)
@@ -162,8 +160,7 @@ def test_sublevel_rejection_sampling():
 
 
 def test_sublevel_empty_raises():
-    window = ProductRegion(Disk(0j, 1.0), Ball((0j,), 1.0))
-    region = SublevelRegion(lambda p: np.ones(p.shape[0]), window)
+    region = SublevelRegion(lambda p: np.ones(p.shape[0]), Window(2, 1.0, 1.0))
     with pytest.raises(EmptyRegionError):
         sample(region, Sampler(4, 10))
 
@@ -171,11 +168,11 @@ def test_sublevel_empty_raises():
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_sampler_determinism_over_seeds(seed):
-    r = Ball((0j,), 2.0)
-    a = sample(r, Sampler(seed, 50))
-    b = sample(r, Sampler(seed, 50))
+    window = Window(2, 2.0, 2.0, z_inner=1.0)
+    a = sample(window, Sampler(seed, 50))
+    b = sample(window, Sampler(seed, 50))
     np.testing.assert_array_equal(a, b)
-    assert np.all(r.contains(a))
+    assert np.all(_in_window(a, window))
 
 
 # --- connectivity probe -----------------------------------------------------
