@@ -126,18 +126,21 @@ def _perturbation_values(a_j: complex, r_j: float, z: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         logd = np.log(d)
     c = kernels.chi_many(d / r_j)
-    out = np.where(c > 0.0, c * logd, 0.0)
-    return out
+    return np.where(c > 0.0, c * logd, 0.0)
 
 
 def _fd_laplacian(f, z: np.ndarray, h: float) -> np.ndarray:
     return (f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4.0 * f(z)) / (h * h)
 
 
-def _annulus_sample(a_j: complex, r_j: float, count: int, rng) -> np.ndarray:
-    s2 = rng.uniform(0.25**2, 0.75**2, count)
-    ang = rng.uniform(0.0, 2.0 * np.pi, count)
-    return a_j + r_j * np.sqrt(s2) * np.exp(1j * ang)
+def _annulus_sample(a, r, count: int, rngs) -> np.ndarray:
+    """``count`` uniform draws of r/4 < |z - a| < 3r/4 per disc (a, r), one
+    row each, drawn by that disc's generator in ``rngs``."""
+    s2, ang = np.array([(rng.uniform(0.25**2, 0.75**2, count),
+                         rng.uniform(0.0, 2.0 * np.pi, count))
+                        for rng in rngs]).swapaxes(0, 1)
+    a, r = np.reshape(a, (-1, 1)), np.reshape(r, (-1, 1))
+    return a + r * np.sqrt(s2) * np.exp(1j * ang)
 
 
 def plateau_eps(a_j: complex, r_j: float, stream: int = 0) -> float:
@@ -149,7 +152,7 @@ def plateau_eps(a_j: complex, r_j: float, stream: int = 0) -> float:
     the disc.
     """
     rng = np.random.Generator(np.random.Philox(key=[_BUILD_SEED, 11_000 + stream]))
-    z = _annulus_sample(a_j, r_j, 1000, rng)
+    z = _annulus_sample(a_j, r_j, 1000, [rng])
     lap = _fd_laplacian(lambda zz: _perturbation_values(a_j, r_j, zz), z, r_j * 1e-3)
     if not np.all(np.isfinite(lap)):
         raise RuntimeError("nonfinite Laplacian probe in plateau construction")
@@ -216,18 +219,25 @@ class TaperedForm:
         return first + cross + lam * _norm2(xi[:, 1:])
 
     def levi_matrix(self, z: np.ndarray) -> np.ndarray:
-        """Analytic Levi matrix of S at one point."""
-        z = np.asarray(z, dtype=np.complex128).ravel()
-        n = z.size
-        t = abs(z[0]) ** 2
-        lam, lamp, lampp = (float(v[0]) for v in kernels.taper_many(np.asarray([t])))
-        H = np.zeros((n, n), dtype=np.complex128)
-        zp2 = float(np.sum(np.abs(z[1:]) ** 2))
-        H[0, 0] = (lampp * t + lamp) * zp2 + self.quad_weight
-        for k in range(1, n):
-            H[0, k] = lamp * np.conj(z[0]) * z[k]
-            H[k, 0] = np.conj(H[0, k])
-            H[k, k] = lam
+        """Analytic Levi matrices of S, (N, n) -> (N, n, n). ``hypot``,
+        ``float_power`` and the real products round like the per-point
+        scalar formula did, bit for bit, which the reports pin."""
+        z = np.atleast_2d(np.asarray(z, dtype=np.complex128))
+        n = z.shape[1]
+        x, y = z[:, 0].real, z[:, 0].imag
+        t = np.float_power(np.hypot(x, y), 2.0)
+        lam, lamp, lampp = kernels.taper_many(t)
+        zp2 = np.sum(np.abs(z[:, 1:]) ** 2, axis=1)
+        H = np.zeros((z.shape[0], n, n), dtype=np.complex128)
+        H[:, 0, 0] = (lampp * t + lamp) * zp2 + self.quad_weight
+        a, b = (lamp * x)[:, None], (lamp * -y)[:, None]  # lam' conj(z1)
+        c, d = z[:, 1:].real, z[:, 1:].imag
+        row = H[:, 0, 1:]
+        row.real = a * c - b * d
+        row.imag = a * d + b * c
+        H[:, 1:, 0] = np.conj(row)
+        k = np.arange(1, n)
+        H[:, k, k] = lam[:, None]
         return H
 
     def sampled_epsilon(self, n: int, count: int, seed: int) -> float:
@@ -322,8 +332,9 @@ class _Scenario:
         exceeds the 1e-12 ring guard less rounding, so each
         |log|z - a_j|| is below 710; with S = sum delta_j < 1/4 the
         computed series fl(sigma) and R itself err by less than
-        (trunc + 3) * 2^-53 * S * 710 < 1e-11 at trunc <= 400, far
-        inside ``_SCREEN_SLACK`` = 1e-9 (the thm2 coefficients are
+        (trunc + 3) * 2^-53 * S * 710, about 2.0e-11 at the largest
+        accepted trunc, ``MAX_TRUNC`` = 1015: far inside
+        ``_SCREEN_SLACK`` = 1e-9 (the thm2 coefficients are
         smaller, so its series terms are too). The other terms are the
         same arrays as in ``defining_values``, added in the same order,
         and rounding is monotone: a smaller first summand cannot give a
@@ -618,18 +629,16 @@ def closed_disk_samples(count: int, seed: int, stream: int) -> np.ndarray:
 def _submean_pairs(schedule: PoleSchedule, count: int, seed: int, stream: int):
     """(z, radius) probes avoiding every constructed pole by 2 * radius."""
     rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
-    zs = []
-    rs = []
-    while len(zs) < count:
+    zs = np.empty(0, dtype=np.complex128)
+    rs = np.empty(0)
+    while zs.size < count:
         z = _sample_disk(rng, 4 * count) * 2.5
         r = rng.uniform(1e-3, 0.1, 4 * count)
         dmin = np.min(np.abs(z[:, None] - schedule.a[None, :]), axis=1)
         keep = dmin >= 2.0 * r
-        zk, rk = z[keep], r[keep]
-        take = min(count - len(zs), zk.size)
-        zs.extend(zk[:take])
-        rs.extend(rk[:take])
-    return np.asarray(zs), np.asarray(rs)
+        zs = np.concatenate([zs, z[keep]])
+        rs = np.concatenate([rs, r[keep]])
+    return zs[:count], rs[:count]
 
 
 def _connectivity(name: str, sc: _Scenario, paths) -> Certificate:
@@ -779,40 +788,28 @@ def plateau_properties(plateau: PlateauFunction,
     certs.append(make_certificate("plateau-equals-square-on-disk", -np.abs(diff),
                                   0.0, zd))
 
+    # the glued branch of each checked disc, evaluated on one row per disc
+    a, r, eps = plateau.a[:jc, None], plateau.r[:jc, None], plateau.eps[:jc, None]
+
+    def branch(zz):
+        return zz.real**2 + zz.imag**2 + eps * _perturbation_values(a, r, zz)
+
     # branch continuity across every disc boundary
-    worst = []
-    for j in range(jc):
-        bd = plateau.a[j] + plateau.r[j] * np.exp(
-            2j * np.pi * np.arange(1000) / 1000.0
-        )
-        m2 = bd.real**2 + bd.imag**2
-        inner = np.maximum(
-            m2 + plateau.eps[j]
-            * _perturbation_values(plateau.a[j], plateau.r[j], bd),
-            1.0,
-        )
-        worst.append(np.max(np.abs(inner - m2)))
+    bd = a + r * np.exp(2j * np.pi * np.arange(1000) / 1000.0)
+    m2 = bd.real**2 + bd.imag**2
+    worst = np.max(np.abs(np.maximum(branch(bd), 1.0) - m2), axis=1)
     certs.append(
-        make_certificate("plateau-branch-continuity",
-                         1e-12 - np.asarray(worst), 0.0, plateau.a[:jc])
+        make_certificate("plateau-branch-continuity", 1e-12 - worst, 0.0,
+                         plateau.a[:jc])
     )
 
     # sampled Laplacian floor of the glued branch inside each disc
-    margins = []
-    for j in range(jc):
-        rng = np.random.Generator(np.random.Philox(key=[seed, 301_000 + j]))
-        z = _annulus_sample(plateau.a[j], plateau.r[j], 1000, rng)
-
-        def branch(zz, j=j):
-            m2 = zz.real**2 + zz.imag**2
-            return m2 + plateau.eps[j] * _perturbation_values(
-                plateau.a[j], plateau.r[j], zz
-            )
-
-        lap = _fd_laplacian(branch, z, plateau.r[j] * 1e-3)
-        margins.append(np.min(lap) - 2.0)
+    rngs = [np.random.Generator(np.random.Philox(key=[seed, 301_000 + j]))
+            for j in range(jc)]
+    z = _annulus_sample(a, r, 1000, rngs)
+    lap = _fd_laplacian(branch, z, r * 1e-3)
     certs.append(
-        make_certificate("plateau-laplacian-floor", np.asarray(margins), 0.0,
+        make_certificate("plateau-laplacian-floor", np.min(lap, axis=1) - 2.0, 0.0,
                          plateau.a[:jc])
     )
 
@@ -843,6 +840,14 @@ def plateau_properties(plateau: PlateauFunction,
                          np.concatenate([pairwise, unit]), 0.0)
     )
     return certs
+
+
+def _frobenius(H: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a complex (N, n, n) batch, with no
+    BLAS call; einsum sums contiguous rows (strided ones in another order)."""
+    re = np.ascontiguousarray(H.real).reshape(H.shape[0], -1)
+    im = np.ascontiguousarray(H.imag).reshape(H.shape[0], -1)
+    return np.sqrt(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
 
 
 def tapered_form_properties(form: TaperedForm, cfg: CertifyConfig) -> list[Certificate]:
@@ -911,13 +916,8 @@ def tapered_form_properties(form: TaperedForm, cfg: CertifyConfig) -> list[Certi
         )
 
     H_fd, ok = wirtinger_hessian_batch(s_values, pts, cfg.fd_step)
-    rel = []
-    for i in range(pts.shape[0]):
-        H_an = form.levi_matrix(pts[i])
-        rel.append(
-            np.linalg.norm(H_fd[i] - H_an) / np.linalg.norm(H_an)
-        )
-    rel = np.asarray(rel)
+    H_an = form.levi_matrix(pts)
+    rel = _frobenius(H_fd - H_an) / _frobenius(H_an)
     certs.append(
         make_certificate("taper-levi-fd-agreement", 1e-5 - rel, 0.0, pts)
     )
@@ -934,11 +934,8 @@ def tapered_form_properties(form: TaperedForm, cfg: CertifyConfig) -> list[Certi
     z1 = _sample_disk(rng, 200) * 0.5
     zp = _sample_ball(rng, 200, n - 1, form.radius)
     pts = np.concatenate([z1[:, None], zp], axis=1)
-    worst = 0.0
-    for i in range(pts.shape[0]):
-        H = form.levi_matrix(pts[i])
-        D = np.diag([form.quad_weight] + [1.0] * (n - 1)).astype(np.complex128)
-        worst = max(worst, float(np.max(np.abs(H - D))))
+    D = np.diag([form.quad_weight] + [1.0] * (n - 1)).astype(np.complex128)
+    worst = float(np.max(np.abs(form.levi_matrix(pts) - D)))
     certs.append(
         make_certificate("taper-plateau-identity", np.asarray([1e-12 - worst]), 0.0)
     )

@@ -6,11 +6,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from pshcert import constructions, kernels
 from pshcert.calculus import circle_mean_test, wirtinger_hessian_batch
-from pshcert.config import C_LEVEL, PSD_TOL, CertifyConfig
+from pshcert.config import C_LEVEL, MAX_TRUNC, PSD_TOL, CertifyConfig
 from pshcert.constructions import (
     _SCREEN_SLACK,
     _fd_laplacian,
+    _frobenius,
     _perturbation_values,
     build_plateau,
     build_tapered_form,
@@ -25,7 +27,7 @@ from pshcert.constructions import (
     thm1_properties,
     thm2_properties,
 )
-from pshcert.geometry import Sampler, sample
+from pshcert.geometry import Sampler, _sample_ball, _sample_disk, sample
 from pshcert.logpoles import series_ring_lower_bounds
 
 
@@ -104,6 +106,41 @@ def test_plateau_property_bundle(plateau, small_cfg):
     assert all(c.passed for c in certs), [c.name for c in certs if not c.passed]
 
 
+def test_plateau_disc_margins_match_per_disc_loops(plateau, monkeypatch):
+    # the branch-continuity and Laplacian-floor margins, one disc at a
+    # time as separate loops, against the rows of the bundle's one batch
+    cfg = CertifyConfig(seed=7, plateau_checks=50)
+    seen = {}
+    make = constructions.make_certificate
+
+    def record(name, margins, *args, **kwargs):
+        seen[name] = np.asarray(margins)
+        return make(name, margins, *args, **kwargs)
+
+    monkeypatch.setattr(constructions, "make_certificate", record)
+    plateau_properties(plateau, cfg)
+    continuity, floor = [], []
+    for j in range(50):
+        a, r, eps = plateau.a[j], plateau.r[j], plateau.eps[j]
+        bd = a + r * np.exp(2j * np.pi * np.arange(1000) / 1000.0)
+        m2 = bd.real**2 + bd.imag**2
+        inner = np.maximum(m2 + eps * _perturbation_values(a, r, bd), 1.0)
+        continuity.append(1e-12 - np.max(np.abs(inner - m2)))
+
+        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 301_000 + j]))
+        s2 = rng.uniform(0.25**2, 0.75**2, 1000)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 1000)
+        z = a + r * np.sqrt(s2) * np.exp(1j * ang)
+
+        def branch(zz):
+            return zz.real**2 + zz.imag**2 + eps * _perturbation_values(a, r, zz)
+
+        floor.append(np.min(_fd_laplacian(branch, z, r * 1e-3)) - 2.0)
+    np.testing.assert_array_equal(seen["plateau-branch-continuity"], continuity)
+    np.testing.assert_array_equal(seen["plateau-laplacian-floor"], floor)
+
+
+
 # --- tapered form -----------------------------------------------------------
 
 def test_tapered_form_constants(tapered):
@@ -116,8 +153,11 @@ def test_tapered_form_constants(tapered):
 
 
 def test_tapered_levi_matrix_plateau(tapered):
-    H = tapered.levi_matrix(np.array([0.25 + 0.25j, 1.0 + 1.0j]))
-    np.testing.assert_allclose(H, np.diag([tapered.quad_weight, 1.0]), atol=1e-15)
+    H = tapered.levi_matrix(np.array([[0.25 + 0.25j, 1.0 + 1.0j],
+                                      [0.5, -2.0j]]))
+    assert H.shape == (2, 2, 2)
+    for h in H:
+        np.testing.assert_allclose(h, np.diag([tapered.quad_weight, 1.0]), atol=1e-15)
     # contraction with the first basis vector gives the quadratic weight
     val = tapered.levi_contract(
         np.array([[0.1, 0.5 + 0.5j]]), np.array([[1.0, 0.0]])
@@ -139,14 +179,53 @@ def test_tapered_contract_matches_matrix(tapered):
     xi = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
     # the form pairs xi_j with conj(xi_k), i.e. the quadratic form of the
     # Hermitian matrix evaluated at the conjugate vector
-    want = np.array(
-        [
-            float(np.real(x @ (tapered.levi_matrix(p) @ np.conj(x))))
-            for p, x in zip(z, xi)
-        ]
-    )
+    H = tapered.levi_matrix(z)
+    assert H.shape == (50, 2, 2)
+    want = np.real(np.einsum("ij,ijk,ik->i", xi, H, np.conj(xi)))
     got = tapered.levi_contract(z, xi)
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def _levi_matrix_per_point(form, z):
+    """The Levi matrix of S at one point, with scalar arithmetic."""
+    n = z.size
+    t = abs(z[0]) ** 2
+    lam, lamp, lampp = (float(v[0]) for v in kernels.taper_many(np.asarray([t])))
+    H = np.zeros((n, n), dtype=np.complex128)
+    zp2 = float(np.sum(np.abs(z[1:]) ** 2))
+    H[0, 0] = (lampp * t + lamp) * zp2 + form.quad_weight
+    for k in range(1, n):
+        H[0, k] = lamp * np.conj(z[0]) * z[k]
+        H[k, 0] = np.conj(H[0, k])
+        H[k, k] = lam
+    return H
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_levi_matrix_bits_match_per_point_formula(n):
+    # the reports pin these bits: the batch must round like the scalar
+    # formula at every point, also across the taper's transition annulus
+    form = build_tapered_form(n)
+    rng = np.random.Generator(np.random.Philox(key=[42, 401]))
+    z1 = _sample_disk(rng, 4000)
+    pts = np.concatenate([z1[:, None], _sample_ball(rng, 4000, n - 1, form.radius)],
+                         axis=1)
+    got = form.levi_matrix(pts)
+    want = np.stack([_levi_matrix_per_point(form, p) for p in pts])
+    assert got.shape == (4000, n, n)
+    np.testing.assert_array_equal(got.real, want.real)
+    np.testing.assert_array_equal(got.imag, want.imag)
+
+
+def test_frobenius_matches_matrix_norm():
+    # a fixed einsum order in place of the BLAS dot of np.linalg.norm:
+    # each sums at most 9 squares, so they agree to 8 ulp before the sqrt
+    rng = np.random.default_rng(5)
+    for n in (2, 3):
+        H = rng.standard_normal((500, n, n)) + 1j * rng.standard_normal((500, n, n))
+        H *= 10.0 ** rng.uniform(-8, 4, (500, 1, 1))
+        want = [np.linalg.norm(h) for h in H]
+        np.testing.assert_allclose(_frobenius(H), want, rtol=2e-15, atol=0)
 
 
 def test_tapered_completion_inequality_expansion(tapered):
@@ -330,8 +409,9 @@ def scenarios_by_n(plateau):
     return out
 
 
-def _adversarial_points(sc) -> np.ndarray:
-    """Points where a ring bound is most likely to overshoot the series."""
+def _adversarial_z(sc) -> np.ndarray:
+    """First coordinates where a ring bound is most likely to overshoot
+    the series."""
     a = sc.schedule.a[: sc.trunc]
     moduli = np.abs(a)
     phi = np.exp(2j * np.pi * np.arange(8) / 8 + 0.3j)
@@ -339,12 +419,17 @@ def _adversarial_points(sc) -> np.ndarray:
         r[:, None] * phi[None, :]
         for r in (moduli, np.nextafter(moduli, 0.0), np.nextafter(moduli, 9.0))
     ]).ravel()
-    z = np.concatenate([
+    return np.concatenate([
         a,  # the float poles themselves
         (a[:, None] + 1e-6 * phi[None, :]).ravel(),
         circle,
         [0j, np.nan, np.inf, -np.inf, complex(np.inf, np.nan), 1e200],
     ])
+
+
+def _adversarial_points(sc) -> np.ndarray:
+    """Points where a ring bound is most likely to overshoot the series."""
+    z = _adversarial_z(sc)
     k = sc.n - 1
     w0 = sc.w0
     nan_w = np.full(k, np.nan, dtype=np.complex128)
@@ -388,9 +473,15 @@ def test_defining_lower_never_exceeds_defining(scenarios_by_n, n):
 
 def test_ring_bound_slack_covers_series_rounding(scenarios_by_n):
     # within the window the ring bound minus the slack stays below the
-    # computed series, also right next to the poles
-    for sc in scenarios_by_n[2]:
-        z = _screen_points(sc)[:, 0]
+    # computed series, also right next to the poles; and at MAX_TRUNC,
+    # where the rounding budget is largest, on fewer window points
+    cfg = CertifyConfig(trunc=MAX_TRUNC)
+    deepest = (build_thm1(cfg), build_thm2(cfg, build_plateau(cfg.j_max),
+                                           scenarios_by_n[2][1].form))
+    for sc, count in ([(sc, 200_000) for sc in scenarios_by_n[2]]
+                      + [(sc, 20_000) for sc in deepest]):
+        window = sample(sc.bulk_window(), Sampler(5, count, stream=11))
+        z = np.concatenate([window[:, 0], _adversarial_z(sc)])
         z = z[np.isfinite(z) & (np.abs(z) < 3.2)]
         ring = series_ring_lower_bounds(sc.schedule, z, sc.trunc) - _SCREEN_SLACK
         sig, _ = sc.sigma(z)
