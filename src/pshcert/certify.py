@@ -131,7 +131,7 @@ class SuiteBuilder:
 
     @cached_property
     def thm2(self):
-        return build_thm2(self.cfg, self.plateau, self.form)
+        return build_thm2(self.cfg, self.plateau, lambda: self.form)
 
 
 # schedule exports: the text each suite's fingerprint hashes

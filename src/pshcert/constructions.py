@@ -10,8 +10,9 @@ functions of the run configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .geometry import (
     Sampler,
     SublevelRegion,
     Window,
+    _row_sum,
     _sample_ball,
     _sample_disk,
     _unit_directions,
@@ -74,8 +76,12 @@ def _axis_point(modulus: float, k: int) -> np.ndarray:
     return w
 
 
-def _norm2(pts: np.ndarray) -> np.ndarray:
-    return np.sum(pts.real**2 + pts.imag**2, axis=1)
+def _norm2(pts: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """``np.sum(q.real**2 + q.imag**2, axis=1)`` for q = pts - shift * e_1, bit for bit
+    (``_row_sum`` keeps its order; x - 0.0 is x) and without allocating q."""
+    re, im = pts.real, pts.imag
+    return _row_sum(lambda j: (re[:, j] - shift if j == 0 else re[:, j]) ** 2
+                    + im[:, j] ** 2, pts.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +314,7 @@ class _Scenario:
     n: int
     schedule: PoleSchedule
     trunc: int
-    w0: np.ndarray
+    w0: np.ndarray  # on the first w axis (``_axis_point``): ``_terms`` shifts by w0[0]
 
     def sigma(self, z):
         return series_values(self.schedule, z, self.trunc)
@@ -340,9 +346,10 @@ class _Scenario:
         and rounding is monotone: a smaller first summand cannot give a
         larger sum, so the sums add no error to the budget.
         """
-        z, terms = self._terms(pts)
+        # the ring bound first: its temporaries are freed before the terms exist
+        z = np.atleast_2d(np.asarray(pts, dtype=np.complex128))[:, 0]
         low = series_ring_lower_bounds(self.schedule, z, self.trunc) - _SCREEN_SLACK
-        return self._sum(low, terms)
+        return self._sum(low, self._terms(pts)[1])
 
     def bulk_window(self) -> Window:
         return Window(self.n, 3.2, 3.0)
@@ -370,7 +377,7 @@ class Thm1Scenario(_Scenario):
         z, w, nz2 = _split(pts)
         with np.errstate(divide="ignore"):
             half_log_z = 0.5 * np.log(nz2)
-            quarter_log_w = 0.25 * np.log(_norm2(w - self.w0[None, :]))
+            quarter_log_w = 0.25 * np.log(_norm2(w, self.w0[0].real))
         return z, (half_log_z, quarter_log_w, nz2, _norm2(w))
 
     def defining_error_radii(self, pts):
@@ -401,11 +408,13 @@ class Thm2Scenario(_Scenario):
     while every membership chain below needs log|w - w0| <= log 5 < 3/4
     on the unit ball. The witness glues the plateau function (for
     |w| < 5/2) with the constant 1, plus small_c times the tapered
-    |w|^2 bump.
+    |w|^2 bump. The domain never reads the form, built on first use.
     """
 
     plateau: PlateauFunction
-    form: TaperedForm
+    make_form: Callable[[], TaperedForm] = field(repr=False, compare=False)
+
+    form = cached_property(lambda self: self.make_form())
 
     _BOUND = 3.0
     _LABEL = "Omega2"
@@ -413,7 +422,7 @@ class Thm2Scenario(_Scenario):
     def _terms(self, pts):
         z, w, nz2 = _split(pts)
         with np.errstate(divide="ignore"):
-            log10_w = 0.5 * np.log10(_norm2(w - self.w0[None, :]))
+            log10_w = 0.5 * np.log10(_norm2(w, self.w0[0].real))
         return z, (log10_w, nz2, _norm2(w))
 
     def witness_smooth_values(self, pts):
@@ -478,10 +487,10 @@ class Thm2Scenario(_Scenario):
 
 
 def build_thm2(cfg: CertifyConfig, plateau: PlateauFunction,
-               form: TaperedForm) -> Thm2Scenario:
+               make_form: Callable[[], TaperedForm]) -> Thm2Scenario:
     return Thm2Scenario(
         cfg.n, plateau.thm2_schedule, cfg.trunc, _axis_point(_W0_THM2, cfg.n - 1),
-        plateau, form,
+        plateau, make_form,
     )
 
 

@@ -117,33 +117,50 @@ def _sample_disk(rng, count):
     return np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
 
 
-def _sample_ball(rng, count, k, radius):
-    """Uniform points of the ball of ``radius`` around 0 in C^k, (count, k)."""
+def _row_sum(term, width):
+    """``np.sum(a, axis=1)`` bit for bit, where column j of ``a`` is ``term(j)`` (a
+    fresh array): left to right below 8 terms, else numpy's 8 running sums
+    (term j into sum j % 8), combined pairwise, then the tail in order."""
+    if width < 8:
+        acc, stop = term(0), 1
+    else:
+        r = [term(j) for j in range(8)]
+        stop = width - width % 8
+        for j in range(8, stop):
+            r[j % 8] += term(j)
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(stop, width):
+        acc += term(j)
+    return acc
+
+
+def _sample_ball(rng, count, k, radius, out=None):
+    """Uniform points of the ball of ``radius`` around 0 in C^k, (count, k), into
+    ``out`` if given: ``g / |g| * r`` in place, |g| summed as in ``np.linalg.norm``."""
     g = rng.standard_normal((count, 2 * k))
-    nrm = np.linalg.norm(g, axis=1)
+    nrm = np.sqrt(_row_sum(lambda j: g[:, j] * g[:, j], 2 * k))
     nrm[nrm == 0] = 1.0
-    r = radius * rng.random(count) ** (1.0 / (2 * k))
-    pts = g / nrm[:, None] * r[:, None]
-    return pts[:, :k] + 1j * pts[:, k:]
+    g /= nrm[:, None]
+    g *= (radius * rng.random(count) ** (1.0 / (2 * k)))[:, None]
+    return np.add(g[:, :k], 1j * g[:, k:], out=out)
 
 
 def _unit_directions(rng, count, k):
     """Uniform points of the unit sphere in C^k, (count, k)."""
     g = rng.standard_normal((count, 2 * k))
-    nrm = np.linalg.norm(g, axis=1)
+    nrm = np.sqrt(_row_sum(lambda j: g[:, j] * g[:, j], 2 * k))
     nrm[nrm == 0] = 1.0
-    pts = g / nrm[:, None]
-    return pts[:, :k] + 1j * pts[:, k:]
+    g /= nrm[:, None]
+    return g[:, :k] + 1j * g[:, k:]
 
 
-def _sample_z(rng, count, inner, outer):
+def _sample_z(rng, count, inner, outer, out):
     """Uniform points of the open disk (inner = 0) or annulus inner < |z| < outer."""
     if inner == 0.0:
         # (radius * sqrt(u)) * e^{i theta}: not bit-equal to _sample_disk scaled
         u = rng.random(count)
         th = 2.0 * np.pi * rng.random(count)
-        return outer * np.sqrt(u) * np.exp(1j * th)
-    out = np.empty(count, dtype=np.complex128)
+        return np.multiply(outer * np.sqrt(u), np.exp(1j * th), out=out)
     got = 0
     while got < count:
         u = rng.random(count - got)
@@ -166,12 +183,11 @@ def sample(region: Window | SublevelRegion, sampler: Sampler) -> np.ndarray:
         return _rejection_sample(region, sampler)
     rng = sampler.generator()
     count = sampler.count
-    # filled in place, and z drawn in a function of its own so that its
-    # temporaries are freed before the w draw: both keep the peak memory
-    # of the rejection proposals (4x the wanted count) down
+    # z and w go straight into ``out``, each drawn by a function that frees its
+    # temporaries before the next draw: less peak memory for 4x-count proposals
     out = np.empty((count, region.n), dtype=np.complex128)
-    out[:, 0] = _sample_z(rng, count, region.z_inner, region.z_radius)
-    out[:, 1:] = _sample_ball(rng, count, region.n - 1, region.w_radius)
+    _sample_z(rng, count, region.z_inner, region.z_radius, out[:, 0])
+    _sample_ball(rng, count, region.n - 1, region.w_radius, out[:, 1:])
     return out
 
 

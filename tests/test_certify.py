@@ -372,6 +372,21 @@ def test_sigma_thm2_grid_builds_no_tapered_form(tiny_cfg, tmp_path, monkeypatch)
     assert values.size == 9
 
 
+def test_d2_grid_builds_no_tapered_form(tiny_cfg, tmp_path, monkeypatch):
+    # the thm2 domain reads the plateau schedule only; the witness, which
+    # needs the form, still builds it on first use
+    def broken(*args, **kwargs):
+        raise RuntimeError("no positive floor after doubling retries")
+
+    monkeypatch.setattr(certify, "build_tapered_form", broken)
+    values = emit_grid("d2", "w=0.5", "-1:1,-1:1", (3, 3),
+                       str(tmp_path / "d.csv"), tiny_cfg)
+    assert values.size == 9
+    with pytest.raises(RuntimeError, match="doubling retries"):
+        emit_grid("phi_thm2", "w=0.5", "-1:1,-1:1", (3, 3),
+                  str(tmp_path / "p.csv"), tiny_cfg)
+
+
 def test_grid_unknown_function(tiny_cfg, tmp_path):
     with pytest.raises(ConfigError):
         emit_grid("mystery", "none", "-1:1,-1:1", (4, 4),

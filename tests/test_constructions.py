@@ -1,6 +1,7 @@
 """Plateau function, tapered form, scenarios, and the warm-up example."""
 
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -366,7 +367,7 @@ def test_dimension_three_smoke():
     from pshcert.calculus import min_eigs_batch
 
     cfg = CertifyConfig(n=3, samples=200, submean_probes=40, plateau_checks=8)
-    sc = build_thm2(cfg, build_plateau(cfg.j_max), build_tapered_form(cfg.n))
+    sc = build_thm2(cfg, build_plateau(cfg.j_max), lambda: build_tapered_form(cfg.n))
     pts = sample(sc.strict_window_resolvable(), Sampler(7, 100))
     assert pts.shape == (100, 3)
     eigs = sc.witness_min_eigs_on_window(pts)
@@ -396,6 +397,32 @@ def test_domain_region_survives_scenario_of_other_dimension():
     assert sample(region3, Sampler(3, 100)).shape == (100, 3)
 
 
+def test_norm2_bits_match_reduction_oracle():
+    # the column sums equal the old reductions, inlined as the oracle, for
+    # every w width of an accepted n, with and without the w0 shift, on
+    # strided w blocks and on rows of +-0, +-inf, NaN and subnormals
+    rng = np.random.default_rng(8)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 4.0, 2.0])
+    for k in range(1, 8):
+        pts = np.empty((5000, k + 1), dtype=np.complex128)
+        pts.real = 3.0 * rng.standard_normal(pts.shape)
+        pts.imag = 3.0 * rng.standard_normal(pts.shape)
+        pts.real[:1000] = special[rng.integers(0, special.size, (1000, k + 1))]
+        pts.imag[:1000] = special[rng.integers(0, special.size, (1000, k + 1))]
+        w = pts[:, 1:]
+        for shift in (0.0, 2.0, 4.0):
+            w0 = np.zeros(k, dtype=np.complex128)
+            w0[0] = shift
+            q = w - w0[None, :]
+            want = np.sum(q.real**2 + q.imag**2, axis=1)
+            got = constructions._norm2(w, shift)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64),
+                                          err_msg=f"k={k} shift={shift}")
+        want = np.sum(w.real**2 + w.imag**2, axis=1)
+        np.testing.assert_array_equal(constructions._norm2(w).view(np.int64),
+                                      want.view(np.int64), err_msg=f"k={k}")
+
+
 # --- screened rejection sampling --------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -405,7 +432,8 @@ def scenarios_by_n(plateau):
     for n in (2, 3):
         cfg = CertifyConfig(n=n)
         assert cfg.j_max == plateau.j_max
-        out[n] = (build_thm1(cfg), build_thm2(cfg, plateau, build_tapered_form(n)))
+        out[n] = (build_thm1(cfg),
+                  build_thm2(cfg, plateau, functools.partial(build_tapered_form, n)))
     return out
 
 
@@ -477,7 +505,7 @@ def test_ring_bound_slack_covers_series_rounding(scenarios_by_n):
     # where the rounding budget is largest, on fewer window points
     cfg = CertifyConfig(trunc=MAX_TRUNC)
     deepest = (build_thm1(cfg), build_thm2(cfg, build_plateau(cfg.j_max),
-                                           scenarios_by_n[2][1].form))
+                                           scenarios_by_n[2][1].make_form))
     for sc, count in ([(sc, 200_000) for sc in scenarios_by_n[2]]
                       + [(sc, 20_000) for sc in deepest]):
         window = sample(sc.bulk_window(), Sampler(5, count, stream=11))

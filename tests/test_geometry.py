@@ -14,6 +14,7 @@ from pshcert.geometry import (
     Sampler,
     SublevelRegion,
     Window,
+    _row_sum,
     _sample_ball,
     _sample_disk,
     _unit_directions,
@@ -107,15 +108,37 @@ def test_ball_and_product_samples():
     assert np.all(_in_window(pts, window))
 
 
+def test_row_sum_matches_linalg_norm():
+    # summed column by column, the squares reproduce the reduction order
+    # of np.linalg.norm, also at 8 terms and more (8 running sums, then
+    # the tail); _sample_ball and _unit_directions take their norms so
+    rng = np.random.default_rng(3)
+    for m in range(1, 17):
+        g = rng.standard_normal((20_000, m)) * np.exp(3.0 * rng.standard_normal((20_000, m)))
+        g[:3] = np.array([[0.0], [-0.0], [5e-324]])
+        g[3, 0] = np.inf
+        g[4, -1] = np.nan
+        with np.errstate(over="ignore", under="ignore"):
+            want = np.linalg.norm(g, axis=1)
+            got = np.sqrt(_row_sum(lambda j: g[:, j] * g[:, j], m))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=m)
+
+
 # sha256 of the primitive draws and of a window sample: the points
 # of every report are drawn through them, so a changed bit shows here first
+# (k >= 4 draws 8 or more normals per point)
 _DRAWS_SHA = {
     1: "7bed5e78661228a07361a93596736a9f95bff94d7776a4b28c2bbc1e2d3e7106",
     2: "6b172ed9ff27a1a684697cf9d4dbde49d359ea9dc32631a9560fb4d18c2d79f3",
+    3: "e6dfb28d799e84cfa0cae2a07c32152f79e723dc1700bb1df9be96628116fe55",
+    4: "4df53eae288d07444b48a650b2dd9105c8273c8c905b93a6eaea7587cd0e9ca8",
+    5: "1acec2375cba641e19127f2e8258d070237f3c4fbc43d4c380af2f396b0b262a",
+    6: "b4627d67f74c55870760aa139f8f160e9895a555220d93a717212d314a7dd3a6",
+    7: "94ae9ef83a63db413349dd71160453ceb1b83bfaf3e5c5bdfc08d640a91d9a3b",
 }
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", range(1, 8))
 def test_unit_draws_bytes_pinned(k):
     rng = np.random.Generator(np.random.Philox(key=[42, 30 + k]))
     h = hashlib.sha256()
@@ -144,6 +167,18 @@ def test_unit_draws_bytes_pinned(k):
         Window(3, 1.0, 1.0, z_inner=0.5),
         "1c0914ded786f89df2b5be8c6d4f4ea34d5cda4128b008448c31c5b4b1969b6e",
         id="annulus-3"),
+    pytest.param(
+        Window(4, 3.2, 3.0),
+        "3d02708be5d7b764f61c653f200646d44447b584fe63b239e07ce0abb9d35786",
+        id="4"),
+    pytest.param(
+        Window(8, 3.2, 3.0),
+        "23a5c8c96d2fe2b91de56ca357bee4ef8e25185ae1e6a3af07f567918b997a87",
+        id="8"),
+    pytest.param(
+        Window(8, 1.0, 1.0, z_inner=0.5),
+        "081b0bbe4098a79071a816b3249829a1a38e3a426df6d7c2bc09314375e98a31",
+        id="annulus-8"),
 ])
 def test_product_window_bytes_pinned(window, sha):
     pts = sample(window, Sampler(42, 1000, stream=5))
