@@ -76,7 +76,11 @@ def make_certificate(name, margins, tolerance, points=None, max_witnesses=10):
 # ---------------------------------------------------------------------------
 
 def _stencil_offsets(n: int, h: float):
-    """Offsets (S, n) complex and index maps for Hessian assembly."""
+    """Offsets (S, n) complex and index maps for Hessian assembly.
+
+    Sorted stably by z-component, so each stencil is 5 runs of equal z for
+    ``series_values``; the zero offset stays at index 0, read as the centre.
+    """
     offsets = [np.zeros(n, dtype=np.complex128)]
 
     def unit(axis):
@@ -104,7 +108,10 @@ def _stencil_offsets(n: int, h: float):
                     offsets.append(sa * h * unit(aj) + sb * h * unit(ak))
                 pair_axes.append((j, k, aj % 2, ak % 2))
                 pair_idx.append(quad)
-    return np.stack(offsets), plus, minus, pair_axes, pair_idx
+    offsets = np.stack(offsets)
+    order = np.lexsort((offsets[:, 0].imag, offsets[:, 0].real, offsets[:, 0] != 0))
+    inverse = np.argsort(order)
+    return offsets[order], inverse[plus], inverse[minus], pair_axes, inverse[pair_idx]
 
 
 def wirtinger_hessian_batch(f, points, h: float):

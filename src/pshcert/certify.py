@@ -249,8 +249,8 @@ def parse_region_spec(spec: str):
         y0, y1 = (float(v) for v in ys.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad region spec {spec!r}, want xmin:xmax,ymin:ymax") from exc
-    if not (x0 < x1 and y0 < y1):
-        raise ConfigError("region bounds must be increasing")
+    if not (np.all(np.isfinite([x0, x1, y0, y1])) and x0 < x1 and y0 < y1):
+        raise ConfigError(f"region bounds must be finite and increasing, got {spec!r}")
     return x0, x1, y0, y1
 
 
@@ -268,6 +268,8 @@ def parse_slice_spec(spec: str, n: int):
                 if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad slice spec {spec!r}: {exc}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"bad slice spec {spec!r}: values must be finite")
     if which == "w":
         if len(vals) != n - 1:
             raise ConfigError(f"slice w needs {n - 1} complex value(s)")

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pshcert import calculus
 from pshcert.calculus import (
+    _stencil_offsets,
     certify_psh,
     circle_mean_test,
     make_certificate,
     min_eigs_batch,
     wirtinger_hessian_batch,
 )
+from pshcert.config import CertifyConfig
+from pshcert.constructions import build_thm1
 from pshcert.geometry import EmptyRegionError, Sampler, Window
 
 H_STEP = 1e-4
@@ -92,6 +96,67 @@ def test_hessian_hermitian_by_construction():
     assert np.all(ok)
     np.testing.assert_allclose(H, np.conj(np.transpose(H, (0, 2, 1))), rtol=0,
                                atol=0)
+
+
+def _unsorted_stencil_offsets(n, h):
+    # the offsets in construction order, before they were grouped by z
+    def unit(axis):
+        e = np.zeros(n, dtype=np.complex128)
+        e[axis // 2] = 1.0 if axis % 2 == 0 else 1.0j
+        return e
+
+    offsets = [np.zeros(n, dtype=np.complex128)]
+    plus = np.empty(2 * n, dtype=np.intp)
+    minus = np.empty(2 * n, dtype=np.intp)
+    for a in range(2 * n):
+        plus[a] = len(offsets)
+        offsets.append(h * unit(a))
+        minus[a] = len(offsets)
+        offsets.append(-h * unit(a))
+    pair_axes, pair_idx = [], []
+    for j in range(n):
+        for k in range(j + 1, n):
+            for aj, ak in ((2 * j, 2 * k), (2 * j + 1, 2 * k + 1),
+                           (2 * j, 2 * k + 1), (2 * j + 1, 2 * k)):
+                quad = []
+                for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    quad.append(len(offsets))
+                    offsets.append(sa * h * unit(aj) + sb * h * unit(ak))
+                pair_axes.append((j, k, aj % 2, ak % 2))
+                pair_idx.append(quad)
+    return np.stack(offsets), plus, minus, pair_axes, pair_idx
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stencil_offsets_grouped_by_z(n):
+    offsets, plus, minus, pair_axes, pair_idx = _stencil_offsets(n, H_STEP)
+    assert offsets.shape == (1 + 4 * n + 8 * n * (n - 1), n)
+    assert np.all(offsets[0] == 0)
+    z = offsets[:, 0]
+    assert 1 + np.count_nonzero(z[1:] != z[:-1]) == 5
+    # the same stencil, only reordered
+    old, old_plus, old_minus, old_axes, old_idx = _unsorted_stencil_offsets(n, H_STEP)
+    assert old_axes == pair_axes
+    np.testing.assert_array_equal(offsets[plus], old[old_plus])
+    np.testing.assert_array_equal(offsets[minus], old[old_minus])
+    np.testing.assert_array_equal(offsets[pair_idx], old[old_idx])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_grouped_stencil_keeps_hessian_bits(n, monkeypatch):
+    # the thm1 witness holds the log-pole series; points with re z = +-0 too
+    th1 = build_thm1(CertifyConfig(n=n, samples=300))
+    rng = np.random.default_rng(42)
+    pts = (rng.uniform(-1, 1, (2000, n)) + 1j * rng.uniform(-1, 1, (2000, n)))
+    pts[::7, 0].real = 0.0
+    pts[1::7, 0].real = -0.0
+    f = th1.witness_smooth_values
+    with np.errstate(invalid="ignore"):
+        H, ok = wirtinger_hessian_batch(f, pts, H_STEP)
+        monkeypatch.setattr(calculus, "_stencil_offsets", _unsorted_stencil_offsets)
+        H_old, ok_old = wirtinger_hessian_batch(f, pts, H_STEP)
+    assert H.tobytes() == H_old.tobytes()
+    assert np.array_equal(ok, ok_old) and ok.sum() > 1900
 
 
 def test_stencil_error_at_log_pole():

@@ -254,14 +254,28 @@ def test_parse_specs():
 
 
 def test_malformed_slice_value_is_config_error(tmp_path, capsys):
-    for spec in ("w=abc", "z=1+", "w=1j;;x"):
+    for spec in ("w=abc", "z=1+", "w=1j;;x", "w=nan", "w=inf", "w=-inf",
+                 "w=1+nanj", "z=infj"):
         with pytest.raises(ConfigError, match="slice"):
             parse_slice_spec(spec, 2)
     out = tmp_path / "d1.csv"
-    code = main(["grid", "d1", "--slice", "w=abc", "--region=-1:1,-1:1",
-                 "--res", "3x3", "--out", str(out)])
+    for spec in ("w=abc", "w=nan", "w=inf"):
+        code = main(["grid", "d1", "--slice", spec, "--region=-1:1,-1:1",
+                     "--res", "3x3", "--out", str(out)])
+        assert code == 2
+        assert "slice" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_nonfinite_region_is_config_error(tmp_path, capsys):
+    for spec in ("-inf:inf,0:1", "0:1,-inf:1", "nan:1,0:1", "0:1,0:inf"):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_region_spec(spec)
+    out = tmp_path / "sigma.csv"
+    code = main(["grid", "sigma", "--slice", "none", "--region=-inf:inf,0:1",
+                 "--res", "3x2", "--out", str(out)])
     assert code == 2
-    assert "slice" in capsys.readouterr().err
+    assert "finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -342,8 +356,15 @@ def test_grid_csv_matches_per_cell_formatter(tiny_cfg, tmp_path, monkeypatch):
          "902a1ce9ff6b1cc5a6f39bb5fb6d01a045a7a82b9b35bedc013bb94d0680b68e"),
         ("d1", "w=0", "-1:1,-1:1", (3, 3),
          "1af2c172958f9984b9103fa34f2b913caf654806d3b15f57c6d0bc1d7deeb112"),
+        # the levi grids cross re z = 0; the z-slice repeats one z in every cell
+        ("levi_thm1", "w=0", "-0.9:0.9,-0.9:0.9", (9, 9),
+         "0758c8343e3a5eb2a341019203bda172d6aa427e2328ce33c3b65f067fc8b523"),
+        ("levi_thm2", "w=0", "-0.9:0.9,-0.9:0.9", (9, 9),
+         "1db4072a7735606726a6632ac509a5a2a1d05c483433b2d3bd052301c5c4792b"),
+        ("levi_thm1", "z=0.7", "-0.9:0.9,-0.9:0.9", (5, 5),
+         "5e864a47a1e0e97f80177636783bfa09f1b96e23159df8c7ad49f324e25ebeb9"),
     ],
-    ids=["u-41x41", "d1-3x3"],
+    ids=["u-41x41", "d1-3x3", "levi_thm1-9x9", "levi_thm2-9x9", "levi_thm1-zslice-5x5"],
 )
 def test_grid_export_bytes_pinned(fid, slice_spec, region, res, digest,
                                   tiny_cfg, tmp_path):

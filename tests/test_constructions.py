@@ -102,6 +102,15 @@ def test_plateau_eps_deterministic(plateau):
     assert again == plateau.eps[3]
 
 
+def test_plateau_bytes_pinned():
+    # the 400-disc plateau of the grid exports at trunc 400
+    plateau = build_plateau(400)
+    assert hashlib.sha256(plateau.eps.tobytes()).hexdigest() == (
+        "4b310d76c4dc44e3f249a646aa7a840f01363dab9c13779a0a5c2a18f690e456")
+    assert hashlib.sha256(plateau.log_rho.tobytes()).hexdigest() == (
+        "9eded436d7e2a06b9fe146a87ba594c6b4dfc32a6bc1b51e98af502de52c3e34")
+
+
 def test_plateau_property_bundle(plateau, small_cfg):
     certs = plateau_properties(plateau, small_cfg)
     assert all(c.passed for c in certs), [c.name for c in certs if not c.passed]

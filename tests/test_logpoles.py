@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pshcert import kernels
 from pshcert.config import MAX_TRUNC
 from pshcert.constructions import build_plateau
 from pshcert.geometry import golden_angles
@@ -125,6 +126,47 @@ def test_error_radius_infinite_in_tail_annulus(sch1):
     assert err[0] == np.inf
     err = tail_error_radius(sch1, np.asarray([1.0, 1.0 + 2.0 / 60 + 1e-6]), 60)
     assert np.all(np.isfinite(err))
+
+
+def _bit_runs(z):
+    # the number of runs of adjacent z with equal (real, imag) bits
+    bits = [tuple(np.asarray([c]).view(np.uint64)) for c in z]
+    return sum(1 for i, b in enumerate(bits) if i == 0 or b != bits[i - 1])
+
+
+def test_series_runs_match_per_point_evaluation(sch1, monkeypatch):
+    # runs of one z are evaluated once and repeated; the result must be
+    # bit for bit that of evaluating every point on its own
+    nan, inf = np.nan, np.inf
+    z = np.array(
+        [0.3 + 0.2j] * 4 + [0.5] + [-0.4j] * 3
+        + [0.3 - 0.2j, 0.3 + 0.2j, -0.3 + 0.2j]  # equal real or imaginary part
+        + [complex(0.0, 0.0), complex(-0.0, 0.0), complex(-0.0, 0.0),
+           complex(0.0, -0.0), complex(-0.0, -0.0), complex(0.0, 0.0)]
+        + [complex(nan, 0.0)] * 3 + [complex(0.0, nan)] * 2 + [complex(nan, nan)]
+        + [complex(inf, 0.0), complex(inf, 0.0), complex(-inf, 1.0),
+           complex(0.0, inf), complex(0.0, -inf)]
+        + [sch1.a[0]] * 3 + [sch1.a[3], sch1.a[0]]
+        + [1.01, 1.01, 2.5 + 0.1j], dtype=np.complex128)
+    kernel_points = []
+    real_sigma = kernels.sigma_many
+
+    def counted(zr, *args):
+        kernel_points.append(zr.size)
+        return real_sigma(zr, *args)
+
+    monkeypatch.setattr(kernels, "sigma_many", counted)
+    with np.errstate(invalid="ignore"):
+        for arr in (z, np.stack([z, z], axis=1)[:, 0], z[:0], z[:1], z[-1:]):
+            kernel_points.clear()
+            vals, errs = series_values(sch1, arr)
+            assert kernel_points == [_bit_runs(arr)]
+            one = [series_values(sch1, arr[i:i + 1]) for i in range(arr.size)]
+            want_v = np.concatenate([v for v, _ in one] + [np.empty(0)])
+            want_e = np.concatenate([e for _, e in one] + [np.empty(0)])
+            assert vals.tobytes() == want_v.tobytes()
+            assert errs.tobytes() == want_e.tobytes()
+        assert np.sum(series_values(sch1, z)[0] == -np.inf) == 5
 
 
 def test_truncation_validation(sch1):
