@@ -14,7 +14,7 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -116,14 +116,19 @@ class SuiteBuilder:
 
     def __init__(self, cfg: CertifyConfig):
         self.cfg = cfg
+        # thm2 builds the shared form through this closure, which refers to
+        # the config and not to the builder: a builder -> thm2 -> builder
+        # cycle would keep a finished run's scenarios and screen tables alive
+        # until the cyclic collector runs
+        self._form = cache(lambda: build_tapered_form(cfg.n))
 
     @cached_property
     def plateau(self):
         return build_plateau(self.cfg.j_max)
 
-    @cached_property
+    @property
     def form(self):
-        return build_tapered_form(self.cfg.n)
+        return self._form()
 
     @cached_property
     def thm1(self):
@@ -131,7 +136,7 @@ class SuiteBuilder:
 
     @cached_property
     def thm2(self):
-        return build_thm2(self.cfg, self.plateau, lambda: self.form)
+        return build_thm2(self.cfg, self.plateau, self._form)
 
 
 # schedule exports: the text each suite's fingerprint hashes

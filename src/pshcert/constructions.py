@@ -51,9 +51,10 @@ from .logpoles import (
     disc_separation_margins,
     make_schedule,
     pole_discs,
+    ring_bound_table,
+    ring_cells,
     schedule_condition_margin,
     series_lower_bounds_off_discs,
-    series_ring_lower_bounds,
     series_values,
 )
 
@@ -65,8 +66,8 @@ _W0_THM1 = 2.0  # |w0| for the first scenario
 _W0_THM2 = 4.0  # |w0| for the second scenario
 _THETA_CUT = 2.5  # |w| switching radius of the second scenario's witness
 
-#: subtracted from the ring bound in ``defining_lower``; it covers the
-#: rounding of the computed series against its exact value (see there)
+#: subtracted from every entry of the ring-bound table in ``defining_lower``;
+#: it covers the rounding of the computed series against its exact value
 _SCREEN_SLACK = 1e-9
 
 
@@ -308,8 +309,9 @@ class _Scenario:
     """Sublevel domain ``series(z) + terms(z, w) - _BOUND < 0`` in C x C^{n-1}.
 
     A scenario supplies its non-series terms (``_terms``, in summation
-    order), ``_BOUND`` and the label of its domain region. Rejection
-    sampling of the domain proposes from the window |z| < 3.2, |w| < 3.
+    order, the last two |z|^2 and |w|^2), ``_BOUND`` and the label of its
+    domain region. Rejection sampling of the domain proposes from the
+    window |z| < 3.2, |w| < 3.
     """
 
     n: int
@@ -329,16 +331,34 @@ class _Scenario:
         z, terms = self._terms(pts)
         return self._sum(self.sigma(z)[0], terms)
 
+    @cached_property
+    def _ring_table(self) -> np.ndarray:
+        """The screen's ring bounds minus ``_SCREEN_SLACK``, per |z|^2 cell.
+
+        ``domain_region`` builds it before the first proposal batch. Built
+        inside a batch, the long-lived table lands above the batch's large
+        temporaries in the heap, which then cannot shrink: that raised the
+        peak RSS of ``certify all --n 3`` by about 3% (glibc malloc).
+        """
+        return ring_bound_table(self.schedule, self.trunc) - _SCREEN_SLACK
+
     def defining_lower(self, pts):
         """``defining_values`` with the series replaced by its ring bound.
 
         Contract: ``defining_lower(p) <= defining_values(p)`` at every p
         where neither is NaN, so ``domain_region`` may use it as its
-        screen. Error budget: the ring bound R is below the exact series
-        of the float poles a_j. Where R is finite, every |z - a_j|
-        exceeds the 1e-12 ring guard less rounding, so each
-        |log|z - a_j|| is below 710; with S = sum delta_j < 1/4 the
-        computed series fl(sigma) and R itself err by less than
+        screen. The ring bound is one lookup in a table built once per
+        scenario (``logpoles.ring_bound_table``), indexed by the |z|^2 term
+        that ``_terms`` already holds: the index ``floor(|z|^2 * 2^12)`` is
+        exact, and the 1e-12 ring guard covers the rounding of |z|^2, of
+        the cell edges and of the moduli. A NaN |z|^2 falls in the last
+        cell, and its NaN terms keep the point a candidate.
+
+        Error budget: each entry R is below the exact series of the float
+        poles a_j on its whole cell. Where R is finite, every |z - a_j|
+        exceeds the ring guard less rounding, so each |log|z - a_j|| is
+        below 710; with S = sum delta_j < 1/4 the computed series
+        fl(sigma) and R itself err by less than
         (trunc + 3) * 2^-53 * S * 710, about 2.0e-11 at the largest
         accepted trunc, ``MAX_TRUNC`` = 1015: far inside
         ``_SCREEN_SLACK`` = 1e-9 (the thm2 coefficients are
@@ -347,15 +367,14 @@ class _Scenario:
         and rounding is monotone: a smaller first summand cannot give a
         larger sum, so the sums add no error to the budget.
         """
-        # the ring bound first: its temporaries are freed before the terms exist
-        z = np.atleast_2d(np.asarray(pts, dtype=np.complex128))[:, 0]
-        low = series_ring_lower_bounds(self.schedule, z, self.trunc) - _SCREEN_SLACK
-        return self._sum(low, self._terms(pts)[1])
+        _, terms = self._terms(pts)
+        return self._sum(self._ring_table.take(ring_cells(terms[-2])), terms)
 
     def bulk_window(self) -> Window:
         return Window(self.n, 3.2, 3.0)
 
     def domain_region(self) -> SublevelRegion:
+        self._ring_table  # noqa: B018 (built now, before any proposal)
         return SublevelRegion(
             self.defining_values, self.bulk_window(), label=self._LABEL,
             lower=self.defining_lower,

@@ -18,6 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .kernels import _BLOCK
+
 #: conjugate golden ratio, the rotation number of the angle sequence
 GOLDEN_CONJUGATE = 0.6180339887498949
 
@@ -67,9 +69,10 @@ class SublevelRegion:
     ``lower(p) <= defining(p)`` wherever both are numbers (NaN is
     allowed and means "no bound"). ``contains`` evaluates ``defining``
     only at points with ``not lower(p) >= 0``; every other point is
-    certainly outside. ``defining`` must be elementwise (a point's value
-    does not depend on the rest of its batch), so the mask is the same
-    as without the screen, bit for bit.
+    certainly outside. ``lower`` and ``defining`` must be elementwise (a
+    point's value does not depend on the rest of its batch), so the mask
+    is the same as without the screen, bit for bit, and ``lower`` may run
+    block by block.
     """
 
     defining: Callable[[np.ndarray], np.ndarray] = field(compare=False)
@@ -83,8 +86,14 @@ class SublevelRegion:
         pts = np.asarray(pts, dtype=np.complex128)
         if self.lower is None:
             return self.defining(pts) < 0.0
+        # the screen in blocks of _BLOCK points, so that its temporaries
+        # stay in cache; ``defining`` then runs once, on every candidate
+        maybe = np.empty(pts.shape[0], dtype=bool)
+        for lo in range(0, pts.shape[0], _BLOCK):
+            np.greater_equal(self.lower(pts[lo : lo + _BLOCK]), 0.0,
+                             out=maybe[lo : lo + _BLOCK])
+        np.logical_not(maybe, out=maybe)
         ok = np.zeros(pts.shape[0], dtype=bool)
-        maybe = ~(self.lower(pts) >= 0.0)
         ok[maybe] = self.defining(pts[maybe]) < 0.0
         return ok
 

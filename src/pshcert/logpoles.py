@@ -27,8 +27,17 @@ By the reverse triangle inequality |z - a_j| >= ||z| - |a_j||, and
 every delta_j is positive, so the truncated series is at least
 ``S * log(min(1, gap(|z|)))`` with ``S = sum_{j <= trunc} delta_j`` and
 ``gap`` the distance from |z| to the nearest pole modulus (the "ring
-bound", ``series_ring_lower_bounds``). Finding that modulus is a binary
-search over the sorted moduli, O(log J) per point instead of J logs.
+bound"). ``ring_bound_table`` tabulates it once per schedule over cells
+of |z|^2: cell c is [c, c + 1) * 2^-12 for c < 2^16 - 1, and the last
+cell takes every |z|^2 >= 16 - 2^-12. Each entry uses the distance from
+the cell's whole |z| interval [sqrt(c 2^-12), sqrt((c + 1) 2^-12)] to
+the nearest float modulus |a_j| (0 when a modulus lies inside), so it
+bounds the series at every z of the cell. ``ring_cells`` maps a computed
+|z|^2 to its cell with one table lookup per point: 2^12 is a power of
+two, so ``floor(|z|^2 * 2^12)`` is exact and the index needs no
+widening. The only rounding left is that of the computed |z|^2, of the
+cell-edge square roots and of the moduli, a few ulps of 4, and the
+1e-12 guard subtracted from every gap covers it.
 """
 
 from __future__ import annotations
@@ -168,31 +177,54 @@ def series_values(schedule: PoleSchedule, z, trunc: Optional[int] = None):
     return vals, errs
 
 
-#: subtracted from every ring gap before its log; it dominates the
-#: rounding of |z| and |a_j|, a few ulps of 3 (a gap below 1 needs |z| < 3)
+#: subtracted from every ring gap before its log; it dominates the rounding
+#: of the computed |z|^2, of the cell edges and of |a_j|, a few ulps of 4
 _RING_GUARD = 1e-12
 
+#: cells per unit of |z|^2 in the ring-bound table; a power of two, so the
+#: cell index ``floor(|z|^2 * _RING_SCALE)`` is exact
+_RING_SCALE = 2.0**12
 
-def series_ring_lower_bounds(schedule: PoleSchedule, z,
-                             trunc: Optional[int] = None) -> np.ndarray:
-    """Lower bounds ``S * log(min(1, gap(|z|) - 1e-12))`` of the truncated series.
+#: cells of the ring-bound table: |z|^2 in [0, 16), the last cell open above
+_RING_CELLS = 2**16
 
-    ``S`` is the sum of the first ``trunc`` coefficients and ``gap`` the
-    distance from |z| to the nearest of the moduli |a_1|, ..., |a_trunc|.
-    Every term obeys ``delta_j log|z - a_j| >= delta_j log(min(1, gap))``
-    for the float poles a_j, so the result is below the exact series of
-    those poles; on (or within the guard of) a pole circle it is -inf,
-    and it is NaN where |z| is NaN.
+
+def ring_bound_table(schedule: PoleSchedule,
+                     trunc: Optional[int] = None) -> np.ndarray:
+    """Lower bounds ``S * log(min(1, gap_c - 1e-12))`` of the truncated series, per cell.
+
+    ``S`` is the sum of the first ``trunc`` coefficients and ``gap_c`` the
+    distance from the |z| interval of cell c (see ``ring_cells``) to the
+    nearest of the moduli |a_1|, ..., |a_trunc|, or at most 0 when one lies
+    inside it. Every term obeys ``delta_j log|z - a_j| >= delta_j
+    log(min(1, gap_c))`` for the float poles a_j and every z of the cell,
+    so entry c is below the exact series of those poles there; it is -inf
+    for a cell on (or within the guard of) a pole circle.
     """
     trunc = _checked_trunc(schedule, trunc)
     moduli = np.sort(np.abs(schedule.a[:trunc]))
-    absz = np.abs(np.asarray(z, dtype=np.complex128).ravel())
-    idx = np.searchsorted(moduli, absz)
-    below = moduli.take(idx - 1, mode="clip")
-    above = moduli.take(idx, mode="clip")
-    gap = np.minimum(np.abs(absz - below), np.abs(above - absz)) - _RING_GUARD
-    with np.errstate(divide="ignore"):
+    edges = np.sqrt(np.arange(_RING_CELLS + 1) / _RING_SCALE)
+    lo, hi = edges[:-1], edges[1:]
+    hi[-1] = np.inf
+    padded = np.concatenate(([-np.inf], moduli, [np.inf]))
+    i = np.searchsorted(moduli, lo)  # moduli[i - 1] < lo <= moduli[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a modulus inside [lo, hi] makes the second distance <= 0; fmin
+        # skips the NaN of inf - inf in the last cell
+        gap = np.fmin(lo - padded[i], padded[i + 1] - hi) - _RING_GUARD
         return np.sum(schedule.delta[:trunc]) * np.log(np.clip(gap, 0.0, 1.0))
+
+
+def ring_cells(nz2: np.ndarray) -> np.ndarray:
+    """Index into ``ring_bound_table`` of each computed |z|^2.
+
+    Cell c holds |z|^2 in [c, c + 1) * 2^-12, and the last cell holds
+    every larger |z|^2, inf and NaN (``fmin`` drops the NaN; a NaN |z|^2
+    makes the caller's own terms NaN).
+    """
+    idx = np.multiply(nz2, _RING_SCALE)
+    np.fmin(idx, _RING_CELLS - 1, out=idx)
+    return idx.astype(np.intp)
 
 
 def tail_error_radius(schedule: PoleSchedule, absz, trunc: int) -> np.ndarray:

@@ -51,8 +51,13 @@ def test_config_validation():
         CertifyConfig(n=9).validate()
     with pytest.raises(ConfigError):
         CertifyConfig(samples=10).validate()
-    with pytest.raises(ConfigError):
-        CertifyConfig(fd_step=0.5).validate()
+    # outside [1e-5, 1e-4] the finite differences fail for numerical
+    # reasons: NaN margins at 1e-300, rounding below, truncation above
+    for bad in (0.5, 9e-3, 2e-4, 5e-6, 1e-300, 0.0, float("nan")):
+        with pytest.raises(ConfigError):
+            CertifyConfig(fd_step=bad).validate()
+    for good in (1e-5, 3e-5, 1e-4):
+        CertifyConfig(fd_step=good).validate()
     # zero probes or checks used to fail plateau certificates on 0 samples
     for bad in (dict(submean_probes=0), dict(plateau_checks=0),
                 dict(plateau_checks=-3)):
@@ -217,6 +222,24 @@ def test_construction_failure_becomes_failing_report(tiny_cfg, monkeypatch):
     assert report.certificates[0].name == "construction-failure"
     assert "doubling" in report.certificates[0].witnesses[0]["error"]
     assert serialize_report(report)
+
+
+def test_suite_builder_objects_freed_without_cycle_collector():
+    # thm2 shares the builder's form without referring to the builder, so
+    # a finished run's scenarios (and their screen tables) are freed by
+    # reference counting, not whenever the cyclic collector next runs
+    import gc
+    import weakref
+
+    built = certify.SuiteBuilder(CertifyConfig(samples=100, plateau_checks=8))
+    assert built.thm2.form is built.form
+    refs = [weakref.ref(built.thm1), weakref.ref(built.thm2)]
+    gc.disable()
+    try:
+        del built
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_psh_sample_shortfall_becomes_failing_report(monkeypatch):
@@ -431,13 +454,24 @@ def test_cli_certify_pass_and_report(tmp_path, capsys):
     assert "taper_radius" in sched.read_text()
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(monkeypatch, capsys):
     assert main(["certify", "bogus"]) == 2
     assert main(["nonsense"]) == 2
     assert main([]) == 2
-    # an oversized step makes the warm-up floor land far from 1
-    code = main(["certify", "example1", "--samples", "200",
-                 "--fd-step", "9e-3"])
+    # an oversized step is a configuration error, not a failed certificate
+    assert main(["certify", "example1", "--samples", "200", "--fd-step", "9e-3"]) == 2
+    # the warm-up function at half scale has the same domain but Levi
+    # floor 1/2, so example1-floor-near-one fails
+    from pshcert import constructions
+
+    example_defining = constructions.example_defining
+
+    def half_scale(level):
+        psi = example_defining(level)
+        return lambda pts: 0.5 * psi(pts)
+
+    monkeypatch.setattr(constructions, "example_defining", half_scale)
+    code = main(["certify", "example1", "--samples", "200"])
     capsys.readouterr()
     assert code == 1
 

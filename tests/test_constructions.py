@@ -29,7 +29,7 @@ from pshcert.constructions import (
     thm2_properties,
 )
 from pshcert.geometry import Sampler, _sample_ball, _sample_disk, sample
-from pshcert.logpoles import series_ring_lower_bounds
+from pshcert.logpoles import ring_bound_table, ring_cells
 
 
 # --- plateau function -------------------------------------------------------
@@ -446,6 +446,29 @@ def scenarios_by_n(plateau):
     return out
 
 
+@pytest.fixture(scope="module")
+def deep_scenarios_by_n(scenarios_by_n):
+    # trunc = MAX_TRUNC, where the rounding budget of the screen is largest
+    plateau = build_plateau(MAX_TRUNC)
+    out = {}
+    for n in (2, 3):
+        cfg = CertifyConfig(n=n, trunc=MAX_TRUNC)
+        out[n] = (build_thm1(cfg),
+                  build_thm2(cfg, plateau, scenarios_by_n[n][1].make_form))
+    return out
+
+
+def _cell_edge_z(sc) -> np.ndarray:
+    """First coordinates whose |z|^2 is an edge of a ring-table cell next to
+    a pole modulus, or one ulp either side of it: the points of a cell
+    closest to the modulus."""
+    cells = np.floor(np.abs(sc.schedule.a[: sc.trunc]) ** 2 * 2.0**12)
+    edges = np.unique(np.concatenate([cells + k for k in (-1, 0, 1, 2)])) / 2.0**12
+    nz2 = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 99.0)])
+    phi = np.exp(2j * np.pi * np.arange(4) / 4 + 0.7j)
+    return (np.sqrt(nz2)[:, None] * phi[None, :]).ravel()
+
+
 def _adversarial_z(sc) -> np.ndarray:
     """First coordinates where a ring bound is most likely to overshoot
     the series."""
@@ -460,6 +483,7 @@ def _adversarial_z(sc) -> np.ndarray:
         a,  # the float poles themselves
         (a[:, None] + 1e-6 * phi[None, :]).ravel(),
         circle,
+        _cell_edge_z(sc),
         [0j, np.nan, np.inf, -np.inf, complex(np.inf, np.nan), 1e200],
     ])
 
@@ -473,54 +497,58 @@ def _adversarial_points(sc) -> np.ndarray:
     inf_w = np.full(k, np.inf, dtype=np.complex128)
     # w = w0 kills the w-log term; |w| = 2.9 makes the non-series terms
     # positive, so only the series can make such a point a member
-    ws = [np.zeros(k, dtype=np.complex128), w0, w0 + 1e-9,
-          np.full(k, 2.9 / np.sqrt(k), dtype=np.complex128), nan_w, inf_w]
-    return np.concatenate([
-        np.concatenate([z[:, None], np.repeat(w[None, :], z.size, axis=0)], axis=1)
-        for w in ws
-    ])
+    ws = np.stack([np.zeros(k, dtype=np.complex128), w0, w0 + 1e-9,
+                   np.full(k, 2.9 / np.sqrt(k), dtype=np.complex128), nan_w, inf_w])
+    # z-major, so that the series runs once per z (``series_values`` merges
+    # runs of equal z)
+    return np.concatenate([np.repeat(z, len(ws))[:, None], np.tile(ws, (z.size, 1))],
+                          axis=1)
 
 
-def _screen_points(sc) -> np.ndarray:
-    window = sample(sc.bulk_window(), Sampler(5, 200_000, stream=11))
+def _screen_points(sc, count=200_000) -> np.ndarray:
+    window = sample(sc.bulk_window(), Sampler(5, count, stream=11))
     return np.concatenate([window, _adversarial_points(sc)])
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_defining_lower_never_exceeds_defining(scenarios_by_n, n):
-    for sc in scenarios_by_n[n]:
-        pts = _screen_points(sc)
+def test_defining_lower_never_exceeds_defining(scenarios_by_n, deep_scenarios_by_n, n):
+    for sc, count in ([(sc, 200_000) for sc in scenarios_by_n[n]]
+                      + [(sc, 20_000) for sc in deep_scenarios_by_n[n]]):
+        pts = _screen_points(sc, count)
         with np.errstate(invalid="ignore", over="ignore"):
             lower = sc.defining_lower(pts)
             values = sc.defining_values(pts)
         # lower <= values wherever both are numbers; a NaN lower bound
         # only keeps a point a candidate
         assert not np.any(lower > values)
-        # the bound is -inf at the float poles (zero ring gap) and NaN
-        # at a NaN coordinate
+        # the bound is -inf at the float poles (a pole modulus in the
+        # cell) and NaN at a NaN coordinate
         poles = pts[np.isin(pts[:, 0], sc.schedule.a[: sc.trunc])]
         finite = np.all(np.isfinite(poles), axis=1)
         assert np.all(sc.defining_lower(poles[finite]) == -np.inf)
-        assert np.isnan(series_ring_lower_bounds(sc.schedule, [np.nan])[0])
+        nan_z = np.zeros((1, n), dtype=np.complex128)
+        nan_z[0, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(sc.defining_lower(nan_z)[0])
         # and it rejects most window proposals outright, which is the
         # point of the screen
-        screened = np.mean(lower[:200_000] >= 0.0)
+        screened = np.mean(lower[:count] >= 0.0)
         assert screened > 0.9, screened
 
 
-def test_ring_bound_slack_covers_series_rounding(scenarios_by_n):
-    # within the window the ring bound minus the slack stays below the
-    # computed series, also right next to the poles; and at MAX_TRUNC,
-    # where the rounding budget is largest, on fewer window points
-    cfg = CertifyConfig(trunc=MAX_TRUNC)
-    deepest = (build_thm1(cfg), build_thm2(cfg, build_plateau(cfg.j_max),
-                                           scenarios_by_n[2][1].make_form))
+def test_ring_bound_slack_covers_series_rounding(scenarios_by_n, deep_scenarios_by_n):
+    # within the window the table entry (the ring bound minus the slack)
+    # stays below the computed series, also right next to the poles and at
+    # the cell edges; and at MAX_TRUNC, where the rounding budget is
+    # largest, on fewer window points
     for sc, count in ([(sc, 200_000) for sc in scenarios_by_n[2]]
-                      + [(sc, 20_000) for sc in deepest]):
+                      + [(sc, 20_000) for sc in deep_scenarios_by_n[2]]):
         window = sample(sc.bulk_window(), Sampler(5, count, stream=11))
         z = np.concatenate([window[:, 0], _adversarial_z(sc)])
         z = z[np.isfinite(z) & (np.abs(z) < 3.2)]
-        ring = series_ring_lower_bounds(sc.schedule, z, sc.trunc) - _SCREEN_SLACK
+        np.testing.assert_array_equal(
+            sc._ring_table, ring_bound_table(sc.schedule, sc.trunc) - _SCREEN_SLACK)
+        ring = sc._ring_table.take(ring_cells(z.real**2 + z.imag**2))
         sig, _ = sc.sigma(z)
         assert not np.any(ring > sig)
 
@@ -546,6 +574,38 @@ def test_screened_mask_equals_unscreened(scenarios_by_n, n):
         np.testing.assert_array_equal(screened, plain)
         assert np.any(screened)
     assert labels == ["Omega1", "Omega2", "Omega2-slab", "Omega2-zdisk"]
+
+
+@pytest.mark.parametrize("size", [0, 1, kernels._BLOCK, kernels._BLOCK + 1,
+                                  3 * kernels._BLOCK - 7])
+def test_blocked_contains_equals_unblocked(scenarios_by_n, size):
+    # ``contains`` screens in blocks of _BLOCK points and then evaluates
+    # ``defining`` once; the mask is the one-pass screen's, bit for bit
+    sc = scenarios_by_n[2][0]
+    region = sc.domain_region()
+    pts = sample(region.window, Sampler(9, max(size, 1), stream=5))[:size]
+    # NaN and +-inf rows, in z and in w, at both ends of the first blocks
+    for i, v in zip((0, kernels._BLOCK - 1, kernels._BLOCK, size - 1),
+                    (np.nan, np.inf, -np.inf, complex(np.inf, np.nan))):
+        if 0 <= i < size:
+            pts[i, i % 2] = v
+    calls = []
+
+    def lower(p):
+        calls.append(len(p))
+        return sc.defining_lower(p)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        blocked = dataclasses.replace(region, lower=lower).contains(pts)
+        want = np.zeros(size, dtype=bool)
+        maybe = ~(sc.defining_lower(pts) >= 0.0)
+        want[maybe] = sc.defining_values(pts[maybe]) < 0.0
+        plain = dataclasses.replace(region, lower=None).contains(pts)
+    np.testing.assert_array_equal(blocked, want)
+    np.testing.assert_array_equal(blocked, plain)
+    assert calls == [min(kernels._BLOCK, size - lo)
+                     for lo in range(0, size, kernels._BLOCK)]
+    assert size < 100 or np.any(blocked)
 
 
 # sha256 of sample(region, Sampler(42, 2000, stream=107)) before the screen

@@ -13,6 +13,8 @@ from pshcert.logpoles import (
     disc_separation_margins,
     make_schedule,
     render_schedule,
+    ring_bound_table,
+    ring_cells,
     schedule_condition_margin,
     series_lower_bounds_off_discs,
     series_values,
@@ -213,6 +215,50 @@ def test_lower_bound_is_actually_below_series(sch2):
     lows = series_lower_bounds_off_discs(sch2, z)
     vals, _ = series_values(sch2, z)
     assert np.all(lows <= vals + 1e-15)
+
+
+def _pointwise_ring_bound(schedule, absz, trunc):
+    """The ring bound at each |z| itself: the per-point reference of the table."""
+    moduli = np.sort(np.abs(schedule.a[:trunc]))
+    idx = np.searchsorted(moduli, absz)
+    below = moduli.take(idx - 1, mode="clip")
+    above = moduli.take(idx, mode="clip")
+    gap = np.minimum(np.abs(absz - below), np.abs(above - absz)) - 1e-12
+    with np.errstate(divide="ignore"):
+        return np.sum(schedule.delta[:trunc]) * np.log(np.clip(gap, 0.0, 1.0))
+
+
+def test_ring_cells_index_is_exact():
+    # 2^12 is a power of two: a cell edge maps to its own cell, one ulp
+    # below it to the previous one; NaN, inf and |z|^2 >= 16 to the last
+    edges = np.arange(0, 2**16) / 2.0**12
+    np.testing.assert_array_equal(ring_cells(edges), np.arange(2**16))
+    np.testing.assert_array_equal(ring_cells(np.nextafter(edges[1:], 0.0)),
+                                  np.arange(2**16 - 1))
+    last = ring_cells(np.array([16.0, np.nextafter(16.0, 0.0), 1e300, np.inf, np.nan]))
+    assert last.tolist() == [2**16 - 1] * 5
+
+
+@pytest.mark.parametrize("trunc", [1, 60, MAX_TRUNC])
+def test_ring_table_below_pointwise_ring_bound(trunc):
+    # every |z| of a cell, edges and their ulp neighbours included, has a
+    # per-point ring bound at least the cell's entry; the cells that hold
+    # a pole modulus are -inf, and far out the entry is S * log 1 = 0
+    sch = make_schedule("thm1", trunc)
+    table = ring_bound_table(sch)
+    assert table.shape == (2**16,)
+    moduli = np.abs(sch.a)
+    np.testing.assert_array_equal(table[ring_cells(moduli**2)], -np.inf)
+    assert table[-1] == 0.0
+    rng = np.random.default_rng(trunc)
+    edges = np.arange(0, 2**16) / 2.0**12
+    nz2 = np.concatenate([
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 99.0),
+        rng.uniform(0.0, 16.0, 50_000), rng.uniform(0.9, 4.1, 50_000),
+        moduli**2, [16.0, 17.0, 1e6],
+    ])
+    want = _pointwise_ring_bound(sch, np.sqrt(nz2), trunc)
+    assert not np.any(table[ring_cells(nz2)] > want)
 
 
 def test_plateau_disc_membership_log_space(sch2):
