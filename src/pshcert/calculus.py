@@ -8,8 +8,9 @@ poles). The Wirtinger Hessian at p has entries
 
 computed from central differences of step h; for C^4 functions the
 entrywise error is O(h^2). Certification draws deterministic samples
-from a region, evaluates the whole stencil batch in one call, and
-reduces the minimal eigenvalues into a Certificate.
+from a region, evaluates the stencils in blocks of points (see
+``wirtinger_hessian_batch``), and reduces the minimal eigenvalues into
+a Certificate.
 """
 
 from __future__ import annotations
@@ -115,11 +116,17 @@ def _stencil_offsets(n: int, h: float):
 
 
 def wirtinger_hessian_batch(f, points, h: float):
-    """Wirtinger Hessians at many points with a single batched evaluation.
+    """Wirtinger Hessians at many points from blocked stencil evaluations.
 
     Returns ``(H, ok)`` where H is (N, n, n) complex128 Hermitian by
     construction and ok[i] is False when any stencil value at point i
     was nonfinite (those H rows are zeroed).
+
+    ``f`` is called on the stencils of ``_BLOCK // 5`` points at a time:
+    each stencil holds 5 distinct z at every n, so a call gives the series
+    about one kernel block of distinct z, while the stencil grid and f's
+    temporaries stay block-sized. ``f`` must be elementwise, so the values,
+    hence H, are those of one call on every stencil, bit for bit.
     """
     points = np.asarray(points, dtype=np.complex128)
     if points.ndim == 1:
@@ -127,9 +134,11 @@ def wirtinger_hessian_batch(f, points, h: float):
     npts, n = points.shape
     offsets, plus, minus, pair_axes, pair_idx = _stencil_offsets(n, h)
     nst = offsets.shape[0]
-    grid = points[:, None, :] + offsets[None, :, :]
-    vals = np.asarray(f(grid.reshape(npts * nst, n)), dtype=np.float64)
-    vals = vals.reshape(npts, nst)
+    vals = np.empty((npts, nst), dtype=np.float64)
+    step = kernels._BLOCK // 5
+    for lo in range(0, npts, step):
+        grid = points[lo : lo + step, None, :] + offsets[None, :, :]
+        vals[lo : lo + step] = np.reshape(f(grid.reshape(-1, n)), (-1, nst))
     ok = np.all(np.isfinite(vals), axis=1)
 
     h2 = h * h

@@ -117,15 +117,18 @@ class PlateauFunction:
         return make_schedule("thm2", self.j_max, self.log_rho)
 
     def values(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=np.complex128).ravel()
-        return kernels.u_many(
-            np.ascontiguousarray(z.real),
-            np.ascontiguousarray(z.imag),
+        """u at each z; a run of adjacent equal z (grouped FD stencils) is
+        evaluated once (``kernels.distinct_runs``), with the same bits."""
+        zs, runs = kernels.distinct_runs(np.asarray(z, dtype=np.complex128).ravel())
+        vals = kernels.u_many(
+            np.ascontiguousarray(zs.real),
+            np.ascontiguousarray(zs.imag),
             np.ascontiguousarray(self.a.real),
             np.ascontiguousarray(self.a.imag),
             np.ascontiguousarray(self.r),
             np.ascontiguousarray(self.eps),
         )
+        return vals if runs is None else np.repeat(vals, runs)
 
 
 def _perturbation_values(a_j: complex, r_j: float, z: np.ndarray) -> np.ndarray:
@@ -655,6 +658,18 @@ def closed_disk_samples(count: int, seed: int, stream: int) -> np.ndarray:
 # property certificate bundles
 # ---------------------------------------------------------------------------
 
+def _pole_rows(z, a, reduce):
+    """``reduce(|z[:, None] - a[None, :]|)`` for z (N,) and poles a (J,), over
+    row blocks of about ``16 * _BLOCK`` distances (4 MiB of complex
+    differences) whatever J is. ``reduce`` must map each row on its own (a row
+    min or max), so the result is that of the whole (N, J) array, bit for bit."""
+    out = np.empty(z.shape[0])
+    rows = max(1, 16 * kernels._BLOCK // a.size)
+    for lo in range(0, z.shape[0], rows):
+        out[lo : lo + rows] = reduce(np.abs(z[lo : lo + rows, None] - a[None, :]))
+    return out
+
+
 def _submean_pairs(schedule: PoleSchedule, count: int, seed: int, stream: int):
     """(z, radius) probes avoiding every constructed pole by 2 * radius."""
     rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
@@ -663,7 +678,7 @@ def _submean_pairs(schedule: PoleSchedule, count: int, seed: int, stream: int):
     while zs.size < count:
         z = _sample_disk(rng, 4 * count) * 2.5
         r = rng.uniform(1e-3, 0.1, 4 * count)
-        dmin = np.min(np.abs(z[:, None] - schedule.a[None, :]), axis=1)
+        dmin = _pole_rows(z, schedule.a, lambda d: np.min(d, axis=1))
         keep = dmin >= 2.0 * r
         zs = np.concatenate([zs, z[keep]])
         rs = np.concatenate([rs, r[keep]])
@@ -1019,8 +1034,8 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
     pts = np.concatenate([band_line, band_rand])
     member = sc.defining_values(pts) < 0.0
     with np.errstate(divide="ignore"):
-        logd = np.log(np.abs(pts[:, 0][:, None] - sc.schedule.a[None, :]))
-    disc_margin = np.max(sc.schedule.log_rho[None, :] - logd, axis=1)
+        disc_margin = _pole_rows(pts[:, 0], sc.schedule.a, lambda d: np.max(
+            sc.schedule.log_rho[None, :] - np.log(d), axis=1))
     margins = np.where(member, disc_margin, np.inf)
     certs.append(make_certificate("thm2-band-in-plateau-discs", margins, 0.0, pts))
 
@@ -1086,7 +1101,7 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
     # global plausibility: FD Levi form psd over the domain, away from
     # poles and the switching sphere
     pts = thm2_member_mixture(sc, cfg.samples, seed, 211)
-    dmin = np.min(np.abs(pts[:, 0][:, None] - sc.schedule.a[None, :]), axis=1)
+    dmin = _pole_rows(pts[:, 0], sc.schedule.a, lambda d: np.min(d, axis=1))
     wmod = np.sqrt(_norm2(pts[:, 1:]))
     keep = (dmin >= POLE_MARGIN) & (np.abs(wmod - _THETA_CUT) >= BAND_MARGIN)
     pts = pts[keep]

@@ -145,13 +145,25 @@ def _row_sum(term, width):
 
 def _sample_ball(rng, count, k, radius, out=None):
     """Uniform points of the ball of ``radius`` around 0 in C^k, (count, k), into
-    ``out`` if given: ``g / |g| * r`` in place, |g| summed as in ``np.linalg.norm``."""
+    ``out`` if given: ``g / |g| * r``, |g| summed as in ``np.linalg.norm``.
+
+    The normals g and then the radius uniforms are drawn whole; the points
+    are formed in place in blocks of ``_BLOCK`` rows, so the complex
+    temporary stays block-sized. Each row is computed on its own, so the
+    bits do not depend on the blocks.
+    """
     g = rng.standard_normal((count, 2 * k))
-    nrm = np.sqrt(_row_sum(lambda j: g[:, j] * g[:, j], 2 * k))
-    nrm[nrm == 0] = 1.0
-    g /= nrm[:, None]
-    g *= (radius * rng.random(count) ** (1.0 / (2 * k)))[:, None]
-    return np.add(g[:, :k], 1j * g[:, k:], out=out)
+    r = radius * rng.random(count) ** (1.0 / (2 * k))
+    if out is None:
+        out = np.empty((count, k), dtype=np.complex128)
+    for lo in range(0, count, _BLOCK):
+        b = g[lo : lo + _BLOCK]
+        nrm = np.sqrt(_row_sum(lambda j: b[:, j] * b[:, j], 2 * k))
+        nrm[nrm == 0] = 1.0
+        b /= nrm[:, None]
+        b *= r[lo : lo + _BLOCK, None]
+        np.add(b[:, :k], 1j * b[:, k:], out=out[lo : lo + _BLOCK])
+    return out
 
 
 def _unit_directions(rng, count, k):
@@ -166,10 +178,15 @@ def _unit_directions(rng, count, k):
 def _sample_z(rng, count, inner, outer, out):
     """Uniform points of the open disk (inner = 0) or annulus inner < |z| < outer."""
     if inner == 0.0:
-        # (radius * sqrt(u)) * e^{i theta}: not bit-equal to _sample_disk scaled
+        # (radius * sqrt(u)) * e^{i theta}: not bit-equal to _sample_disk scaled.
+        # Both uniforms are drawn whole, the points formed in blocks of _BLOCK
+        # (elementwise, so the same bits), keeping e^{i theta} block-sized
         u = rng.random(count)
         th = 2.0 * np.pi * rng.random(count)
-        return np.multiply(outer * np.sqrt(u), np.exp(1j * th), out=out)
+        for lo in range(0, count, _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
+            np.multiply(outer * np.sqrt(u[rows]), np.exp(1j * th[rows]), out=out[rows])
+        return out
     got = 0
     while got < count:
         u = rng.random(count - got)
@@ -193,7 +210,8 @@ def sample(region: Window | SublevelRegion, sampler: Sampler) -> np.ndarray:
     rng = sampler.generator()
     count = sampler.count
     # z and w go straight into ``out``, each drawn by a function that frees its
-    # temporaries before the next draw: less peak memory for 4x-count proposals
+    # draws before the next one and forms its points in blocks of _BLOCK rows:
+    # besides ``out``, a 4x-count proposal holds only the draws of one factor
     out = np.empty((count, region.n), dtype=np.complex128)
     _sample_z(rng, count, region.z_inner, region.z_radius, out[:, 0])
     _sample_ball(rng, count, region.n - 1, region.w_radius, out[:, 1:])
@@ -222,6 +240,8 @@ def _rejection_sample(region: SublevelRegion, sampler: Sampler,
         got += k
         if got == want:
             return out
+        # free this batch before the next one is drawn
+        del pts, keep
     raise EmptyRegionError(
         f"rejection sampling of {region.label!r} accepted {got}/{want} points"
     )

@@ -30,6 +30,14 @@ BACKEND_NAME = "numpy"
 # Points per block of the pole kernels: the block's coordinates,
 # accumulator and two reused float64 temporaries (640 KiB in all) stay in L2
 # cache across the per-pole loop, where whole 10^5-point batches spill.
+# The layers above take their blocks from it too, so their working set stays
+# bounded as the batches grow: ``sample`` forms proposals in blocks of _BLOCK
+# rows, ``SublevelRegion.contains`` screens _BLOCK points at a time,
+# ``wirtinger_hessian_batch`` evaluates the stencils of _BLOCK // 5 points per
+# call (5 distinct z each, so about one block of distinct z for the series),
+# and the (N, J) pole distances of the certificates run over blocks of
+# 16 * _BLOCK entries. Each splits only elementwise or row-by-row work, so
+# every value keeps its bits.
 _BLOCK = 16384
 
 # Radial cutoff profile: 1 on [0, CHI_PLATEAU], 0 on [CHI_SUPPORT, inf),
@@ -40,6 +48,27 @@ CHI_SUPPORT = 0.75
 # Taper profile: the squared exp-smoothstep g(t)^2 with g = 1 on [0, 1/2]
 # and g = 0 on [1, inf). Squaring makes (taper')^2 <= 4*max(g'^2)*taper
 # an algebraic identity rather than an asymptotic fact.
+
+
+# ---------------------------------------------------------------------------
+# runs of equal points
+# ---------------------------------------------------------------------------
+
+def distinct_runs(z):
+    """``(zs, runs)``: complex z (1-D) with each run of adjacent points of equal
+    bits kept once, and the run lengths, or None when every run is one point.
+
+    An elementwise kernel evaluated at zs and expanded by ``np.repeat(v,
+    runs)`` gives the per-point values bit for bit. Grouped FD stencils hold
+    such runs; +0 and -0 differ in their bits, so they never merge.
+    """
+    bits = z.view(np.uint64).reshape(-1, 2)
+    new = np.ones(z.size, dtype=bool)
+    np.not_equal(bits[1:, 0], bits[:-1, 0], out=new[1:])
+    new[1:] |= bits[1:, 1] != bits[:-1, 1]
+    if new.all():
+        return z, None
+    return z[new], np.diff(np.flatnonzero(new), append=z.size)
 
 
 # ---------------------------------------------------------------------------

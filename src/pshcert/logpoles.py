@@ -153,16 +153,11 @@ def series_values(schedule: PoleSchedule, z, trunc: Optional[int] = None):
 
     Returns ``(values, error_radii)`` float64 arrays; a value is -inf
     exactly when z hits one of the first ``trunc`` poles. A run of adjacent
-    z with equal bits (grouped FD stencils) is evaluated once: the kernels
-    are elementwise, so this equals a per-point evaluation; ±0 never merge.
+    z with equal bits (grouped FD stencils) is evaluated once
+    (``kernels.distinct_runs``), which equals a per-point evaluation.
     """
     trunc = _checked_trunc(schedule, trunc)
-    z = np.asarray(z, dtype=np.complex128).ravel()
-    bits = z.view(np.uint64).reshape(-1, 2)
-    new = np.ones(z.size, dtype=bool)
-    np.not_equal(bits[1:, 0], bits[:-1, 0], out=new[1:])
-    new[1:] |= bits[1:, 1] != bits[:-1, 1]
-    zs = z if new.all() else z[new]
+    zs, runs = kernels.distinct_runs(np.asarray(z, dtype=np.complex128).ravel())
     vals = kernels.sigma_many(
         np.ascontiguousarray(zs.real),
         np.ascontiguousarray(zs.imag),
@@ -171,8 +166,7 @@ def series_values(schedule: PoleSchedule, z, trunc: Optional[int] = None):
         np.ascontiguousarray(schedule.delta[:trunc]),
     )
     errs = tail_error_radius(schedule, np.abs(zs), trunc)
-    if zs.size < z.size:
-        runs = np.diff(np.flatnonzero(new), append=z.size)
+    if runs is not None:
         vals, errs = np.repeat(vals, runs), np.repeat(errs, runs)
     return vals, errs
 

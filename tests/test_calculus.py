@@ -1,11 +1,13 @@
 """FD Wirtinger Hessians, eigenvalue wrapper, circle means, certify_psh."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pshcert import calculus
+from pshcert import calculus, kernels
 from pshcert.calculus import (
     _stencil_offsets,
     certify_psh,
@@ -171,6 +173,108 @@ def test_stencil_error_at_log_pole():
     np.testing.assert_array_equal(H[0], np.zeros((2, 2)))
     assert np.all(np.isfinite(H[1]))
     assert np.all(np.isfinite(min_eigs_batch(H)))
+
+
+def _one_call_hessian(f, points, h):
+    # the unblocked formula: f called once on every stencil of every point
+    npts, n = points.shape
+    offsets, plus, minus, pair_axes, pair_idx = _stencil_offsets(n, h)
+    nst = offsets.shape[0]
+    grid = points[:, None, :] + offsets[None, :, :]
+    vals = np.asarray(f(grid.reshape(npts * nst, n)), dtype=np.float64)
+    vals = vals.reshape(npts, nst)
+    ok = np.all(np.isfinite(vals), axis=1)
+    h2 = h * h
+    f0 = vals[:, 0]
+    H = np.zeros((npts, n, n), dtype=np.complex128)
+    with np.errstate(invalid="ignore"):
+        for j in range(n):
+            sxx = (vals[:, plus[2 * j]] + vals[:, minus[2 * j]] - 2.0 * f0) / h2
+            syy = (vals[:, plus[2 * j + 1]] + vals[:, minus[2 * j + 1]]
+                   - 2.0 * f0) / h2
+            H[:, j, j] = 0.25 * (sxx + syy)
+        mixed = {}
+        for (j, k, pj, pk), quad in zip(pair_axes, pair_idx):
+            m = (vals[:, quad[0]] - vals[:, quad[1]] - vals[:, quad[2]]
+                 + vals[:, quad[3]]) / (4.0 * h2)
+            mixed[(j, k, pj, pk)] = m
+    for j in range(n):
+        for k in range(j + 1, n):
+            re = mixed[(j, k, 0, 0)] + mixed[(j, k, 1, 1)]
+            im = mixed[(j, k, 0, 1)] - mixed[(j, k, 1, 0)]
+            H[:, j, k] = 0.25 * (re + 1j * im)
+            H[:, k, j] = np.conj(H[:, j, k])
+    H[~ok] = 0.0
+    return H, ok
+
+
+def _log_pole_target(Z):
+    # elementwise, with a log pole at w_1 = 0.3
+    with np.errstate(divide="ignore"):
+        return (np.log(np.abs(Z[:, 1] - 0.3)) + np.abs(Z[:, 0] * Z[:, -1]) ** 2
+                + (Z[:, 0] ** 3).real)
+
+
+STEP = kernels._BLOCK // 5  # points per stencil call
+
+
+@pytest.mark.parametrize("npts", [1, STEP - 1, STEP, STEP + 1, 3 * STEP + 7])
+@pytest.mark.parametrize("n", [2, 3])
+def test_blocked_hessian_equals_one_call(n, npts):
+    rng = np.random.default_rng(npts + n)
+    pts = rng.uniform(-1, 1, (npts, n)) + 1j * rng.uniform(-1, 1, (npts, n))
+    # pole hits (w_1 = 0.3) and NaN rows on both sides of the block edges
+    hits = [i for i in (0, STEP - 1, STEP, npts - 1) if i < npts]
+    nans = [i for i in (STEP + 1, 2 * STEP - 1, 2 * STEP) if i < npts]
+    pts[hits, 1] = 0.3
+    for i in nans:
+        pts[i, i % n] = np.nan
+    calls = []
+
+    def f(Z):
+        calls.append(Z.copy())
+        return _log_pole_target(Z)
+
+    with np.errstate(invalid="ignore"):
+        H, ok = wirtinger_hessian_batch(f, pts, H_STEP)
+        H_one, ok_one = _one_call_hessian(_log_pole_target, pts, H_STEP)
+    assert H.tobytes() == H_one.tobytes()
+    assert np.array_equal(ok, ok_one)
+    assert set(np.flatnonzero(~ok).tolist()) == set(hits + nans)
+    # every stencil point reaches f exactly once, in order, one block per call
+    offsets = _stencil_offsets(n, H_STEP)[0]
+    nst = offsets.shape[0]
+    grid = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, n)
+    assert [len(c) for c in calls] == [min(STEP, npts - lo) * nst
+                                       for lo in range(0, npts, STEP)]
+    assert np.concatenate(calls).tobytes() == grid.tobytes()
+
+
+def test_hessian_working_set_is_block_sized():
+    # 10^4 points at n = 3: f sees STEP points' stencils per call. Live at the
+    # peak: vals (N*S float64), H (N*n*n complex), and per block the stencil
+    # grid (STEP*S*n complex) plus f's temporaries, which for this f (three
+    # (STEP*S,) float64 arrays) are less than one more grid. One call on every
+    # stencil would hold the whole grid, N*S*n*16 bytes = 29.3 MB, alone
+    npts, n = 10_000, 3
+    nst = _stencil_offsets(n, H_STEP)[0].shape[0]
+    bound = npts * nst * 8 + npts * n * n * 16 + 2 * (STEP * nst * n * 16)
+    assert bound < npts * nst * n * 16
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1, 1, (npts, n)) + 1j * rng.uniform(-1, 1, (npts, n))
+
+    def f(Z):
+        return np.abs(Z[:, 0]) ** 2 + np.abs(Z[:, 1]) ** 2
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        H, ok = wirtinger_hessian_batch(f, pts, H_STEP)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ok.all()
+    assert peak < bound, (peak, bound)
 
 
 # --- minimal eigenvalues ----------------------------------------------------

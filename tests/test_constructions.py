@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pshcert.constructions import (
     _fd_laplacian,
     _frobenius,
     _perturbation_values,
+    _pole_rows,
     build_plateau,
     build_tapered_form,
     build_thm1,
@@ -100,6 +102,35 @@ def test_plateau_submean_at_pole_center(plateau):
 def test_plateau_eps_deterministic(plateau):
     again = plateau_eps(plateau.a[3], plateau.r[3], stream=4)
     assert again == plateau.eps[3]
+
+
+def test_plateau_runs_match_per_point_evaluation(plateau, monkeypatch):
+    # runs of one z (grouped FD stencils) reach u_many once; the values are
+    # those of evaluating every point on its own, bit for bit
+    a = plateau.a
+    z = np.array(
+        [0.3 + 0.2j] * 4 + [a[0]] * 3 + [a[0] + 1e-3] * 2 + [a[1], a[0]]
+        + [complex(0.0, 0.0), complex(-0.0, 0.0), complex(-0.0, 0.0)]
+        + [complex(np.nan, 0.0)] * 2 + [complex(np.inf, 1.0)] * 2
+        + [a[5] + 0.25 * plateau.r[5]] * 5, dtype=np.complex128)
+    kernel_points = []
+    real_u = kernels.u_many
+
+    def counted(zr, *args):
+        kernel_points.append(zr.size)
+        return real_u(zr, *args)
+
+    monkeypatch.setattr(kernels, "u_many", counted)
+    with np.errstate(invalid="ignore"):
+        for arr in (z, np.stack([z, z], axis=1)[:, 0], z[:0], z[:1]):
+            kernel_points.clear()
+            vals = plateau.values(arr)
+            bits = [np.asarray([c]).tobytes() for c in arr]
+            assert kernel_points == [sum(1 for i, b in enumerate(bits)
+                                         if i == 0 or b != bits[i - 1])]
+            want = np.concatenate([plateau.values(arr[i:i + 1])
+                                   for i in range(arr.size)] + [np.empty(0)])
+            assert vals.tobytes() == want.tobytes()
 
 
 def test_plateau_bytes_pinned():
@@ -626,6 +657,54 @@ def test_rejection_sample_bytes_pinned(scenarios_by_n, n):
         assert pts.shape == (2000, n)
         digest = hashlib.sha256(np.ascontiguousarray(pts).tobytes()).hexdigest()
         assert digest == _REJECTION_PINS[n, region.label], region.label
+
+
+def test_pole_rows_match_whole_array_reductions(deep_scenarios_by_n):
+    # the row-blocked pole distances of thm1-series-submean,
+    # thm2-band-in-plateau-discs and thm2-global-psd-fd equal the (N, J)
+    # expressions they replace, bit for bit, at trunc = MAX_TRUNC
+    sch = deep_scenarios_by_n[2][1].schedule
+    a, log_rho = sch.a, sch.log_rho
+    assert a.size == MAX_TRUNC
+    rows = 16 * kernels._BLOCK // a.size
+    pts = sample(deep_scenarios_by_n[2][1].bulk_window(), Sampler(7, 3 * rows + 7))
+    # pole hits, NaN and inf on both sides of the block edges
+    for i, v in zip((0, rows - 1, rows, rows + 1, 2 * rows, 3 * rows + 6),
+                    (a[0], a[-1], np.nan, a[5], np.inf, a[99])):
+        pts[i, 0] = v
+    z = pts[:, 0]  # a strided column, as the certificates pass it
+    d = np.abs(z[:, None] - a[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.max(log_rho[None, :] - np.log(d), axis=1)
+        got = _pole_rows(z, a, lambda d: np.max(log_rho[None, :] - np.log(d), axis=1))
+    assert got.tobytes() == want.tobytes()
+    assert got[0] == got[rows - 1] == np.inf and np.isnan(got[rows])
+    want = np.min(d, axis=1)
+    got = _pole_rows(z, a, lambda d: np.min(d, axis=1))
+    assert got.tobytes() == want.tobytes()
+    assert got[0] == got[3 * rows + 6] == 0.0
+
+
+def test_rejection_sample_working_set(scenarios_by_n):
+    # one Omega1 sample at n = 3 draws P = 4 * want proposals per batch, about
+    # 13 batches. Live at the peak: the result (want * n complex), one batch of
+    # proposals (P * n complex), the draws of its w factor (P * (2k + 1)
+    # float64: normals and radii) and block-sized temporaries, at most 6
+    # complex columns of _BLOCK rows. A batch still alive while the next one
+    # is drawn adds P * n * 16 bytes
+    region = scenarios_by_n[3][0].domain_region()
+    want, n, k = 25_000, 3, 2
+    P = 4 * want
+    bound = want * n * 16 + P * n * 16 + P * (2 * k + 1) * 8 + 6 * kernels._BLOCK * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pts = sample(region, Sampler(42, want, stream=107))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert pts.shape == (want, n)
+    assert peak < bound, (peak, bound)
 
 
 # --- warm-up example --------------------------------------------------------

@@ -22,6 +22,7 @@ from pshcert.geometry import (
     path_connected_probe,
     sample,
 )
+from pshcert.kernels import _BLOCK
 
 
 # --- golden angle sequence --------------------------------------------------
@@ -149,39 +150,72 @@ def test_unit_draws_bytes_pinned(k):
 
 
 # the bulk window |z| < 3.2, |w| < 3 and the thm1 strictness window
-# 1/2 < |z| < 1, |w| < 1 (the annulus refill loop)
-@pytest.mark.parametrize("window, sha", [
+# 1/2 < |z| < 1, |w| < 1 (the annulus refill loop), 1000 points each; and the
+# bulk window at counts around the _BLOCK rows in which a disk window forms
+# its points
+_BLOCK_COUNTS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK - 7)
+_BLOCKED_WINDOW_SHA = {
+    2: (
+        "df685c1a27b83db0ee1aa0bfd8c038916af66c91592f656e5c6fa6c042c85df3",
+        "396d49bbaf65845250a4c8cbdf5401dd4918218900f329ff79951e3b38e7bd33",
+        "6a111ab34cf91f1bd2d367cf25f76d450a321eca89428ab397ab59194e239bab",
+        "2cb7d1e46f31f5fa2f612c9fd65bb0abea9dafb316e72eefd66972898a03b438",
+        "cb39cf8c1c6114a27b935ffcd5d024bdc14da1eb9402690f31a45f324a1f1cea",
+    ),
+    3: (
+        "c0f3a0b0d781c45e31a2d9cfc7f1b14988263f49b15fd5574e96130037422d31",
+        "58b5ce2b1144fd557361095c8e34f5689cd5727197c8b781ef93a50bd6050db9",
+        "9e1d6719a670158ec8c3e1beabe96690cd921d1fba7e631bfebe2946ccf4fc26",
+        "97ea721cbb22af57b3808d32e4323e68045f1a89786839bc8fdda4520e20d8f1",
+        "3f4039c2545467f3527d34a7a8442989ca98f645e96085b03b942ac13092782f",
+    ),
+    8: (
+        "1eb8f320cc3c627f740ea14d0acd536537cd1677b044d428c383d363cbf83a5f",
+        "2cb884990e75a83444b28a8ad92fa356e6dbf1a92dfa623808e3ab1c2137b95b",
+        "1213b7670dbdc293a2a4a71f7e9f14c7a68be0b35f2de3f36876618f96ec9a5e",
+        "2fe505a9a95f382056f7322edc661f4a1a4d065953de2792f795ca97b7a863b1",
+        "f24dfd76075de0f1295d9850fb1d7afa11dd79deac926a8075ef0095b352b2ee",
+    ),
+}
+
+
+@pytest.mark.parametrize("window, count, sha", [
     pytest.param(
-        Window(2, 3.2, 3.0),
+        Window(2, 3.2, 3.0), 1000,
         "8df406be859432c35d39666c8f3338346dafa9ec94f5b1aaae4e0806037b078d",
         id="2"),
     pytest.param(
-        Window(3, 3.2, 3.0),
+        Window(3, 3.2, 3.0), 1000,
         "c894b17fe746d7c9f09a0325ad53d3a492f61a4ba5c133df2913d664f9965473",
         id="3"),
     pytest.param(
-        Window(2, 1.0, 1.0, z_inner=0.5),
+        Window(2, 1.0, 1.0, z_inner=0.5), 1000,
         "739992b03042c05d7a37fe60c282d352acf2eedb414cf7b130e4de97fc55b084",
         id="annulus-2"),
     pytest.param(
-        Window(3, 1.0, 1.0, z_inner=0.5),
+        Window(3, 1.0, 1.0, z_inner=0.5), 1000,
         "1c0914ded786f89df2b5be8c6d4f4ea34d5cda4128b008448c31c5b4b1969b6e",
         id="annulus-3"),
     pytest.param(
-        Window(4, 3.2, 3.0),
+        Window(4, 3.2, 3.0), 1000,
         "3d02708be5d7b764f61c653f200646d44447b584fe63b239e07ce0abb9d35786",
         id="4"),
     pytest.param(
-        Window(8, 3.2, 3.0),
+        Window(8, 3.2, 3.0), 1000,
         "23a5c8c96d2fe2b91de56ca357bee4ef8e25185ae1e6a3af07f567918b997a87",
         id="8"),
     pytest.param(
-        Window(8, 1.0, 1.0, z_inner=0.5),
+        Window(8, 1.0, 1.0, z_inner=0.5), 1000,
         "081b0bbe4098a79071a816b3249829a1a38e3a426df6d7c2bc09314375e98a31",
         id="annulus-8"),
+] + [
+    pytest.param(Window(n, 3.2, 3.0), count, sha, id=f"{n}-{count}")
+    for n, shas in _BLOCKED_WINDOW_SHA.items()
+    for count, sha in zip(_BLOCK_COUNTS, shas)
 ])
-def test_product_window_bytes_pinned(window, sha):
-    pts = sample(window, Sampler(42, 1000, stream=5))
+def test_product_window_bytes_pinned(window, count, sha):
+    pts = sample(window, Sampler(42, count, stream=5))
+    assert pts.shape == (count, window.n)
     assert hashlib.sha256(pts.tobytes()).hexdigest() == sha
 
 
