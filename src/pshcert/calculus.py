@@ -24,6 +24,8 @@ from . import kernels
 from .geometry import EmptyRegionError, Sampler, SublevelRegion, Window, sample
 
 MAX_EIG_DIM = 8
+MAX_WITNESSES = 10  # witnesses a failing certificate records, worst first
+CIRCLE_NODES = 64  # nodes of every circle mean
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class Certificate:
         return self.status == "pass"
 
 
-def make_certificate(name, margins, tolerance, points=None, max_witnesses=10):
+def make_certificate(name, margins, tolerance, points=None):
     """Reduce per-sample margins into a Certificate with worst offenders."""
     margins = np.asarray(margins, dtype=np.float64)
     if margins.size == 0:
@@ -58,7 +60,7 @@ def make_certificate(name, margins, tolerance, points=None, max_witnesses=10):
     witnesses = []
     if status == "fail":
         order = np.argsort(np.where(bad, -np.inf, margins))
-        for idx in order[:max_witnesses]:
+        for idx in order[:MAX_WITNESSES]:
             m = float(margins[idx])
             if m >= -tolerance and not bad[idx]:
                 break
@@ -116,7 +118,7 @@ def _stencil_offsets(n: int, h: float):
 
 
 def wirtinger_hessian_batch(f, points, h: float):
-    """Wirtinger Hessians at many points from blocked stencil evaluations.
+    """Wirtinger Hessians at (N, n) points from blocked stencil evaluations.
 
     Returns ``(H, ok)`` where H is (N, n, n) complex128 Hermitian by
     construction and ok[i] is False when any stencil value at point i
@@ -129,8 +131,6 @@ def wirtinger_hessian_batch(f, points, h: float):
     hence H, are those of one call on every stencil, bit for bit.
     """
     points = np.asarray(points, dtype=np.complex128)
-    if points.ndim == 1:
-        points = points[:, None]
     npts, n = points.shape
     offsets, plus, minus, pair_axes, pair_idx = _stencil_offsets(n, h)
     nst = offsets.shape[0]
@@ -171,20 +171,16 @@ def wirtinger_hessian_batch(f, points, h: float):
 # ---------------------------------------------------------------------------
 
 def min_eigs_batch(H: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalues of a batch of Hermitian matrices (n <= 8).
+    """Smallest eigenvalues of an (N, n, n) batch of Hermitian matrices,
+    2 <= n <= 8.
 
     2x2 matrices use the closed form (det/lambda_max when positive,
     which stays accurate for tiny minimal eigenvalues); larger sizes use
     cyclic Jacobi.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    if H.ndim == 2:
-        H = H[None]
     n = H.shape[1]
     if n > MAX_EIG_DIM:
         raise ValueError(f"matrix dimension {n} exceeds {MAX_EIG_DIM}")
-    if n == 1:
-        return H[:, 0, 0].real.copy()
     if n == 2:
         return kernels.min_eig_2x2_many(
             np.ascontiguousarray(H[:, 0, 0].real),
@@ -197,30 +193,29 @@ def min_eigs_batch(H: np.ndarray) -> np.ndarray:
     )
 
 
+def levi_floors(f, points, h: float) -> np.ndarray:
+    """Smallest eigenvalue of the FD Levi form of f at each point, -inf where
+    a stencil value was nonfinite."""
+    H, ok = wirtinger_hessian_batch(f, points, h)
+    return np.where(ok, min_eigs_batch(H), -np.inf)
+
+
 # ---------------------------------------------------------------------------
 # circle means (sub-mean-value test)
 # ---------------------------------------------------------------------------
 
-def circle_mean_test(f, z0, radius, m: int = 64):
-    """Mean of f on the circle around z0 minus f(z0).
+def circle_mean_test(f, z0, radius):
+    """Mean of f on the circle around each center minus f there.
 
-    Subharmonic functions must give a nonnegative margin up to
-    quadrature error. A -inf center value passes vacuously (+inf).
-
-    ``z0`` and ``radius`` may be arrays of P probes (broadcast against
-    each other): f is then called once on the P centers and once on the
-    (P, m) ring, and an array of P margins is returned. Scalar inputs
-    return a float. Every value is elementwise or a row mean over m
-    contiguous ring values, so a probe's margin does not depend on the
-    batch it is evaluated in.
+    ``z0`` and ``radius`` are arrays of P probes: f is called once on the
+    P centers and once on the (P, ``CIRCLE_NODES``) ring, and an array of P
+    margins is returned. Subharmonic functions must give nonnegative
+    margins up to quadrature error; a -inf center value passes vacuously
+    (+inf). Every value is elementwise or a row mean over contiguous ring
+    values, so a probe's margin does not depend on the batch it is in.
     """
-    scalar = np.ndim(z0) == 0 and np.ndim(radius) == 0
-    z0, radius = np.broadcast_arrays(np.asarray(z0, dtype=np.complex128),
-                                     np.asarray(radius, dtype=np.float64))
-    z0 = z0.ravel()
-    radius = radius.ravel()
-    if m < 16:
-        raise ValueError("need at least 16 circle points")
+    z0 = np.asarray(z0, dtype=np.complex128)
+    radius = np.asarray(radius, dtype=np.float64)
     if np.any(radius <= 0):
         raise ValueError("radius must be positive")
     center = np.asarray(f(z0), dtype=np.float64)
@@ -228,16 +223,16 @@ def circle_mean_test(f, z0, radius, m: int = 64):
     bad = ~pole & ~np.isfinite(center)
     if np.any(bad):
         raise ValueError(f"function not finite at center {z0[np.argmax(bad)]}")
-    ring = np.exp(2j * np.pi * np.arange(m) / m)
+    ring = np.exp(2j * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES)
     pts = z0[:, None] + radius[:, None] * ring[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=np.float64).reshape(z0.size, m)
+    vals = np.asarray(f(pts.ravel()), dtype=np.float64).reshape(pts.shape)
     if not np.all(np.isfinite(vals[~pole])):
         raise ValueError("function must be finite on the circle")
     with np.errstate(invalid="ignore"):
         # rows centered on a pole are replaced by +inf below
         margins = np.mean(vals, axis=1) - center
     margins[pole] = np.inf
-    return float(margins[0]) if scalar else margins
+    return margins
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +272,4 @@ def certify_psh(
     else:
         raise EmptyRegionError(f"{name}: delivered {total}/{want} points")
     points = np.concatenate(chunks, axis=0)[:want]
-    H, ok = wirtinger_hessian_batch(f, points, h)
-    eigs = min_eigs_batch(H)
-    margins = np.where(ok, eigs, -np.inf)
-    return make_certificate(name, margins, tolerance, points)
+    return make_certificate(name, levi_floors(f, points, h), tolerance, points)

@@ -18,10 +18,10 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .calculus import Certificate, min_eigs_batch, wirtinger_hessian_batch
+from .calculus import Certificate, levi_floors
 from .geometry import EmptyRegionError
 from .kernels import BACKEND_NAME
-from .config import C_LEVEL, CertifyConfig, ConfigError
+from .config import CertifyConfig, ConfigError
 from .constructions import (
     build_plateau,
     build_tapered_form,
@@ -80,10 +80,6 @@ def canonical_json(obj) -> str:
         return _fmt_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, complex):
-        return canonical_json([obj.real, obj.imag])
-    if isinstance(obj, np.ndarray):
-        return canonical_json(obj.tolist())
     if isinstance(obj, dict):
         inner = ",".join(
             f"{json.dumps(str(k))}:{canonical_json(v)}" for k, v in sorted(obj.items())
@@ -222,11 +218,6 @@ def run_suite(name: str, cfg: CertifyConfig) -> Report:
 # grid exports
 # ---------------------------------------------------------------------------
 
-def _levi_floor(f, pts, h: float) -> np.ndarray:
-    H, ok = wirtinger_hessian_batch(f, pts, h)
-    return np.where(ok, min_eigs_batch(H), -np.inf)
-
-
 #: grid id -> (kind, evaluator of a builder and a batch): "z-plane" ids
 #: take the complex z plane, "point" ids full C^n points from the slice
 GRID_FUNCTIONS = {
@@ -239,10 +230,10 @@ GRID_FUNCTIONS = {
     "d2": ("point", lambda b, pts: b.thm2.defining_values(pts)),
     "phi_thm1": ("point", lambda b, pts: b.thm1.witness_values(pts)),
     "phi_thm2": ("point", lambda b, pts: b.thm2.witness_values(pts)),
-    "example1": ("point", lambda b, pts: example_defining(C_LEVEL)(pts)),
-    "levi_thm1": ("point", lambda b, pts: _levi_floor(
+    "example1": ("point", lambda b, pts: example_defining(pts)),
+    "levi_thm1": ("point", lambda b, pts: levi_floors(
         b.thm1.witness_smooth_values, pts, b.cfg.fd_step)),
-    "levi_thm2": ("point", lambda b, pts: _levi_floor(
+    "levi_thm2": ("point", lambda b, pts: levi_floors(
         b.thm2.witness_values, pts, b.cfg.fd_step)),
 }
 

@@ -21,8 +21,8 @@ from .calculus import (
     Certificate,
     certify_psh,
     circle_mean_test,
+    levi_floors,
     make_certificate,
-    min_eigs_batch,
     wirtinger_hessian_batch,
 )
 from .config import (
@@ -51,6 +51,7 @@ from .logpoles import (
     disc_separation_margins,
     make_schedule,
     pole_discs,
+    pole_rows,
     ring_bound_table,
     ring_cells,
     schedule_condition_margin,
@@ -453,18 +454,18 @@ class Thm2Scenario(_Scenario):
         return np.where(_norm2(w) < _THETA_CUT**2, self.plateau.values(z), 1.0)
 
     def bump_values(self, pts):
-        _, w, nz2 = _split(pts)
-        lam = kernels.taper_many(nz2)[0]
+        # one taper value per run of equal z (grouped FD stencils), same bits
+        z, w, _ = _split(pts)
+        zs, runs = kernels.distinct_runs(np.ascontiguousarray(z))
+        lam = kernels.taper_many(zs.real**2 + zs.imag**2)[0]
+        if runs is not None:
+            lam = np.repeat(lam, runs)
         nw2 = _norm2(w)
         return np.where(nw2 < _THETA_CUT**2, lam * nw2, 0.0)
 
     def witness_values(self, pts):
-        return self.witness_smooth_values(pts) + self.form.small_c * self.bump_values(
-            pts
-        )
-
-    def strict_window(self) -> Window:
-        return Window(self.n, 1.0, 1.0)
+        return (self.witness_smooth_values(pts)
+                + self.form.small_c * self.bump_values(pts))
 
     def strict_window_resolvable(self) -> Window:
         """Strictness window minus the collar where the taper underflows.
@@ -518,18 +519,15 @@ def build_thm2(cfg: CertifyConfig, plateau: PlateauFunction,
 
 
 # ---------------------------------------------------------------------------
-# warm-up example: log|w| + |z|^2 + |w|^2 < level
+# warm-up example: log|w| + |z|^2 + |w|^2 < C_LEVEL
 # ---------------------------------------------------------------------------
 
-def example_defining(level: float):
-    def psi(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.complex128))
-        nw2 = _norm2(pts[:, 1:])
-        nz2 = pts[:, 0].real ** 2 + pts[:, 0].imag ** 2
-        with np.errstate(divide="ignore"):
-            return 0.5 * np.log(nw2) + nz2 + nw2 - level
-
-    return psi
+def example_defining(pts):
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.complex128))
+    nw2 = _norm2(pts[:, 1:])
+    nz2 = pts[:, 0].real ** 2 + pts[:, 0].imag ** 2
+    with np.errstate(divide="ignore"):
+        return 0.5 * np.log(nw2) + nz2 + nw2 - C_LEVEL
 
 
 def example1_check(cfg: CertifyConfig) -> list[Certificate]:
@@ -541,16 +539,14 @@ def example1_check(cfg: CertifyConfig) -> list[Certificate]:
     Samples keep |w| >= EXAMPLE1_EXCLUSION: closer to the pole the
     h^2-error of the stencil on the log term exceeds the floor tolerance.
     """
-    psi = example_defining(C_LEVEL)
     window = Window(cfg.n, 2.2, 1.3)
-    excl = EXAMPLE1_EXCLUSION
-    region = SublevelRegion(psi, window, label="example1-domain")
+    region = SublevelRegion(example_defining, window, label="example1-domain")
 
     def too_close(pts):
-        return _norm2(np.atleast_2d(pts)[:, 1:]) < excl * excl
+        return _norm2(np.atleast_2d(pts)[:, 1:]) < EXAMPLE1_EXCLUSION * EXAMPLE1_EXCLUSION
 
     cert_floor = certify_psh(
-        psi,
+        example_defining,
         region,
         Sampler(cfg.seed, cfg.samples, stream=900),
         cfg.fd_step,
@@ -658,18 +654,6 @@ def closed_disk_samples(count: int, seed: int, stream: int) -> np.ndarray:
 # property certificate bundles
 # ---------------------------------------------------------------------------
 
-def _pole_rows(z, a, reduce):
-    """``reduce(|z[:, None] - a[None, :]|)`` for z (N,) and poles a (J,), over
-    row blocks of about ``16 * _BLOCK`` distances (4 MiB of complex
-    differences) whatever J is. ``reduce`` must map each row on its own (a row
-    min or max), so the result is that of the whole (N, J) array, bit for bit."""
-    out = np.empty(z.shape[0])
-    rows = max(1, 16 * kernels._BLOCK // a.size)
-    for lo in range(0, z.shape[0], rows):
-        out[lo : lo + rows] = reduce(np.abs(z[lo : lo + rows, None] - a[None, :]))
-    return out
-
-
 def _submean_pairs(schedule: PoleSchedule, count: int, seed: int, stream: int):
     """(z, radius) probes avoiding every constructed pole by 2 * radius."""
     rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
@@ -678,7 +662,7 @@ def _submean_pairs(schedule: PoleSchedule, count: int, seed: int, stream: int):
     while zs.size < count:
         z = _sample_disk(rng, 4 * count) * 2.5
         r = rng.uniform(1e-3, 0.1, 4 * count)
-        dmin = _pole_rows(z, schedule.a, lambda d: np.min(d, axis=1))
+        dmin = pole_rows(z, schedule.a, lambda d: np.min(d, axis=1))
         keep = dmin >= 2.0 * r
         zs = np.concatenate([zs, z[keep]])
         rs = np.concatenate([rs, r[keep]])
@@ -689,8 +673,7 @@ def _connectivity(name: str, sc: _Scenario, paths) -> Certificate:
     """Margin +1 per (start, end, waypoints) polyline whose 512 samples all
     lie in the domain, -1 per other path."""
     margins = [
-        1.0 if path_connected_probe(sc.defining_values, p, q, steps=512,
-                                    waypoints=wp)[0] else -1.0
+        1.0 if path_connected_probe(sc.defining_values, p, q, waypoints=wp) else -1.0
         for p, q, wp in paths
     ]
     return make_certificate(name, np.asarray(margins), 0.0)
@@ -710,7 +693,7 @@ def thm1_properties(sc: Thm1Scenario, cfg: CertifyConfig) -> list[Certificate]:
 
     # sub-mean-value margins of the truncated series
     zs, rs = _submean_pairs(sc.schedule, cfg.submean_probes, seed, 101)
-    margins = circle_mean_test(lambda z: sc.sigma(z)[0], zs, rs, 64)
+    margins = circle_mean_test(lambda z: sc.sigma(z)[0], zs, rs)
     certs.append(make_certificate("thm1-series-submean", margins, 1e-9, zs))
 
     # pole lines and the origin line stay inside the domain
@@ -874,7 +857,7 @@ def plateau_properties(plateau: PlateauFunction,
     rng = np.random.Generator(np.random.Philox(key=[seed, 303]))
     z0 = _sample_disk(rng, cfg.submean_probes) * 3.0
     rad = rng.uniform(1e-4, 0.05, cfg.submean_probes)
-    margins = circle_mean_test(plateau.values, z0, rad, 64)
+    margins = circle_mean_test(plateau.values, z0, rad)
     certs.append(make_certificate("plateau-submean", margins, 1e-6, z0))
 
     # disjointness of the glue discs, pairwise and from the unit disk
@@ -1033,10 +1016,7 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
     band_rand = np.concatenate([z_rand[:, None], w], axis=1)
     pts = np.concatenate([band_line, band_rand])
     member = sc.defining_values(pts) < 0.0
-    with np.errstate(divide="ignore"):
-        disc_margin = _pole_rows(pts[:, 0], sc.schedule.a, lambda d: np.max(
-            sc.schedule.log_rho[None, :] - np.log(d), axis=1))
-    margins = np.where(member, disc_margin, np.inf)
+    margins = np.where(member, sc.schedule.disc_margins(pts[:, 0]), np.inf)
     certs.append(make_certificate("thm2-band-in-plateau-discs", margins, 0.0, pts))
 
     # the union of lines E lies inside the domain; the truncated series
@@ -1101,13 +1081,11 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
     # global plausibility: FD Levi form psd over the domain, away from
     # poles and the switching sphere
     pts = thm2_member_mixture(sc, cfg.samples, seed, 211)
-    dmin = _pole_rows(pts[:, 0], sc.schedule.a, lambda d: np.min(d, axis=1))
+    dmin = pole_rows(pts[:, 0], sc.schedule.a, lambda d: np.min(d, axis=1))
     wmod = np.sqrt(_norm2(pts[:, 1:]))
     keep = (dmin >= POLE_MARGIN) & (np.abs(wmod - _THETA_CUT) >= BAND_MARGIN)
     pts = pts[keep]
-    H, ok = wirtinger_hessian_batch(sc.witness_values, pts, cfg.fd_step)
-    eigs = min_eigs_batch(H)
-    margins = np.where(ok, eigs, -np.inf)
+    margins = levi_floors(sc.witness_values, pts, cfg.fd_step)
     certs.append(make_certificate("thm2-global-psd-fd", margins, PSD_TOL, pts))
 
     # schedule inequality

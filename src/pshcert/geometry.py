@@ -128,17 +128,12 @@ def _sample_disk(rng, count):
 
 def _row_sum(term, width):
     """``np.sum(a, axis=1)`` bit for bit, where column j of ``a`` is ``term(j)`` (a
-    fresh array): left to right below 8 terms, else numpy's 8 running sums
-    (term j into sum j % 8), combined pairwise, then the tail in order."""
-    if width < 8:
-        acc, stop = term(0), 1
-    else:
-        r = [term(j) for j in range(8)]
-        stop = width - width % 8
-        for j in range(8, stop):
-            r[j % 8] += term(j)
-        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for j in range(stop, width):
+    fresh array): below 8 terms numpy adds them left to right, and so does this,
+    column by column with no (N, width) array; from 8 terms on it is np.sum."""
+    if width >= 8:
+        return np.sum(np.stack([term(j) for j in range(width)], axis=1), axis=1)
+    acc = term(0)
+    for j in range(1, width):
         acc += term(j)
     return acc
 
@@ -222,12 +217,15 @@ class EmptyRegionError(RuntimeError):
     """Rejection sampling found (almost) no members in the proposal window."""
 
 
-def _rejection_sample(region: SublevelRegion, sampler: Sampler,
-                      max_batches: int = 200) -> np.ndarray:
+_MAX_BATCHES = 200  # proposal batches of one rejection sample before it gives up
+_PATH_STEPS = 512  # sampled points per segment of a connectivity polyline
+
+
+def _rejection_sample(region: SublevelRegion, sampler: Sampler) -> np.ndarray:
     want = sampler.count
     out = np.empty((want, region.window.n), dtype=np.complex128)
     got = 0
-    for batch in range(max_batches):
+    for batch in range(_MAX_BATCHES):
         proposal = Sampler(
             seed=sampler.seed,
             count=max(4 * want, 4096),
@@ -255,17 +253,12 @@ def path_connected_probe(
     defining: Callable[[np.ndarray], np.ndarray],
     p,
     q,
-    steps: int = 512,
     waypoints: Optional[Sequence] = None,
-):
-    """Check a sampled polyline from p to q stays in ``{defining < 0}``.
-
-    Returns ``(True, None)`` when every sampled point is a member, else
-    ``(False, t)`` with t in [0, 1] the first violating parameter along
-    the polyline. Both endpoints must be members.
+) -> bool:
+    """Whether a sampled polyline from p through ``waypoints`` to q stays in
+    ``{defining < 0}``: True when all ``_PATH_STEPS`` samples of every
+    segment are members. Both endpoints must be members.
     """
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
 
     def to_arr(pt):
         return np.asarray(pt, dtype=np.complex128).ravel()
@@ -279,13 +272,8 @@ def path_connected_probe(
     if not np.all(ends < 0.0):
         raise ValueError("path endpoints must lie in the sublevel set")
 
-    nseg = len(nodes) - 1
-    t_local = np.linspace(0.0, 1.0, steps)
-    for i in range(nseg):
-        seg = nodes[i][None, :] + t_local[:, None] * (nodes[i + 1] - nodes[i])[None, :]
-        vals = defining(seg)
-        bad = np.flatnonzero(~(vals < 0.0))
-        if bad.size:
-            t_global = (i + t_local[bad[0]]) / nseg
-            return False, float(t_global)
-    return True, None
+    t = np.linspace(0.0, 1.0, _PATH_STEPS)
+    return all(
+        np.all(defining(a[None, :] + t[:, None] * (b - a)[None, :]) < 0.0)
+        for a, b in zip(nodes[:-1], nodes[1:])
+    )

@@ -77,21 +77,32 @@ class PoleSchedule:
         """Geometric bound on ``sum_{j > trunc} 2^(-j-tail_exp)``."""
         return 2.0 ** (-(trunc + self.tail_exp))
 
-    def disc_log_memberships(self, z: np.ndarray) -> np.ndarray:
-        """(N, J) boolean: is z inside the plateau disc D(a_j, rho_j)?
-
-        Compared in log space: ``log|z - a_j| < log_rho_j``. At double
-        precision only pole hits themselves can be members.
+    def disc_margins(self, z: np.ndarray) -> np.ndarray:
+        """``max_j (log rho_j - log|z - a_j|)`` at each z: positive exactly when
+        z lies inside a plateau disc D(a_j, rho_j), +inf on a pole hit, NaN at
+        a NaN z. At double precision only pole hits themselves are inside.
         """
         if self.log_rho is None:
             raise ValueError("plateau discs exist only for the thm2 variant")
         z = np.asarray(z, dtype=np.complex128).ravel()
         with np.errstate(divide="ignore"):
-            logd = np.log(np.abs(z[:, None] - self.a[None, :]))
-        return logd < self.log_rho[None, :]
+            return pole_rows(z, self.a, lambda d: np.max(self.log_rho - np.log(d), axis=1))
 
     def outside_all_discs(self, z: np.ndarray) -> np.ndarray:
-        return ~np.any(self.disc_log_memberships(z), axis=1)
+        return ~(self.disc_margins(z) > 0.0)
+
+
+def pole_rows(z, a, reduce):
+    """``reduce(|z[:, None] - a[None, :]|)`` for z (N,) and poles a (J,), over
+    row blocks of about ``16 * _BLOCK`` distances (4 MiB of complex
+    differences) whatever J is. ``reduce`` must map each row on its own (a row
+    min, max or sum), so the result is that of the whole (N, J) array, bit for
+    bit."""
+    out = np.empty(z.shape[0])
+    rows = max(1, 16 * kernels._BLOCK // a.size)
+    for lo in range(0, z.shape[0], rows):
+        out[lo : lo + rows] = reduce(np.abs(z[lo : lo + rows, None] - a[None, :]))
+    return out
 
 
 def pole_discs(j_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,14 +263,12 @@ def series_lower_bounds_off_discs(schedule: PoleSchedule, z) -> np.ndarray:
     if schedule.variant != "thm2":
         raise ValueError("lower bound is defined for the thm2 variant")
     z = np.asarray(z, dtype=np.complex128).ravel()
-    inside = schedule.disc_log_memberships(z)
-    if np.any(inside):
-        bad = int(np.flatnonzero(np.any(inside, axis=1))[0])
-        raise ValueError(f"point {z[bad]} lies inside a plateau disc")
+    inside = np.flatnonzero(schedule.disc_margins(z) > 0.0)
+    if inside.size:
+        raise ValueError(f"point {z[inside[0]]} lies inside a plateau disc")
     with np.errstate(divide="ignore"):
-        logd = np.log(np.abs(z[:, None] - schedule.a[None, :]))
-    logd = np.maximum(logd, schedule.log_rho[None, :])
-    bound = np.sum(schedule.delta[None, :] * logd, axis=1)
+        bound = pole_rows(z, schedule.a, lambda d: np.sum(
+            schedule.delta * np.maximum(np.log(d), schedule.log_rho), axis=1))
     return bound - schedule.tail_bound(schedule.j_max)
 
 
@@ -271,13 +280,12 @@ def disc_separation_margins(a: np.ndarray, r: np.ndarray):
     """Margins of pairwise disc disjointness and disjointness from D-bar.
 
     For the discs D(a_j, r_j) returns ``(pairwise, unit)``:
-    pairwise[i] = |a_j - a_k| - (r_j + r_k) over all j < k,
+    pairwise[i] = |a_j - a_k| - (r_j + r_k) over all j < k, in
+    ``np.triu_indices`` order, formed row by row with no J x J temporary;
     unit[j] = (|a_j| - r_j) - 1. All must be positive.
     """
-    diff = np.abs(a[:, None] - a[None, :])
-    rsum = r[:, None] + r[None, :]
-    iu = np.triu_indices(a.size, k=1)
-    pairwise = (diff - rsum)[iu]
+    pairwise = np.concatenate([np.abs(a[j] - a[j + 1 :]) - (r[j] + r[j + 1 :])
+                               for j in range(a.size - 1)] + [np.empty(0)])
     unit = (np.abs(a) - r) - 1.0
     return pairwise, unit
 

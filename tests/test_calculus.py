@@ -12,6 +12,7 @@ from pshcert.calculus import (
     _stencil_offsets,
     certify_psh,
     circle_mean_test,
+    levi_floors,
     make_certificate,
     min_eigs_batch,
     wirtinger_hessian_batch,
@@ -173,6 +174,10 @@ def test_stencil_error_at_log_pole():
     np.testing.assert_array_equal(H[0], np.zeros((2, 2)))
     assert np.all(np.isfinite(H[1]))
     assert np.all(np.isfinite(min_eigs_batch(H)))
+    # levi_floors: the smallest eigenvalue, -inf where the stencil failed
+    floors = levi_floors(f, np.array([[0.5, 0j], [0.5, 1.0]]), H_STEP)
+    assert floors[0] == -np.inf and floors[1] == min_eigs_batch(H)[1]
+    assert floors[1] == pytest.approx(1.0, abs=1e-6)
 
 
 def _one_call_hessian(f, points, h):
@@ -289,7 +294,7 @@ def test_hermitian_min_eig_examples():
 
 def test_hermitian_min_eig_rejects_bad_input():
     with pytest.raises(ValueError):
-        min_eigs_batch(np.eye(9))
+        min_eigs_batch(np.eye(9)[None])
 
 
 @settings(max_examples=100, deadline=None)
@@ -318,31 +323,33 @@ def _f_log(z):
         return np.log(np.abs(np.asarray(z)))
 
 
+def _one_circle_mean(f, z0, radius):
+    return circle_mean_test(f, np.array([z0]), np.array([radius]))[0]
+
+
 def test_circle_mean_harmonic_is_exact():
-    assert abs(circle_mean_test(_f_re, 0.3 + 0.4j, 0.5, 64)) < 1e-10
-    assert abs(circle_mean_test(_f_log, 2.0 + 0j, 1.0, 64)) < 1e-12
+    assert abs(_one_circle_mean(_f_re, 0.3 + 0.4j, 0.5)) < 1e-10
+    assert abs(_one_circle_mean(_f_log, 2.0 + 0j, 1.0)) < 1e-12
 
 
 def test_circle_mean_subharmonic_margin():
-    assert circle_mean_test(_f_sq, 0j, 1.0, 64) == pytest.approx(1.0, abs=1e-12)
+    assert _one_circle_mean(_f_sq, 0j, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_circle_mean_neg_inf_center_passes_vacuously():
-    assert circle_mean_test(_f_log, 0j, 0.5, 64) == np.inf
+    assert _one_circle_mean(_f_log, 0j, 0.5) == np.inf
 
 
 def test_circle_mean_validation():
     with pytest.raises(ValueError):
-        circle_mean_test(_f_re, 0j, 1.0, 8)
-    with pytest.raises(ValueError):
-        circle_mean_test(_f_re, 0j, -1.0, 64)
+        _one_circle_mean(_f_re, 0j, -1.0)
 
     def f_shifted(z):  # pole exactly on the first circle node
         with np.errstate(divide="ignore"):
             return np.log(np.abs(np.asarray(z) - 1.0))
 
     with pytest.raises(ValueError):
-        circle_mean_test(f_shifted, 0j, 1.0, 64)
+        _one_circle_mean(f_shifted, 0j, 1.0)
 
 
 def _probes(pole, count=200, seed=11):
@@ -369,12 +376,11 @@ def test_circle_mean_batch_equals_scalar_loop(target, thm1, plateau):
     else:
         f, pole = plateau.values, plateau.a[0]
     z0, rad = _probes(pole)
-    batch = circle_mean_test(f, z0, rad, 64)
+    batch = circle_mean_test(f, z0, rad)
     loop = np.array([_circle_mean_one_probe(f, z, r, 64) for z, r in zip(z0, rad)])
-    scalar = [circle_mean_test(f, z, r, 64) for z, r in zip(z0[:20], rad[:20])]
-    assert all(isinstance(v, float) for v in scalar)
+    single = [_one_circle_mean(f, z, r) for z, r in zip(z0[:20], rad[:20])]
     assert np.array_equal(batch, loop)
-    assert np.array_equal(batch[:20], scalar)
+    assert np.array_equal(batch[:20], single)
     if target == "thm1-series":
         assert batch[z0.size // 2] == np.inf
 
@@ -387,13 +393,13 @@ def test_circle_mean_batch_rejects_any_nonfinite_value():
     z0, rad = _probes(5.0 + 5.0j)
     z0[150], rad[150] = 0j, 1.0
     with pytest.raises(ValueError, match="circle"):
-        circle_mean_test(f_shifted, z0, rad, 64)
+        circle_mean_test(f_shifted, z0, rad)
     z0[150] = np.nan
     with pytest.raises(ValueError, match="center"):
-        circle_mean_test(f_shifted, z0, rad, 64)
+        circle_mean_test(f_shifted, z0, rad)
     rad[150] = 0.0
     with pytest.raises(ValueError, match="radius"):
-        circle_mean_test(f_shifted, z0, rad, 64)
+        circle_mean_test(f_shifted, z0, rad)
 
 
 # --- certificates -----------------------------------------------------------

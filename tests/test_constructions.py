@@ -10,13 +10,12 @@ import pytest
 
 from pshcert import constructions, kernels
 from pshcert.calculus import circle_mean_test, wirtinger_hessian_batch
-from pshcert.config import C_LEVEL, MAX_TRUNC, PSD_TOL, CertifyConfig
+from pshcert.config import MAX_TRUNC, PSD_TOL, CertifyConfig
 from pshcert.constructions import (
     _SCREEN_SLACK,
     _fd_laplacian,
     _frobenius,
     _perturbation_values,
-    _pole_rows,
     build_plateau,
     build_tapered_form,
     build_thm1,
@@ -31,7 +30,7 @@ from pshcert.constructions import (
     thm2_properties,
 )
 from pshcert.geometry import Sampler, _sample_ball, _sample_disk, sample
-from pshcert.logpoles import ring_bound_table, ring_cells
+from pshcert.logpoles import pole_rows, ring_bound_table, ring_cells
 
 
 # --- plateau function -------------------------------------------------------
@@ -95,8 +94,8 @@ def test_plateau_saturation_arithmetic(plateau):
 
 
 def test_plateau_submean_at_pole_center(plateau):
-    margin = circle_mean_test(plateau.values, complex(plateau.a[0]), 0.01, 64)
-    assert margin > 0.0
+    margin = circle_mean_test(plateau.values, plateau.a[:1], np.array([0.01]))
+    assert margin[0] > 0.0
 
 
 def test_plateau_eps_deterministic(plateau):
@@ -104,9 +103,10 @@ def test_plateau_eps_deterministic(plateau):
     assert again == plateau.eps[3]
 
 
-def test_plateau_runs_match_per_point_evaluation(plateau, monkeypatch):
-    # runs of one z (grouped FD stencils) reach u_many once; the values are
-    # those of evaluating every point on its own, bit for bit
+def test_plateau_runs_match_per_point_evaluation(plateau, thm2, monkeypatch):
+    # runs of one z (grouped FD stencils) reach u_many, and the taper of the
+    # thm2 bump, once; the values are those of evaluating every point on its
+    # own, bit for bit
     a = plateau.a
     z = np.array(
         [0.3 + 0.2j] * 4 + [a[0]] * 3 + [a[0] + 1e-3] * 2 + [a[1], a[0]]
@@ -131,6 +131,25 @@ def test_plateau_runs_match_per_point_evaluation(plateau, monkeypatch):
             want = np.concatenate([plateau.values(arr[i:i + 1])
                                    for i in range(arr.size)] + [np.empty(0)])
             assert vals.tobytes() == want.tobytes()
+
+    taper_points = []
+    real_taper = kernels.taper_many
+
+    def counted_taper(t):
+        taper_points.append(t.size)
+        return real_taper(t)
+
+    monkeypatch.setattr(kernels, "taper_many", counted_taper)
+    zt = np.concatenate([z, [0.8 + 0.1j] * 3 + [0.9j, 0.75 + 0j]])
+    w = 0.5 * np.cos(np.arange(zt.size)) * (1 + np.arange(zt.size) % 7)
+    pts = np.stack([zt, w], axis=1)  # a strided z column, as in the stencils
+    with np.errstate(invalid="ignore"):
+        bump = thm2.bump_values(pts)
+        assert taper_points == [kernels.distinct_runs(zt)[0].size]
+        assert taper_points[0] < zt.size
+        want = np.concatenate([thm2.bump_values(pts[i:i + 1]) for i in range(zt.size)])
+    assert bump.tobytes() == want.tobytes()
+    assert np.any(bump[-5:] > 0.0) and np.any(w**2 >= 2.5**2)
 
 
 def test_plateau_bytes_pinned():
@@ -399,8 +418,7 @@ def test_thm2_line_slice_path(thm2):
 
     p = np.concatenate([[0.0], thm2.w0])
     q = np.concatenate([[thm2.schedule.a[0]], thm2.w0])
-    ok, t = path_connected_probe(thm2.defining_values, p, q, steps=256)
-    assert ok and t is None
+    assert path_connected_probe(thm2.defining_values, p, q)
 
 
 def test_dimension_three_smoke():
@@ -661,10 +679,11 @@ def test_rejection_sample_bytes_pinned(scenarios_by_n, n):
 
 def test_pole_rows_match_whole_array_reductions(deep_scenarios_by_n):
     # the row-blocked pole distances of thm1-series-submean,
-    # thm2-band-in-plateau-discs and thm2-global-psd-fd equal the (N, J)
-    # expressions they replace, bit for bit, at trunc = MAX_TRUNC
+    # thm2-band-in-plateau-discs, thm2-series-lower-bound and
+    # thm2-global-psd-fd equal the (N, J) expressions they replace, bit for
+    # bit, at trunc = MAX_TRUNC
     sch = deep_scenarios_by_n[2][1].schedule
-    a, log_rho = sch.a, sch.log_rho
+    a, log_rho, delta = sch.a, sch.log_rho, sch.delta
     assert a.size == MAX_TRUNC
     rows = 16 * kernels._BLOCK // a.size
     pts = sample(deep_scenarios_by_n[2][1].bulk_window(), Sampler(7, 3 * rows + 7))
@@ -676,11 +695,18 @@ def test_pole_rows_match_whole_array_reductions(deep_scenarios_by_n):
     d = np.abs(z[:, None] - a[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         want = np.max(log_rho[None, :] - np.log(d), axis=1)
-        got = _pole_rows(z, a, lambda d: np.max(log_rho[None, :] - np.log(d), axis=1))
+        got = pole_rows(z, a, lambda d: np.max(log_rho[None, :] - np.log(d), axis=1))
+        assert got.tobytes() == want.tobytes()
+        assert sch.disc_margins(z).tobytes() == want.tobytes()
+        assert got[0] == got[rows - 1] == np.inf and np.isnan(got[rows])
+        # the row-sum reduce of the thm2 lower bound, floored at log rho
+        want = np.sum(delta[None, :] * np.maximum(np.log(d), log_rho[None, :]), axis=1)
+        got = pole_rows(z, a, lambda d: np.sum(
+            delta * np.maximum(np.log(d), log_rho), axis=1))
     assert got.tobytes() == want.tobytes()
-    assert got[0] == got[rows - 1] == np.inf and np.isnan(got[rows])
+    assert np.isnan(got[rows]) and np.isfinite(got[rows + 1])
     want = np.min(d, axis=1)
-    got = _pole_rows(z, a, lambda d: np.min(d, axis=1))
+    got = pole_rows(z, a, lambda d: np.min(d, axis=1))
     assert got.tobytes() == want.tobytes()
     assert got[0] == got[3 * rows + 6] == 0.0
 
@@ -710,9 +736,8 @@ def test_rejection_sample_working_set(scenarios_by_n):
 # --- warm-up example --------------------------------------------------------
 
 def test_example_defining_levi_structure(small_cfg):
-    psi = example_defining(C_LEVEL)
     pts = np.array([[0.5 + 0.2j, 0.3 - 0.4j]])
-    H, ok = wirtinger_hessian_batch(psi, pts, small_cfg.fd_step)
+    H, ok = wirtinger_hessian_batch(example_defining, pts, small_cfg.fd_step)
     assert ok[0]
     np.testing.assert_allclose(H[0], np.eye(2), atol=1e-5)
 

@@ -91,6 +91,19 @@ def test_disc_separation_margins_positive(sch1):
     assert np.min(unit) > 0.0
 
 
+@pytest.mark.parametrize("j_max", [1, MAX_TRUNC])
+def test_disc_separation_margins_match_triu_oracle(j_max):
+    # filled row by row, the pairwise margins are the upper triangle of the
+    # whole J x J expression in triu_indices order, bit for bit
+    sch = make_schedule("thm1", j_max)
+    a, r = sch.a, sch.r
+    iu = np.triu_indices(a.size, k=1)
+    want = (np.abs(a[:, None] - a[None, :]) - (r[:, None] + r[None, :]))[iu]
+    pairwise, unit = disc_separation_margins(a, r)
+    assert pairwise.tobytes() == want.tobytes()
+    assert unit.tobytes() == ((np.abs(a) - r) - 1.0).tobytes()
+
+
 def test_series_at_pole_is_neg_inf(sch1):
     vals, errs = series_values(sch1, sch1.a[:1])
     assert vals[0] == -np.inf
@@ -262,11 +275,36 @@ def test_ring_table_below_pointwise_ring_bound(trunc):
 
 
 def test_plateau_disc_membership_log_space(sch2):
-    inside = sch2.disc_log_memberships(np.asarray([complex(sch2.a[2])]))
-    assert inside[0, 2]
-    assert not np.any(inside[0, :2])
-    off = sch2.disc_log_memberships(np.asarray([complex(sch2.a[2]) + 1e-14]))
-    assert not np.any(off)
+    # only a pole hit lies inside its plateau disc; 1e-14 off it is far outside
+    m = sch2.disc_margins(np.asarray([complex(sch2.a[2]), complex(sch2.a[2]) + 1e-14]))
+    assert m[0] == np.inf
+    assert m[1] < -1e3
+    assert sch2.outside_all_discs(sch2.a[2:3] + 1e-14)[0]
+    assert not sch2.outside_all_discs(sch2.a[2:3])[0]
+    with pytest.raises(ValueError):
+        make_schedule("thm1", 5).disc_margins(np.asarray([0j]))
+
+
+def test_disc_margins_match_log_membership_oracle(sch2):
+    # disc_margins > 0 exactly where some log|z - a_j| < log rho_j, over row
+    # blocks, with exact pole hits, NaN and inf at the block edges
+    rows = 16 * kernels._BLOCK // sch2.a.size
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-2.5, 2.5, 2 * rows + 9) + 1j * rng.uniform(-2.5, 2.5, 2 * rows + 9)
+    for i, v in zip((0, rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 8),
+                    (sch2.a[0], sch2.a[-1], np.nan, sch2.a[7] + 1e-15,
+                     complex(np.inf, 0.0), sch2.a[3])):
+        z[i] = v
+    with np.errstate(divide="ignore"):
+        logd = np.log(np.abs(z[:, None] - sch2.a[None, :]))
+    inside = np.any(logd < sch2.log_rho[None, :], axis=1)
+    m = sch2.disc_margins(z)
+    np.testing.assert_array_equal(m > 0.0, inside)
+    np.testing.assert_array_equal(sch2.outside_all_discs(z), ~inside)
+    assert np.flatnonzero(inside).tolist() == [0, rows - 1, 2 * rows + 8]
+    assert m[0] == m[rows - 1] == np.inf and np.isnan(m[rows])
+    assert m[2 * rows] == -np.inf
+    assert np.all(np.isfinite(np.delete(m, [0, rows - 1, rows, 2 * rows, 2 * rows + 8])))
 
 
 def test_render_schedule_roundtrip(sch2):
