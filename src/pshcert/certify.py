@@ -19,9 +19,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from .calculus import Certificate, levi_floors
-from .geometry import EmptyRegionError
+from .geometry import EmptyRegionError, product_points
 from .kernels import BACKEND_NAME
-from .config import CertifyConfig, ConfigError
+from .config import MAX_GRID_CELLS, CertifyConfig, ConfigError
 from .constructions import (
     build_plateau,
     build_tapered_form,
@@ -190,7 +190,7 @@ def run_suite(name: str, cfg: CertifyConfig) -> Report:
         certs = certificates(built)
         schedule_text = schedule(built)
     except (RuntimeError, EmptyRegionError) as exc:
-        # construction failures (no positive form floor after retries,
+        # construction failures (no positive sampled form floor,
         # starved rejection sampler) become a failing report, not a crash
         certs = [
             Certificate(
@@ -303,6 +303,8 @@ def emit_grid(
     nx, ny = resolution
     if nx < 2 or ny < 2:
         raise ConfigError("resolution must be at least 2x2")
+    if nx * ny > MAX_GRID_CELLS:
+        raise ConfigError(f"resolution {nx}x{ny} exceeds {MAX_GRID_CELLS} cells")
     x0, x1, y0, y1 = parse_region_spec(region_spec)
     built = SuiteBuilder(cfg)
     kind, fn = GRID_FUNCTIONS[function_id]
@@ -320,14 +322,10 @@ def emit_grid(
         if fixed is None:
             raise ConfigError(f"function {function_id!r} needs a w= or z= slice")
         if varying == "z":
-            pts = np.concatenate(
-                [plane[:, None], np.repeat(fixed[None, :], plane.size, axis=0)], axis=1
-            )
+            pts = product_points(plane, fixed)
             axes = "re(z),im(z)"
         else:
-            pts = np.concatenate(
-                [np.full((plane.size, 1), fixed[0]), plane[:, None]], axis=1
-            )
+            pts = product_points(np.full(plane.size, fixed[0]), plane[:, None])
             axes = "re(w),im(w)"
         vals = np.asarray(fn(built, pts), dtype=np.float64)
 

@@ -19,9 +19,14 @@ MAX_TRUNC = 1015
 FD_STEP_MIN = 1e-5
 FD_STEP_MAX = 1e-4
 
-#: largest seed: Philox keys are built with np.asarray([seed, stream]),
-#: which turns float64 from 2**63 on and merges neighbouring seeds
+#: largest seed: ``geometry.philox`` keys its generator with
+#: np.asarray([seed, stream]), which turns float64 from 2**63 on and merges
+#: neighbouring seeds
 MAX_SEED = 2**63 - 1
+
+#: most cells of one grid export (2048 x 2048): a larger ``--res`` exits 2
+#: before anything is allocated (30000 x 30000 would need a 6.71 GiB float64 mesh)
+MAX_GRID_CELLS = 2**22
 
 # Constants of the constructions. Every report echoes them in
 # ``config_echo`` next to the settable fields.

@@ -42,8 +42,11 @@ from .geometry import (
     _row_sum,
     _sample_ball,
     _sample_disk,
+    _sample_shell,
     _unit_directions,
     path_connected_probe,
+    philox,
+    product_points,
     sample,
 )
 from .logpoles import (
@@ -145,50 +148,52 @@ def _fd_laplacian(f, z: np.ndarray, h: float) -> np.ndarray:
     return (v[0] + v[1] + v[2] + v[3] - 4.0 * v[4]) / (h * h)
 
 
-def _annulus_sample(a, r, count: int, rngs) -> np.ndarray:
-    """``count`` uniform draws of r/4 < |z - a| < 3r/4 per disc (a, r), one
-    row each, drawn by that disc's generator in ``rngs``."""
-    s2, ang = np.array([(rng.uniform(0.25**2, 0.75**2, count),
-                         rng.uniform(0.0, 2.0 * np.pi, count))
-                        for rng in rngs]).swapaxes(0, 1)
-    a, r = np.reshape(a, (-1, 1)), np.reshape(r, (-1, 1))
-    return a + r * np.sqrt(s2) * np.exp(1j * ang)
+def _annulus_laplacians(f, a, r, seed: int, streams) -> np.ndarray:
+    """FD Laplacians (step r/1000) of ``f`` at 1000 uniform draws of
+    r/4 < |z - a| < 3r/4 per disc, one row each, for discs given as (B, 1)
+    columns a and r; disc i is drawn by ``philox(seed, streams[i])``."""
+    rngs = [philox(seed, s) for s in streams]
+    # each disc draws its squared radii, then its angles; neither outlives z
+    z = a + r * np.sqrt([rng.uniform(0.25**2, 0.75**2, 1000) for rng in rngs]) * np.exp(
+        1j * np.array([rng.uniform(0.0, 2.0 * np.pi, 1000) for rng in rngs]))
+    return _fd_laplacian(f, z, r * 1e-3)
 
 
-def plateau_eps(a_j: complex, r_j: float, stream: int = 0) -> float:
-    """Perturbation size for one disc: eps_j = 2 / K_j.
-
-    K_j doubles the sup of |Laplacian(chi(|.|/r_j) log|.|)| over 1000
-    samples of the transition annulus (floored at 1), so the finite-
-    difference Laplacian of |z|^2 + eps_j * perturbation stays >= 2 on
-    the disc.
-    """
-    rng = np.random.Generator(np.random.Philox(key=[_BUILD_SEED, 11_000 + stream]))
-    z = _annulus_sample(a_j, r_j, 1000, [rng])
-    lap = _fd_laplacian(lambda zz: _perturbation_values(a_j, r_j, zz), z, r_j * 1e-3)
-    if not np.all(np.isfinite(lap)):
-        raise RuntimeError("nonfinite Laplacian probe in plateau construction")
-    k = max(1.0, 2.0 * float(np.max(np.abs(lap))))
-    return 2.0 / k
+#: discs per block of ``build_plateau``: their five stacked 1000-point
+#: stencils fill at most one ``_BLOCK``. Larger blocks raised the peak RSS
+#: of the grid exports (glibc heap layout)
+_EPS_DISCS = kernels._BLOCK // 5000
 
 
-def plateau_log_rho(r_j: float, eps_j: float) -> float:
-    """Log of the saturated-plateau radius: min(log(r_j/4), -5/eps_j).
+def build_plateau(j_max: int) -> PlateauFunction:
+    """The plateau function on the first ``j_max`` pole discs.
 
-    Within that radius the cutoff equals 1 and
+    eps_j = 2 / K_j, where K_j doubles the sup of
+    |Laplacian(chi(|.|/r_j) log|.|)| over 1000 samples of the transition
+    annulus (floored at 1), so the finite-difference Laplacian of
+    |z|^2 + eps_j * perturbation stays >= 2 on the disc. Disc j draws its
+    annulus from stream 11_001 + j of ``_BUILD_SEED``; the discs are
+    evaluated ``_EPS_DISCS`` at a time by the ``_annulus_laplacians`` of the
+    ``plateau-laplacian-floor`` certificate.
+
+    log_rho_j = min(log(r_j/4), -5/eps_j) is the log of the saturated
+    plateau's radius: within it the cutoff equals 1 and
     ``|z|^2 + eps_j log|z-a_j| <= 2.25^2 - 5 < 1``, so the glued value
     saturates at 1. The radius always underflows float64; only its log
     is meaningful.
     """
-    if eps_j <= 0:
-        raise ValueError("eps must be positive")
-    return min(np.log(0.25 * r_j), -5.0 / eps_j)
-
-
-def build_plateau(j_max: int) -> PlateauFunction:
     _, a, r = pole_discs(j_max)
-    eps = np.array([plateau_eps(a[i], r[i], stream=i + 1) for i in range(j_max)])
-    log_rho = np.array([plateau_log_rho(r[i], eps[i]) for i in range(j_max)])
+    eps = np.empty(j_max)
+    streams = range(11_001, 11_001 + j_max)
+    for lo in range(0, j_max, _EPS_DISCS):
+        discs = slice(lo, lo + _EPS_DISCS)
+        aj, rj = a[discs, None], r[discs, None]
+        lap = _annulus_laplacians(lambda zz: _perturbation_values(aj, rj, zz), aj, rj,
+                                  _BUILD_SEED, streams[discs])
+        if not np.all(np.isfinite(lap)):
+            raise RuntimeError("nonfinite Laplacian probe in plateau construction")
+        eps[discs] = 2.0 / np.maximum(1.0, 2.0 * np.max(np.abs(lap), axis=1))
+    log_rho = np.minimum(np.log(0.25 * r), -5.0 / eps)
     return PlateauFunction(a, r, eps, log_rho)
 
 
@@ -254,10 +259,9 @@ class TaperedForm:
 
     def sampled_epsilon(self, n: int, count: int, seed: int) -> float:
         """Min of H_S(z, xi)/(|xi_1|^2 + taper |xi'|^2), z in D x B(0,R)."""
-        rng = np.random.Generator(np.random.Philox(key=[seed, 23]))
+        rng = philox(seed, 23)
         z1 = _sample_disk(rng, count)
-        zp = _sample_ball(rng, count, n - 1, self.radius)
-        z = np.concatenate([z1[:, None], zp], axis=1)
+        z = product_points(z1, _sample_ball(rng, count, n - 1, self.radius))
         xi = rng.standard_normal((count, 2 * n))
         xi = xi / np.linalg.norm(xi, axis=1)[:, None]
         xi = xi[:, :n] + 1j * xi[:, n:]
@@ -273,8 +277,9 @@ def build_tapered_form(n: int) -> TaperedForm:
     The growth constant comes from a finite-difference scan of the
     taper's square root on a uniform 10^4-point grid (5% safety), the
     mixed bound from the analytic derivatives, and the quadratic weight
-    from the explicit formula 2(B + R^2 L) + 1, doubled up to 6 times if
-    the floor sampled at 10^5 points fails to come out positive.
+    from the explicit formula 2(B + R^2 L) + 1. The floor sampled at 10^5
+    points must come out positive (for every accepted n it is near 1),
+    else the build raises ``RuntimeError``.
     """
     radius = TAPER_RADIUS
     t = (np.arange(10_000, dtype=np.float64) + 0.5) / 10_000
@@ -288,13 +293,11 @@ def build_tapered_form(n: int) -> TaperedForm:
     lam, lamp, lampp = kernels.taper_many(t)
     mix = float(np.max(np.abs(lampp * t + lamp)))
     quad = 2.0 * (mix + radius * radius * growth) + 1.0
-    for _ in range(7):  # the first try and up to 6 doublings
-        form = TaperedForm(radius, growth, mix, quad, 0.0)
-        eps_out = form.sampled_epsilon(n, 100_000, _BUILD_SEED)
-        if eps_out > 0.0:
-            return TaperedForm(radius, growth, mix, quad, eps_out)
-        quad *= 2.0
-    raise RuntimeError("tapered form: no positive floor after doubling retries")
+    form = TaperedForm(radius, growth, mix, quad, 0.0)
+    eps_out = form.sampled_epsilon(n, 100_000, _BUILD_SEED)
+    if not eps_out > 0.0:
+        raise RuntimeError(f"tapered form: sampled Levi floor {eps_out!r} is not positive")
+    return replace(form, epsilon_out=eps_out)
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +452,19 @@ class Thm2Scenario(_Scenario):
             log10_w = 0.5 * np.log10(_norm2(w, self.w0[0].real))
         return z, (log10_w, nz2, _norm2(w))
 
-    def witness_smooth_values(self, pts):
-        z, w, _ = _split(pts)
-        return np.where(_norm2(w) < _THETA_CUT**2, self.plateau.values(z), 1.0)
-
-    def bump_values(self, pts):
-        # one taper value per run of equal z (grouped FD stencils), same bits
-        z, w, _ = _split(pts)
+    def witness_values(self, pts):
+        """The plateau function (|w| < 5/2) or 1 (|w| >= 5/2), plus small_c
+        times the bump taper(|z|^2)|w|^2 (|w| < 5/2) or 0. The taper is
+        evaluated once per run of equal z (grouped FD stencils), same bits."""
+        z, w = _split(pts)[:2]
+        u = self.plateau.values(z)
         zs, runs = kernels.distinct_runs(np.ascontiguousarray(z))
         lam = kernels.taper_many(zs.real**2 + zs.imag**2)[0]
         if runs is not None:
             lam = np.repeat(lam, runs)
         nw2 = _norm2(w)
-        return np.where(nw2 < _THETA_CUT**2, lam * nw2, 0.0)
-
-    def witness_values(self, pts):
-        return (self.witness_smooth_values(pts)
-                + self.form.small_c * self.bump_values(pts))
+        inner = nw2 < _THETA_CUT**2
+        return np.where(inner, u, 1.0) + self.form.small_c * np.where(inner, lam * nw2, 0.0)
 
     def strict_window_resolvable(self) -> Window:
         """Strictness window minus the collar where the taper underflows.
@@ -569,27 +568,26 @@ def _member_filter(defining, pts):
     return pts[defining(pts) < 0.0]
 
 
+def _pole_line_z(rng, sc: Thm1Scenario, count: int) -> np.ndarray:
+    """z on the origin line or on one of the first ``sc.trunc`` pole lines,
+    uniform over the trunc + 1 lines."""
+    idx = rng.integers(0, sc.trunc + 1, count)
+    return np.where(idx == 0, 0j, sc.schedule.a[np.maximum(idx - 1, 0)])
+
+
 def thm1_decay_members(sc: Thm1Scenario, count: int, seed: int,
                        stream: int) -> np.ndarray:
     """Members of the domain with |w| > 4, mixing exact pole-line points
     with log-uniform offsets from the z = 0 line (the only float-scale
     routes into the far-|w| part of the domain)."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
-    k = sc.n - 1
+    rng = philox(seed, stream)
     half = count // 2
-    w_mod = rng.uniform(4.0 + 1e-6, 6.0, count)
-    w = _unit_directions(rng, count, k) * w_mod[:, None]
-    idx = rng.integers(0, sc.trunc + 1, half)
-    z_line = np.where(idx == 0, 0j, sc.schedule.a[np.maximum(idx - 1, 0)])
+    w = _sample_shell(rng, count, sc.n - 1, 4.0 + 1e-6, 6.0)
+    z_line = _pole_line_z(rng, sc, half)
     s = rng.uniform(-60.0, -34.0, count - half)
     z_off = np.exp(s) * np.exp(2j * np.pi * rng.random(count - half))
-    pts = np.concatenate(
-        [
-            np.concatenate([z_line[:, None], w[:half]], axis=1),
-            np.concatenate([z_off[:, None], w[half:]], axis=1),
-        ]
-    )
-    return _member_filter(sc.defining_values, pts)
+    return _member_filter(sc.defining_values,
+                          product_points(np.concatenate([z_line, z_off]), w))
 
 
 def _member_mixture(sc: _Scenario, count: int, seed: int, stream: int,
@@ -599,12 +597,11 @@ def _member_mixture(sc: _Scenario, count: int, seed: int, stream: int,
     m)`` from w0), capped at ``count``."""
     n_tube = count // 20
     bulk = sample(sc.domain_region(), Sampler(seed, count - n_tube, stream=stream))
-    rng = np.random.Generator(np.random.Philox(key=[seed, stream + 1]))
+    rng = philox(seed, stream + 1)
     z = _sample_disk(rng, 2 * n_tube) * z_radius
     rho = tube_radii(rng, 2 * n_tube)
     w = sc.w0[None, :] + _unit_directions(rng, 2 * n_tube, sc.n - 1) * rho[:, None]
-    tube = _member_filter(sc.defining_values,
-                          np.concatenate([z[:, None], w], axis=1))[:n_tube]
+    tube = _member_filter(sc.defining_values, product_points(z, w))[:n_tube]
     return np.concatenate([bulk, tube], axis=0)
 
 
@@ -625,7 +622,7 @@ def thm2_member_mixture(sc: Thm2Scenario, count: int, seed: int,
 
 def closed_polydisk_samples(n: int, count: int, seed: int, stream: int) -> np.ndarray:
     """Samples of the closed product D-bar x B-bar including boundary faces."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+    rng = philox(seed, stream)
     k = n - 1
     m = min(max(count // 16, 8), 256)
     z_in = _sample_disk(rng, count - 2 * m)
@@ -634,17 +631,12 @@ def closed_polydisk_samples(n: int, count: int, seed: int, stream: int) -> np.nd
     w_for_zbd = _sample_ball(rng, m, k, 1.0)
     z_for_wbd = _sample_disk(rng, m)
     w_bd = _unit_directions(rng, m, k)
-    return np.concatenate(
-        [
-            np.concatenate([z_in[:, None], w_in], axis=1),
-            np.concatenate([z_bd[:, None], w_for_zbd], axis=1),
-            np.concatenate([z_for_wbd[:, None], w_bd], axis=1),
-        ]
-    )
+    return product_points(np.concatenate([z_in, z_bd, z_for_wbd]),
+                          np.concatenate([w_in, w_for_zbd, w_bd]))
 
 
 def closed_disk_samples(count: int, seed: int, stream: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+    rng = philox(seed, stream)
     m = min(max(count // 16, 8), 256)
     inner = _sample_disk(rng, count - m)
     return np.concatenate([inner, np.exp(2j * np.pi * rng.random(m))])
@@ -656,7 +648,7 @@ def closed_disk_samples(count: int, seed: int, stream: int) -> np.ndarray:
 
 def _submean_pairs(schedule: PoleSchedule, count: int, seed: int, stream: int):
     """(z, radius) probes avoiding every constructed pole by 2 * radius."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+    rng = philox(seed, stream)
     zs = np.empty(0, dtype=np.complex128)
     rs = np.empty(0)
     while zs.size < count:
@@ -697,21 +689,15 @@ def thm1_properties(sc: Thm1Scenario, cfg: CertifyConfig) -> list[Certificate]:
     certs.append(make_certificate("thm1-series-submean", margins, 1e-9, zs))
 
     # pole lines and the origin line stay inside the domain
-    rng = np.random.Generator(np.random.Philox(key=[seed, 102]))
-    k = sc.n - 1
-    idx = rng.integers(0, sc.trunc + 1, cfg.samples)
-    z_line = np.where(idx == 0, 0j, sc.schedule.a[np.maximum(idx - 1, 0)])
-    w_line = _sample_ball(rng, cfg.samples, k, 10.0)
-    pts = np.concatenate([z_line[:, None], w_line], axis=1)
+    rng = philox(seed, 102)
+    z_line = _pole_line_z(rng, sc, cfg.samples)
+    pts = product_points(z_line, _sample_ball(rng, cfg.samples, sc.n - 1, 10.0))
     certs.append(
         make_certificate("thm1-line-membership", -sc.defining_values(pts), 0.0, pts)
     )
 
     # the w0 line stays inside the domain
-    z_any = _sample_disk(rng, cfg.samples) * 10.0
-    pts = np.concatenate(
-        [z_any[:, None], np.repeat(sc.w0[None, :], cfg.samples, axis=0)], axis=1
-    )
+    pts = product_points(_sample_disk(rng, cfg.samples) * 10.0, sc.w0)
     certs.append(
         make_certificate("thm1-w0-line-membership", -sc.defining_values(pts), 0.0, pts)
     )
@@ -831,17 +817,14 @@ def plateau_properties(plateau: PlateauFunction,
     )
 
     # sampled Laplacian floor of the glued branch inside each disc
-    rngs = [np.random.Generator(np.random.Philox(key=[seed, 301_000 + j]))
-            for j in range(jc)]
-    z = _annulus_sample(a, r, 1000, rngs)
-    lap = _fd_laplacian(branch, z, r * 1e-3)
+    lap = _annulus_laplacians(branch, a, r, seed, range(301_000, 301_000 + jc))
     certs.append(
         make_certificate("plateau-laplacian-floor", np.min(lap, axis=1) - 2.0, 0.0,
                          plateau.a[:jc])
     )
 
     # 1 <= u <= |z|^2 outside the unit disk
-    rng = np.random.Generator(np.random.Philox(key=[seed, 302]))
+    rng = philox(seed, 302)
     r = np.sqrt(rng.uniform(1.0, 9.0, cfg.samples))
     z = r * np.exp(2j * np.pi * rng.random(cfg.samples))
     u = plateau.values(z)
@@ -854,7 +837,7 @@ def plateau_properties(plateau: PlateauFunction,
     )
 
     # sub-mean-value property
-    rng = np.random.Generator(np.random.Philox(key=[seed, 303]))
+    rng = philox(seed, 303)
     z0 = _sample_disk(rng, cfg.submean_probes) * 3.0
     rad = rng.uniform(1e-4, 0.05, cfg.submean_probes)
     margins = circle_mean_test(plateau.values, z0, rad)
@@ -913,7 +896,7 @@ def tapered_form_properties(form: TaperedForm, cfg: CertifyConfig) -> list[Certi
     )
 
     # quadratic completion inequality at random triples
-    rng = np.random.Generator(np.random.Philox(key=[seed, 400]))
+    rng = philox(seed, 400)
     tt = rng.uniform(0.0, 1.0, cfg.samples)
     x1 = rng.uniform(0.0, 1.0, cfg.samples)
     xp = rng.uniform(0.0, 1.0, cfg.samples)
@@ -924,7 +907,7 @@ def tapered_form_properties(form: TaperedForm, cfg: CertifyConfig) -> list[Certi
     certs.append(make_certificate("taper-completion", expr, 1e-10))
 
     # analytic Levi matrix vs finite differences, matrix-norm relative
-    rng = np.random.Generator(np.random.Philox(key=[seed, 401]))
+    rng = philox(seed, 401)
     count = cfg.submean_probes
     z1 = _sample_disk(rng, 4 * count)
     margin10h = 10 * cfg.fd_step
@@ -932,8 +915,7 @@ def tapered_form_properties(form: TaperedForm, cfg: CertifyConfig) -> list[Certi
         np.abs(z1) < 1.0 - margin10h
     )
     z1 = z1[keep][:count]
-    zp = _sample_ball(rng, z1.size, n - 1, form.radius)
-    pts = np.concatenate([z1[:, None], zp], axis=1)
+    pts = product_points(z1, _sample_ball(rng, z1.size, n - 1, form.radius))
 
     def s_values(Z):
         Z = np.atleast_2d(Z)
@@ -957,10 +939,9 @@ def tapered_form_properties(form: TaperedForm, cfg: CertifyConfig) -> list[Certi
 
     # plateau identity: on |z1|^2 <= 1/4 the form's Levi matrix is
     # diag(C, 1, ..., 1)
-    rng = np.random.Generator(np.random.Philox(key=[seed, 402]))
+    rng = philox(seed, 402)
     z1 = _sample_disk(rng, 200) * 0.5
-    zp = _sample_ball(rng, 200, n - 1, form.radius)
-    pts = np.concatenate([z1[:, None], zp], axis=1)
+    pts = product_points(z1, _sample_ball(rng, 200, n - 1, form.radius))
     D = np.diag([form.quad_weight] + [1.0] * (n - 1)).astype(np.complex128)
     worst = float(np.max(np.abs(form.levi_matrix(pts) - D)))
     certs.append(
@@ -982,7 +963,7 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
     )
 
     # certified lower bound >= -1 off the plateau discs
-    rng = np.random.Generator(np.random.Philox(key=[seed, 201]))
+    rng = philox(seed, 201)
     z = _sample_disk(rng, cfg.submean_probes) * 3.0
     near = sc.schedule.a[:10] + 1e-12 * np.exp(2j * np.pi * rng.random(10))
     z = np.concatenate([z, near])
@@ -1004,43 +985,34 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
     )
 
     # the 2 <= |w| <= 3 band meets the domain only over the plateau discs
-    rng = np.random.Generator(np.random.Philox(key=[seed, 204]))
+    rng = philox(seed, 204)
     half = cfg.samples // 2
     idx = rng.integers(0, sc.schedule.j_max, half)
-    wmod = rng.uniform(2.0, 3.0, half)
-    w = _unit_directions(rng, half, k) * wmod[:, None]
-    band_line = np.concatenate([sc.schedule.a[idx][:, None], w], axis=1)
+    w_line = _sample_shell(rng, half, k, 2.0, 3.0)
     z_rand = _sample_disk(rng, cfg.samples - half) * 3.2
-    wmod = rng.uniform(2.0, 3.0, cfg.samples - half)
-    w = _unit_directions(rng, cfg.samples - half, k) * wmod[:, None]
-    band_rand = np.concatenate([z_rand[:, None], w], axis=1)
-    pts = np.concatenate([band_line, band_rand])
+    w_rand = _sample_shell(rng, cfg.samples - half, k, 2.0, 3.0)
+    pts = product_points(np.concatenate([sc.schedule.a[idx], z_rand]),
+                         np.concatenate([w_line, w_rand]))
     member = sc.defining_values(pts) < 0.0
     margins = np.where(member, sc.schedule.disc_margins(pts[:, 0]), np.inf)
     certs.append(make_certificate("thm2-band-in-plateau-discs", margins, 0.0, pts))
 
     # the union of lines E lies inside the domain; the truncated series
     # has poles only at the first sc.trunc schedule points
-    rng = np.random.Generator(np.random.Philox(key=[seed, 205]))
+    rng = philox(seed, 205)
     half = cfg.samples // 2
     idx = rng.integers(0, sc.trunc, half)
-    w = _sample_ball(rng, half, k, 6.0)
-    e1 = np.concatenate([sc.schedule.a[idx][:, None], w], axis=1)
-    z = _sample_disk(rng, cfg.samples - half) * 6.0
-    e2 = np.concatenate(
-        [z[:, None], np.repeat(sc.w0[None, :], cfg.samples - half, axis=0)], axis=1
-    )
+    e1 = product_points(sc.schedule.a[idx], _sample_ball(rng, half, k, 6.0))
+    e2 = product_points(_sample_disk(rng, cfg.samples - half) * 6.0, sc.w0)
     pts = np.concatenate([e1, e2])
     certs.append(
         make_certificate("thm2-lines-membership", -sc.defining_values(pts), 0.0, pts)
     )
 
     # witness branch agreement on domain members near |w| = 5/2
-    rng = np.random.Generator(np.random.Philox(key=[seed, 206]))
+    rng = philox(seed, 206)
     idx = rng.integers(0, sc.schedule.j_max, cfg.samples)
-    wmod = rng.uniform(2.4, 2.6, cfg.samples)
-    w = _unit_directions(rng, cfg.samples, k) * wmod[:, None]
-    pts = np.concatenate([sc.schedule.a[idx][:, None], w], axis=1)
+    pts = product_points(sc.schedule.a[idx], _sample_shell(rng, cfg.samples, k, 2.4, 2.6))
     u = sc.plateau.values(pts[:, 0])
     certs.append(
         make_certificate("thm2-branch-agreement", -np.abs(u - 1.0), 1e-12, pts)

@@ -4,7 +4,10 @@ Every region is an origin-centred product window (a z-disk or z-annulus
 times a w-ball) or the sublevel set of a defining function inside such a
 window, sampled by rejection. Samplers are counter-based (Philox), so a
 given (seed, stream, count, region) tuple reproduces the identical
-point sequence bit for bit, independent of thread count.
+point sequence bit for bit, independent of thread count. Every draw of
+the package starts from ``philox``, and the point shapes that the
+constructions draw (disk, ball, sphere, shell) and assemble
+(``product_points``) live here.
 
 The dense angle sequence that drives all pole positions is the golden
 Kronecker sequence ``2*pi*frac(j*g)``; it is equidistributed, so its
@@ -118,7 +121,20 @@ class Sampler:
             raise ValueError("count must be >= 1")
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+        return philox(self.seed, self.stream)
+
+
+def philox(seed: int, stream: int) -> np.random.Generator:
+    """The generator of one (seed, stream) pair; every draw starts here."""
+    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+
+
+def product_points(z, w) -> np.ndarray:
+    """The points (z_i, w_i) of C x C^k, (m, k + 1): z has shape (m,), w (m, k)
+    or (k,) for one w on every row. A copy, with the bits of z and w."""
+    out = np.empty((len(z), 1 + np.shape(w)[-1]), dtype=np.complex128)
+    out[:, 0], out[:, 1:] = z, w
+    return out
 
 
 def _sample_disk(rng, count):
@@ -168,6 +184,13 @@ def _unit_directions(rng, count, k):
     nrm[nrm == 0] = 1.0
     g /= nrm[:, None]
     return g[:, :k] + 1j * g[:, k:]
+
+
+def _sample_shell(rng, count, k, lo, hi):
+    """Points of C^k with |w| uniform in [lo, hi) on uniform directions,
+    (count, k); the moduli are drawn first, then the directions."""
+    modulus = rng.uniform(lo, hi, count)
+    return _unit_directions(rng, count, k) * modulus[:, None]
 
 
 def _sample_z(rng, count, inner, outer, out):

@@ -19,7 +19,7 @@ from pshcert.certify import (
     serialize_report,
 )
 from pshcert.cli import _build_parser, _config_from_args, main
-from pshcert.config import MAX_TRUNC, PSD_TOL, CertifyConfig, ConfigError
+from pshcert.config import MAX_GRID_CELLS, MAX_TRUNC, PSD_TOL, CertifyConfig, ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +194,7 @@ def test_dump_schedule_after_construction_failure(monkeypatch, tmp_path, capsys)
     # the dump is the text the failing report fingerprints, not a rebuild
     # that raises a second time
     def broken(*args, **kwargs):
-        raise RuntimeError("no positive floor after doubling retries")
+        raise RuntimeError("tapered form: sampled Levi floor 0.0 is not positive")
 
     monkeypatch.setattr(certify, "build_tapered_form", broken)
     code, text, fingerprint = _certify_with_dump("lemma3", tmp_path)
@@ -213,13 +213,13 @@ def test_construction_failure_becomes_failing_report(tiny_cfg, monkeypatch):
     import pshcert.certify as certify_mod
 
     def broken(*args, **kwargs):
-        raise RuntimeError("no positive floor after doubling retries")
+        raise RuntimeError("tapered form: sampled Levi floor 0.0 is not positive")
 
     monkeypatch.setattr(certify_mod, "build_tapered_form", broken)
     report = run_suite("lemma3", tiny_cfg)
     assert not report.passed
     assert report.certificates[0].name == "construction-failure"
-    assert "doubling" in report.certificates[0].witnesses[0]["error"]
+    assert "not positive" in report.certificates[0].witnesses[0]["error"]
     assert serialize_report(report)
 
 
@@ -407,7 +407,7 @@ def test_grid_levi_floor_on_window_slice(tiny_cfg, tmp_path):
 def test_sigma_thm2_grid_builds_no_tapered_form(tiny_cfg, tmp_path, monkeypatch):
     # the thm2 series depends on the plateau discs only
     def broken(*args, **kwargs):
-        raise RuntimeError("no positive floor after doubling retries")
+        raise RuntimeError("tapered form: sampled Levi floor 0.0 is not positive")
 
     monkeypatch.setattr(certify, "build_tapered_form", broken)
     values = emit_grid("sigma_thm2", "none", "-1:1,-1:1", (3, 3),
@@ -419,13 +419,13 @@ def test_d2_grid_builds_no_tapered_form(tiny_cfg, tmp_path, monkeypatch):
     # the thm2 domain reads the plateau schedule only; the witness, which
     # needs the form, still builds it on first use
     def broken(*args, **kwargs):
-        raise RuntimeError("no positive floor after doubling retries")
+        raise RuntimeError("tapered form: sampled Levi floor 0.0 is not positive")
 
     monkeypatch.setattr(certify, "build_tapered_form", broken)
     values = emit_grid("d2", "w=0.5", "-1:1,-1:1", (3, 3),
                        str(tmp_path / "d.csv"), tiny_cfg)
     assert values.size == 9
-    with pytest.raises(RuntimeError, match="doubling retries"):
+    with pytest.raises(RuntimeError, match="not positive"):
         emit_grid("phi_thm2", "w=0.5", "-1:1,-1:1", (3, 3),
                   str(tmp_path / "p.csv"), tiny_cfg)
 
@@ -487,6 +487,32 @@ def test_cli_unwritable_report_path(capsys):
                  "--report", "/nonexistent-dir/r.json"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_cli_grid_oversized_resolution_exits_2(tmp_path, capsys, monkeypatch):
+    # 30000x30000 cells raised numpy's _ArrayMemoryError (a 6.71 GiB mesh)
+    # under a 1.5 GB address-space limit and exited 3; the cell cap now
+    # rejects it before any grid array is allocated, and writes no file
+    class Allocated(Exception):
+        pass
+
+    def no_allocation(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(certify.np, "linspace", no_allocation)
+    out = tmp_path / "g.csv"
+    code = main(["grid", "sigma", "--slice", "none", "--region=-1:1,-1:1",
+                 "--res", "30000x30000", "--out", str(out)])
+    assert code == 2
+    assert "exceeds" in capsys.readouterr().err
+    assert not out.exists()
+    # the cap admits exactly MAX_GRID_CELLS cells
+    cfg = CertifyConfig()
+    with pytest.raises(ConfigError):
+        emit_grid("sigma", "none", "-1:1,-1:1", (2**11, 2**11 + 1), str(out), cfg)
+    with pytest.raises(Allocated):
+        emit_grid("sigma", "none", "-1:1,-1:1", (2**11, 2**11), str(out), cfg)
+    assert MAX_GRID_CELLS == 2**22 and not out.exists()
 
 
 def test_cli_grid(tmp_path, capsys):

@@ -22,15 +22,13 @@ from pshcert.constructions import (
     build_thm2,
     example1_check,
     example_defining,
-    plateau_eps,
-    plateau_log_rho,
     plateau_properties,
     tapered_form_properties,
     thm1_properties,
     thm2_properties,
 )
 from pshcert.geometry import Sampler, _sample_ball, _sample_disk, sample
-from pshcert.logpoles import pole_rows, ring_bound_table, ring_cells
+from pshcert.logpoles import pole_discs, pole_rows, ring_bound_table, ring_cells
 
 
 # --- plateau function -------------------------------------------------------
@@ -77,11 +75,13 @@ def test_plateau_eps_positive_and_laplacian_margin(plateau):
     np.testing.assert_allclose(lap, 4.0, atol=1e-3)
 
 
-def test_plateau_log_rho_formula():
-    assert plateau_log_rho(0.125, 1e-4) == -5.0 / 1e-4
-    assert plateau_log_rho(0.125, 1e6) == np.log(0.125 / 4)
-    with pytest.raises(ValueError):
-        plateau_log_rho(0.125, 0.0)
+def test_plateau_log_rho_formula(plateau):
+    # log_rho_j = min(log(r_j / 4), -5 / eps_j), one disc at a time
+    want = [min(np.log(0.25 * r), -5.0 / e) for r, e in zip(plateau.r, plateau.eps)]
+    assert np.asarray(want).tobytes() == plateau.log_rho.tobytes()
+    # every eps_j is at most 2, so -5/eps_j <= -2.5 < log(r_j / 4) takes the min
+    assert np.all(plateau.eps <= 2.0)
+    np.testing.assert_array_equal(plateau.log_rho, -5.0 / plateau.eps)
 
 
 def test_plateau_saturation_arithmetic(plateau):
@@ -99,8 +99,73 @@ def test_plateau_submean_at_pole_center(plateau):
 
 
 def test_plateau_eps_deterministic(plateau):
-    again = plateau_eps(plateau.a[3], plateau.r[3], stream=4)
-    assert again == plateau.eps[3]
+    # eps_j depends on j alone: a second build and a shorter one agree
+    assert build_plateau(plateau.j_max).eps.tobytes() == plateau.eps.tobytes()
+    assert build_plateau(4).eps.tobytes() == plateau.eps[:4].tobytes()
+
+
+def _plateau_eps_per_disc(a_j, r_j, j):
+    """eps_j of one disc with scalar (a_j, r_j), written out in full: the
+    annulus draws of stream 11_001 + j, the five-point Laplacian of the
+    perturbation and eps_j = 2 / max(1, 2 max |Laplacian|)."""
+    rng = np.random.Generator(np.random.Philox(key=[77003, 11_001 + j]))
+    s2 = rng.uniform(0.25**2, 0.75**2, 1000)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 1000)
+    z = a_j + r_j * np.sqrt(s2) * np.exp(1j * ang)
+    h = r_j * 1e-3
+
+    def perturbation(zz):
+        d = np.abs(zz - a_j)
+        with np.errstate(divide="ignore"):
+            logd = np.log(d)
+        c = kernels.chi_many(d / r_j)
+        return np.where(c > 0.0, c * logd, 0.0)
+
+    lap = (perturbation(z + h) + perturbation(z - h) + perturbation(z + 1j * h)
+           + perturbation(z - 1j * h) - 4.0 * perturbation(z)) / (h * h)
+    assert np.all(np.isfinite(lap))
+    return 2.0 / max(1.0, 2.0 * float(np.max(np.abs(lap))))
+
+
+@pytest.mark.parametrize("j_max", [1, 2, 3, 4, 60, 400])
+def test_plateau_eps_match_per_disc_oracle(j_max):
+    # the blocked build against one disc at a time, bit for bit, on block
+    # edges (blocks hold kernels._BLOCK // 5000 = 3 discs) and at trunc 400
+    plateau = build_plateau(j_max)
+    want = [_plateau_eps_per_disc(plateau.a[j], plateau.r[j], j) for j in range(j_max)]
+    assert np.asarray(want).tobytes() == plateau.eps.tobytes()
+
+
+def test_plateau_build_blocks(monkeypatch):
+    # every disc is evaluated once, in calls of at most _BLOCK points, each
+    # but the last as full as whole discs (5 stencils x 1000 points) allow
+    sizes = []
+    real = constructions._perturbation_values
+
+    def counted(a, r, z):
+        sizes.append(z.size)
+        return real(a, r, z)
+
+    monkeypatch.setattr(constructions, "_perturbation_values", counted)
+    for j_max in (1, 7, 60):
+        sizes.clear()
+        build_plateau(j_max)
+        assert sum(sizes) == 5000 * j_max
+        assert max(sizes) <= kernels._BLOCK
+        assert all(s > kernels._BLOCK - 5000 for s in sizes[:-1])
+
+
+def test_plateau_nonfinite_laplacian_raises(monkeypatch):
+    # a NaN perturbation on disc 4 only, in the second block of the build
+    a4 = pole_discs(5)[1][4]
+
+    def nan_at_disc_4(a, r, z):
+        return np.where(a == a4, np.nan, 0.0) + 0.0 * z.real
+
+    monkeypatch.setattr(constructions, "_perturbation_values", nan_at_disc_4)
+    build_plateau(4)
+    with pytest.raises(RuntimeError, match="nonfinite Laplacian"):
+        build_plateau(5)
 
 
 def test_plateau_runs_match_per_point_evaluation(plateau, thm2, monkeypatch):
@@ -144,11 +209,13 @@ def test_plateau_runs_match_per_point_evaluation(plateau, thm2, monkeypatch):
     w = 0.5 * np.cos(np.arange(zt.size)) * (1 + np.arange(zt.size) % 7)
     pts = np.stack([zt, w], axis=1)  # a strided z column, as in the stencils
     with np.errstate(invalid="ignore"):
-        bump = thm2.bump_values(pts)
+        phi = thm2.witness_values(pts)
         assert taper_points == [kernels.distinct_runs(zt)[0].size]
         assert taper_points[0] < zt.size
-        want = np.concatenate([thm2.bump_values(pts[i:i + 1]) for i in range(zt.size)])
-    assert bump.tobytes() == want.tobytes()
+        want = np.concatenate([thm2.witness_values(pts[i:i + 1])
+                               for i in range(zt.size)])
+        bump = phi - np.where(w**2 < 2.5**2, plateau.values(zt), 1.0)
+    assert phi.tobytes() == want.tobytes()
     assert np.any(bump[-5:] > 0.0) and np.any(w**2 >= 2.5**2)
 
 
@@ -210,6 +277,15 @@ def test_tapered_form_constants(tapered):
                                           + tapered.growth_const / 2)
     assert tapered.epsilon_out > 0.0
     assert tapered.small_c == 1.0 / tapered.quad_weight
+
+
+@pytest.mark.parametrize("floor", [0.0, -1e-3, float("nan")])
+def test_tapered_form_non_positive_floor_raises(floor, monkeypatch):
+    # one try: a sampled floor that is not positive ends the build
+    monkeypatch.setattr(constructions.TaperedForm, "sampled_epsilon",
+                        lambda self, n, count, seed: floor)
+    with pytest.raises(RuntimeError, match="not positive"):
+        build_tapered_form(2)
 
 
 def test_tapered_levi_matrix_plateau(tapered):
@@ -399,11 +475,13 @@ def test_thm2_branch_values(thm2):
     # below the switching radius the witness uses the plateau function,
     # above it the constant 1 (and the bump vanishes)
     a0 = complex(thm2.schedule.a[0])
-    lo = np.array([[a0, 2.0 + 0j]])
-    hi = np.array([[a0, 3.0 + 0j]])
-    assert thm2.witness_smooth_values(lo)[0] == thm2.plateau.values([a0])[0] == 1.0
-    assert thm2.witness_smooth_values(hi)[0] == 1.0
-    assert thm2.bump_values(hi)[0] == 0.0
+    lo = np.array([[a0, 2.0 + 0j], [0.5, 2.0 + 0j]])
+    hi = np.array([[a0, 3.0 + 0j], [0.5, 3.0 + 0j]])
+    # off the unit disk the taper is 0: the plateau value 1 at the pole
+    assert thm2.witness_values(lo)[0] == thm2.plateau.values([a0])[0] == 1.0
+    # on |z|^2 <= 1/4 the taper is 1: |z|^2 + small_c |w|^2
+    assert thm2.witness_values(lo)[1] == 0.25 + thm2.form.small_c * 4.0
+    assert thm2.witness_values(hi).tolist() == [1.0, 1.0]
 
 
 def test_thm2_property_bundle(thm2, small_cfg):
