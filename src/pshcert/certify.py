@@ -329,13 +329,15 @@ def emit_grid(
             axes = "re(w),im(w)"
         vals = np.asarray(fn(built, pts), dtype=np.float64)
 
-    # format(float, ".17g") renders -inf, inf, nan (of either sign) and -0
-    xtext = [format(x, ".17g") for x in xs.tolist()]
+    # one %-format per row, on a template that holds every column's x text:
+    # "%.17g" renders a float as format(float, ".17g") does, including -inf,
+    # inf, nan (of either sign), -0 and subnormals
+    template = "".join([f"{format(x, '.17g')},%s,%.17g\n" for x in xs.tolist()])
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(f"# axes={axes} slice={slice_spec} region={region_spec} "
                  f"res={nx}x{ny} function={function_id}\nx,y,value\n")
         for iy, y in enumerate(ys.tolist()):
-            mid = f",{y:.17g},"
-            row = vals[iy * nx : (iy + 1) * nx].tolist()
-            fh.write("".join([f"{xt}{mid}{v:.17g}\n" for xt, v in zip(xtext, row)]))
+            args = [format(y, ".17g"), 0.0] * nx
+            args[1::2] = vals[iy * nx : (iy + 1) * nx].tolist()
+            fh.write(template % tuple(args))
     return vals

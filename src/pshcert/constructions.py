@@ -74,6 +74,18 @@ _THETA_CUT = 2.5  # |w| switching radius of the second scenario's witness
 #: it covers the rounding of the computed series against its exact value
 _SCREEN_SLACK = 1e-9
 
+#: the radial screen's t and s are lowered by this relative amount, far more
+#: than the ~10 ulps between them and the formed row's computed |z|^2, |w|^2
+_RADIAL_LOWERING = 1e-13
+
+#: subtracted from ||w| - |w0|| in ``radial_lower``; it covers the lowering of
+#: s (at most 2e-13 in |w| for |w| <= 4) and the rounding of the formed w
+_RADIAL_GUARD = 1e-12
+
+#: subtracted from ``radial_lower``; it covers the rounding of its own terms
+#: and sums against those of ``defining_values`` (below 1e-12)
+_RADIAL_SLACK = 1e-9
+
 
 def _axis_point(modulus: float, k: int) -> np.ndarray:
     w = np.zeros(k, dtype=np.complex128)
@@ -377,14 +389,63 @@ class _Scenario:
         _, terms = self._terms(pts)
         return self._sum(self._ring_table.take(ring_cells(terms[-2])), terms)
 
+    @cached_property
+    def _radial_table(self) -> np.ndarray:
+        """``_ring_table`` lowered at each cell to the least entry of the cell
+        and its two neighbours, so that it bounds the series at every |z|^2
+        of the cell or within a cell width of it."""
+        ring = self._ring_table
+        table = ring.copy()
+        np.minimum(table[1:], ring[:-1], out=table[1:])
+        np.minimum(table[:-1], ring[1:], out=table[:-1])
+        return table
+
+    def radial_lower(self, t, s):
+        """A lower bound of ``defining_values`` from t ~ |z|^2 and s ~ |w|^2
+        alone: the ``SublevelRegion.radial`` screen of ``domain_region``.
+
+        The series is replaced by ``_radial_table`` at the cell of t, and
+        |w - w0| by its lower bound ||w| - |w0||, less ``_RADIAL_GUARD``.
+        Contract: at a formed proposal row p whose computed |z|^2 and |w|^2
+        are within 1e-14 (relative) of t and s, ``radial_lower(t, s) <=
+        defining_values(p)`` wherever neither is NaN.
+
+        Error budget: t and s are lowered by the relative ``_RADIAL_LOWERING``
+        = 1e-13, so they lie below the computed |z|^2 and |w|^2 of p and below
+        the exact moduli of its float coordinates. The computed |z|^2 then
+        lies in the cell of t or the next one, where the neighbour minimum
+        still bounds the series (with ``_SCREEN_SLACK`` for its rounding, as
+        in ``defining_lower``). Lowering s raises |w0| - |w| by at most
+        2e-13 where |w| < |w0| <= 4, and the formed w's modulus differs
+        from r = sqrt(s) by a few ulps of 4; the guard 1e-12 covers both, so
+        the w-pole term is below that of p as well. Each remaining term is
+        monotone in t or s, and their logs and sums round by less than
+        1e-12 (terms below 40 in modulus), inside ``_RADIAL_SLACK`` = 1e-9.
+        """
+        t = t * (1.0 - _RADIAL_LOWERING)
+        s = s * (1.0 - _RADIAL_LOWERING)
+        # max(||w| - |w0|| - guard, 0), in place
+        gap = np.sqrt(s)
+        gap -= self.w0[0].real
+        np.abs(gap, out=gap)
+        gap -= _RADIAL_GUARD
+        np.maximum(gap, 0.0, out=gap)
+        with np.errstate(divide="ignore"):
+            bound = self._radial_terms(t, gap)
+        bound += self._radial_table.take(ring_cells(t))
+        bound += t
+        bound += s
+        bound -= self._BOUND + _RADIAL_SLACK
+        return bound
+
     def bulk_window(self) -> Window:
         return Window(self.n, 3.2, 3.0)
 
     def domain_region(self) -> SublevelRegion:
-        self._ring_table  # noqa: B018 (built now, before any proposal)
+        self._radial_table  # noqa: B018 (built now, before any proposal)
         return SublevelRegion(
             self.defining_values, self.bulk_window(), label=self._LABEL,
-            lower=self.defining_lower,
+            lower=self.defining_lower, radial=self.radial_lower,
         )
 
 
@@ -406,6 +467,10 @@ class Thm1Scenario(_Scenario):
             half_log_z = 0.5 * np.log(nz2)
             quarter_log_w = 0.25 * np.log(_norm2(w, self.w0[0].real))
         return z, (half_log_z, quarter_log_w, nz2, _norm2(w))
+
+    def _radial_terms(self, t, gap):
+        """log|z| + (1/2) log||w| - |w0||, as one log of the product."""
+        return 0.5 * np.log(t * gap)
 
     def defining_error_radii(self, pts):
         return self.sigma(_split(pts)[0])[1]
@@ -451,6 +516,11 @@ class Thm2Scenario(_Scenario):
         with np.errstate(divide="ignore"):
             log10_w = 0.5 * np.log10(_norm2(w, self.w0[0].real))
         return z, (log10_w, nz2, _norm2(w))
+
+    def _radial_terms(self, t, gap):
+        """log10(|w0| - |w|), with ||w| - |w0|| for |w0| - |w| (the same
+        inside the window |w| < 3)."""
+        return np.log10(gap)
 
     def witness_values(self, pts):
         """The plateau function (|w| < 5/2) or 1 (|w| >= 5/2), plus small_c

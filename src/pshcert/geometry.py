@@ -9,6 +9,17 @@ the package starts from ``philox``, and the point shapes that the
 constructions draw (disk, ball, sphere, shell) and assemble
 (``product_points``) live here.
 
+Rejection sampling of a ``SublevelRegion`` screens its proposals twice,
+and neither screen may drop a member, so the members, their order and
+their bits are those of the unscreened sampler. ``radial`` sees only the
+draws of a row and runs before the row is formed: its z from u and theta,
+its w from the normals g and a radius r. A formed row's computed |z|^2 and
+|w|^2 differ from z_radius^2 u and r^2 by about 10 ulps (a square root, a
+complex exponential and a product for z; the norm of g, a quotient and a
+product per coordinate for w; then a sum of squares), and a radial screen
+allows a relative 1e-13 for it (``_Scenario.radial_lower`` in
+``constructions``). ``lower`` then sees the formed rows it kept.
+
 The dense angle sequence that drives all pole positions is the golden
 Kronecker sequence ``2*pi*frac(j*g)``; it is equidistributed, so its
 gaps shrink like 1/J.
@@ -76,12 +87,26 @@ class SublevelRegion:
     point's value does not depend on the rest of its batch), so the mask
     is the same as without the screen, bit for bit, and ``lower`` may run
     block by block.
+
+    ``radial``, when given, screens rejection proposals before they are
+    formed (the window must be a disk, ``z_inner`` = 0). A proposal row is
+    drawn as u, theta (its z) and normals g, radius r (its w); ``radial(t,
+    s)`` takes t = z_radius^2 u and s = r^2, the squared moduli that the
+    formed row's computed |z|^2 and |w|^2 equal to about 10 ulps, and must
+    satisfy ``radial(t, s) <= defining(p)`` at the formed row p wherever
+    neither is NaN, rounding of t, s and p included. The rejection sampler
+    forms only rows with ``not radial(t, s) >= 0`` and passes them to
+    ``contains``, so the members, their order and their bits are those of
+    the unscreened sampler; ``radial`` must be elementwise too.
     """
 
     defining: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     window: Window
     label: str = "sublevel"
     lower: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, compare=False
+    )
+    radial: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
         default=None, compare=False
     )
 
@@ -158,16 +183,31 @@ def _sample_ball(rng, count, k, radius, out=None):
     """Uniform points of the ball of ``radius`` around 0 in C^k, (count, k), into
     ``out`` if given: ``g / |g| * r``, |g| summed as in ``np.linalg.norm``.
 
-    The normals g and then the radius uniforms are drawn whole; the points
-    are formed in place in blocks of ``_BLOCK`` rows, so the complex
-    temporary stays block-sized. Each row is computed on its own, so the
-    bits do not depend on the blocks.
+    The normals g and then the radius uniforms are drawn whole
+    (``_draw_ball``) and formed by ``_ball_rows``.
     """
-    g = rng.standard_normal((count, 2 * k))
-    r = radius * rng.random(count) ** (1.0 / (2 * k))
     if out is None:
         out = np.empty((count, k), dtype=np.complex128)
-    for lo in range(0, count, _BLOCK):
+    return _ball_rows(*_draw_ball(rng, count, k, radius), out)
+
+
+def _draw_ball(rng, count, k, radius):
+    """The draws of ``count`` ball points in C^k: the normals g (count, 2k),
+    then the radii r = radius * U^(1/2k)."""
+    g = rng.standard_normal((count, 2 * k))
+    return g, radius * rng.random(count) ** (1.0 / (2 * k))
+
+
+def _ball_rows(g, r, out):
+    """Rows ``g / |g| * r`` into ``out`` (len(r), k), normalising g in place.
+
+    The rows are formed in blocks of ``_BLOCK``, so the complex temporary
+    stays block-sized. Each row is computed on its own, so its bits depend
+    neither on the blocks nor on the other rows passed with it. A row of
+    zero normals forms w = 0.
+    """
+    k = out.shape[1]
+    for lo in range(0, len(r), _BLOCK):
         b = g[lo : lo + _BLOCK]
         nrm = np.sqrt(_row_sum(lambda j: b[:, j] * b[:, j], 2 * k))
         nrm[nrm == 0] = 1.0
@@ -196,15 +236,7 @@ def _sample_shell(rng, count, k, lo, hi):
 def _sample_z(rng, count, inner, outer, out):
     """Uniform points of the open disk (inner = 0) or annulus inner < |z| < outer."""
     if inner == 0.0:
-        # (radius * sqrt(u)) * e^{i theta}: not bit-equal to _sample_disk scaled.
-        # Both uniforms are drawn whole, the points formed in blocks of _BLOCK
-        # (elementwise, so the same bits), keeping e^{i theta} block-sized
-        u = rng.random(count)
-        th = 2.0 * np.pi * rng.random(count)
-        for lo in range(0, count, _BLOCK):
-            rows = slice(lo, lo + _BLOCK)
-            np.multiply(outer * np.sqrt(u[rows]), np.exp(1j * th[rows]), out=out[rows])
-        return out
+        return _disk_rows(*_draw_disk(rng, count), outer, out)
     got = 0
     while got < count:
         u = rng.random(count - got)
@@ -217,16 +249,54 @@ def _sample_z(rng, count, inner, outer, out):
     return out
 
 
-def sample(region: Window | SublevelRegion, sampler: Sampler) -> np.ndarray:
+def _draw_disk(rng, count):
+    """The draws of ``count`` disk points: the radius uniforms u, then the
+    angles theta = 2 pi U."""
+    return rng.random(count), 2.0 * np.pi * rng.random(count)
+
+
+def _disk_rows(u, th, outer, out):
+    """Points ``(outer * sqrt(u)) * e^{i theta}`` into ``out``, in blocks of
+    ``_BLOCK`` (elementwise, so the same bits whatever the blocks or the
+    other rows), keeping e^{i theta} block-sized. Not bit-equal to
+    ``_sample_disk`` scaled."""
+    for lo in range(0, len(u), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        np.multiply(outer * np.sqrt(u[rows]), np.exp(1j * th[rows]), out=out[rows])
+    return out
+
+
+@dataclass(frozen=True)
+class ScreenedBatch:
+    """The formed rows of one screened proposal batch, in draw order: those
+    the screen could not prove outside. ``len()`` is the number drawn."""
+
+    points: np.ndarray
+    drawn: int
+
+    def __len__(self):
+        return self.drawn
+
+
+def sample(region: Window | SublevelRegion, sampler: Sampler,
+           screen: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+           ) -> np.ndarray | ScreenedBatch:
     """Draw ``sampler.count`` points of a ``Window`` or a ``SublevelRegion``.
 
     Returns an (N, n) complex array. A window draws from one generator in
     a fixed order: the z block first, then the w block.
+
+    ``screen`` (a ``SublevelRegion.radial``, for a disk window) makes the
+    same draws, screens them before any row is formed and returns a
+    ``ScreenedBatch`` of the rows with ``not screen(t, s) >= 0``, each the
+    same row of the unscreened sample, bit for bit.
     """
     if isinstance(region, SublevelRegion):
         return _rejection_sample(region, sampler)
     rng = sampler.generator()
     count = sampler.count
+    if screen is not None:
+        return _screened_rows(rng, count, region, screen)
     # z and w go straight into ``out``, each drawn by a function that frees its
     # draws before the next one and forms its points in blocks of _BLOCK rows:
     # besides ``out``, a 4x-count proposal holds only the draws of one factor
@@ -234,6 +304,31 @@ def sample(region: Window | SublevelRegion, sampler: Sampler) -> np.ndarray:
     _sample_z(rng, count, region.z_inner, region.z_radius, out[:, 0])
     _sample_ball(rng, count, region.n - 1, region.w_radius, out[:, 1:])
     return out
+
+
+def _screened_rows(rng, count, window: Window, screen) -> ScreenedBatch:
+    """The window's draws (u, theta, the normals g, the radii r), screened
+    on t = z_radius^2 u and s = r^2 in blocks of ``_BLOCK``; only the rows
+    kept are formed, by the row functions of the unscreened sample."""
+    if window.z_inner != 0.0:
+        raise ValueError("a radial screen needs a disk window (z_inner = 0)")
+    u, th = _draw_disk(rng, count)
+    g, r = _draw_ball(rng, count, window.n - 1, window.w_radius)
+    outside = np.empty(count, dtype=bool)
+    zr2 = window.z_radius * window.z_radius
+    for lo in range(0, count, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        rb = r[rows]
+        np.greater_equal(screen(zr2 * u[rows], rb * rb), 0.0, out=outside[rows])
+    # a row of zero normals forms w = 0, not |w| = r: it stays a candidate
+    outside[g[:, 0] == 0.0] = False
+    keep = np.flatnonzero(~outside)
+    del outside
+    pts = np.empty((keep.size, window.n), dtype=np.complex128)
+    _disk_rows(u[keep], th[keep], window.z_radius, pts[:, 0])
+    del u, th
+    _ball_rows(g[keep], r[keep], pts[:, 1:])
+    return ScreenedBatch(pts, count)
 
 
 class EmptyRegionError(RuntimeError):
@@ -254,7 +349,10 @@ def _rejection_sample(region: SublevelRegion, sampler: Sampler) -> np.ndarray:
             count=max(4 * want, 4096),
             stream=sampler.stream * 1000 + batch,
         )
-        pts = sample(region.window, proposal)
+        # with a radial screen only the rows it cannot exclude are formed;
+        # len() of what sample() returns is the number of proposals drawn
+        drawn = sample(region.window, proposal, screen=region.radial)
+        pts = drawn if region.radial is None else drawn.points
         keep = region.contains(pts)
         k = min(int(np.sum(keep)), want - got)
         out[got : got + k] = pts[keep][:k]
@@ -262,7 +360,7 @@ def _rejection_sample(region: SublevelRegion, sampler: Sampler) -> np.ndarray:
         if got == want:
             return out
         # free this batch before the next one is drawn
-        del pts, keep
+        del drawn, pts, keep
     raise EmptyRegionError(
         f"rejection sampling of {region.label!r} accepted {got}/{want} points"
     )

@@ -31,13 +31,16 @@ BACKEND_NAME = "numpy"
 # accumulator and two reused float64 temporaries (640 KiB in all) stay in L2
 # cache across the per-pole loop, where whole 10^5-point batches spill.
 # The layers above take their blocks from it too, so their working set stays
-# bounded as the batches grow: ``sample`` forms proposals in blocks of _BLOCK
-# rows, ``SublevelRegion.contains`` screens _BLOCK points at a time,
+# bounded as the batches grow: ``sample`` screens the draws of _BLOCK
+# proposals at a time and forms proposals in blocks of _BLOCK rows,
+# ``SublevelRegion.contains`` screens _BLOCK points at a time,
 # ``wirtinger_hessian_batch`` evaluates the stencils of _BLOCK // 5 points per
 # call (5 distinct z each, so about one block of distinct z for the series),
-# and the (N, J) pole distances of the certificates run over blocks of
+# ``levi_floors`` takes the Hessians and eigenvalues of one such block at a
+# time, and the (N, J) pole distances of the certificates run over blocks of
 # 16 * _BLOCK entries. Each splits only elementwise or row-by-row work, so
-# every value keeps its bits.
+# every value keeps its bits; the one exception is the Jacobi eigensolver of
+# ``levi_floors``, whose stop test is batch-wide (see there).
 _BLOCK = 16384
 
 # Radial cutoff profile: 1 on [0, CHI_PLATEAU], 0 on [CHI_SUPPORT, inf),
@@ -237,7 +240,12 @@ _JACOBI_TOL = 1e-14
 
 def jacobi_min_eig_many(hr, hi):
     """Smallest eigenvalues by cyclic-by-row complex Jacobi on the (real,
-    imag) parts, vectorized across the batch."""
+    imag) parts, vectorized across the batch.
+
+    The sweeps stop when every matrix of the batch has converged, so a
+    converged matrix may take further (rounding-sized) rotations: unlike
+    the other kernels, a result may depend on the batch it is in.
+    """
     hr = hr.copy()
     hi = hi.copy()
     nmat, n, _ = hr.shape

@@ -282,6 +282,66 @@ def test_hessian_working_set_is_block_sized():
     assert peak < bound, (peak, bound)
 
 
+def test_levi_floors_working_set_is_block_sized():
+    # 6 * 10^4 points at n = 3: the Hessians and their Jacobi eigenvalues run
+    # per stencil block, so only the N floors outlive a block. Live at the
+    # peak: the floors (N float64), and per block the stencil values
+    # (STEP*S float64), H (STEP*n*n complex), two stencil grids (STEP*S*n
+    # complex, as above) and Jacobi's copies and temporaries (under 8 more
+    # STEP*n*n float64 arrays). The unblocked floors held vals and H for
+    # every point, N*(S*8 + n*n*16) bytes = 37.9 MB, on top of one grid
+    npts, n = 60_000, 3
+    nst = _stencil_offsets(n, H_STEP)[0].shape[0]
+    bound = (npts * 8 + STEP * nst * 8 + STEP * n * n * 16 + 2 * (STEP * nst * n * 16)
+             + 8 * STEP * n * n * 8)
+    assert bound < npts * (nst * 8 + n * n * 16) + STEP * nst * n * 16
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-1, 1, (npts, n)) + 1j * rng.uniform(-1, 1, (npts, n))
+
+    def f(Z):
+        return np.abs(Z[:, 0]) ** 2 + 2.0 * np.abs(Z[:, 1]) ** 2 + 3.0 * np.abs(Z[:, 2]) ** 2
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        floors = levi_floors(f, pts, H_STEP)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(floors, 1.0, atol=1e-6)
+    assert peak < bound, (peak, bound)
+
+
+def test_levi_floors_equal_one_batch(monkeypatch):
+    # blocked floors equal the floors of one whole-batch Hessian and eigen
+    # call, at n = 2 (closed form) and n = 3 (Jacobi), with nonfinite
+    # stencils on the block edges; the Hessian sees one stencil block a call
+    rng = np.random.default_rng(5)
+    for n in (2, 3):
+        pts = rng.uniform(-1, 1, (2 * STEP + 9, n)) + 1j * rng.uniform(-1, 1, (2 * STEP + 9, n))
+        pts[[0, STEP - 1, STEP, -1], 0] = 0.0
+
+        def f(Z):
+            with np.errstate(divide="ignore"):
+                return np.log(np.abs(Z[:, 0])) + np.sum(np.abs(Z) ** 2, axis=1)
+
+        H, ok = wirtinger_hessian_batch(f, pts, H_STEP)
+        want = np.where(ok, min_eigs_batch(H), -np.inf)
+        sizes = []
+        hessian = calculus.wirtinger_hessian_batch
+
+        def counted(f, points, h):
+            sizes.append(len(points))
+            return hessian(f, points, h)
+
+        monkeypatch.setattr(calculus, "wirtinger_hessian_batch", counted)
+        got = levi_floors(f, pts, H_STEP)
+        monkeypatch.undo()
+        assert sizes == [STEP, STEP, 9]
+        assert got.tobytes() == want.tobytes()
+        assert np.sum(got == -np.inf) == 4
+
+
 # --- minimal eigenvalues ----------------------------------------------------
 
 def test_hermitian_min_eig_examples():

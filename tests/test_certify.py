@@ -371,6 +371,24 @@ def test_grid_csv_matches_per_cell_formatter(tiny_cfg, tmp_path, monkeypatch):
     assert out.read_text() == _per_cell_csv(header, xs, ys, values)
 
 
+def test_grid_row_template_matches_format(tiny_cfg, tmp_path, monkeypatch):
+    # emit_grid formats each row with one % on a per-column template; its
+    # "%.17g" must render every value as format(v, ".17g") does
+    special = [np.inf, -np.inf, np.nan, -np.nan, -0.0, 0.0, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e300, -1e300, 1e-300, 0.1, 1.0 / 3.0,
+               -123456789.125, 2.0**53 + 2.0]
+    for v in special:
+        assert "%.17g" % v == format(v, ".17g")
+    vals = np.resize(np.array(special), 7 * 5)
+    monkeypatch.setitem(GRID_FUNCTIONS, "sigma", ("z-plane", lambda b, z: vals.copy()))
+    out = tmp_path / "template.csv"
+    emit_grid("sigma", "none", "-1e300:1e-300,-0.5:2", (7, 5), str(out), tiny_cfg)
+    xs, ys = np.linspace(-1e300, 1e-300, 7), np.linspace(-0.5, 2.0, 5)
+    rows = out.read_text().splitlines()[2:]
+    assert rows == [f"{format(x, '.17g')},{format(y, '.17g')},{format(v, '.17g')}"
+                    for (y, x), v in zip([(y, x) for y in ys for x in xs], vals)]
+
+
 @pytest.mark.parametrize(
     "fid, slice_spec, region, res, digest",
     [

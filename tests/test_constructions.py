@@ -27,7 +27,17 @@ from pshcert.constructions import (
     thm1_properties,
     thm2_properties,
 )
-from pshcert.geometry import Sampler, _sample_ball, _sample_disk, sample
+from pshcert.geometry import (
+    Sampler,
+    Window,
+    _ball_rows,
+    _disk_rows,
+    _draw_ball,
+    _draw_disk,
+    _sample_ball,
+    _sample_disk,
+    sample,
+)
 from pshcert.logpoles import pole_discs, pole_rows, ring_bound_table, ring_cells
 
 
@@ -565,7 +575,7 @@ def test_norm2_bits_match_reduction_oracle():
 def scenarios_by_n(plateau):
     # the default config: trunc = j_max = 60, the poles the report uses
     out = {}
-    for n in (2, 3):
+    for n in (2, 3, 5):
         cfg = CertifyConfig(n=n)
         assert cfg.j_max == plateau.j_max
         out[n] = (build_thm1(cfg),
@@ -791,15 +801,18 @@ def test_pole_rows_match_whole_array_reductions(deep_scenarios_by_n):
 
 def test_rejection_sample_working_set(scenarios_by_n):
     # one Omega1 sample at n = 3 draws P = 4 * want proposals per batch, about
-    # 13 batches. Live at the peak: the result (want * n complex), one batch of
-    # proposals (P * n complex), the draws of its w factor (P * (2k + 1)
-    # float64: normals and radii) and block-sized temporaries, at most 6
-    # complex columns of _BLOCK rows. A batch still alive while the next one
-    # is drawn adds P * n * 16 bytes
+    # 13 batches. Live at the peak: the result (want * n complex), the draws
+    # of one batch (P * (2k + 3) float64: u, theta, the normals and the
+    # radii), the screen's mask (P bools), the block temporaries of the radial
+    # screen (4 float64 columns of _BLOCK rows) and the candidates it keeps,
+    # under P / 8 rows (6.7% here): each a formed row (n complex), its index
+    # and two gathered draws. The unscreened batch alone, P * n complex rows,
+    # would exceed the bound: the sampler that formed every row peaked at 11.6 MB
     region = scenarios_by_n[3][0].domain_region()
     want, n, k = 25_000, 3, 2
     P = 4 * want
-    bound = want * n * 16 + P * n * 16 + P * (2 * k + 1) * 8 + 6 * kernels._BLOCK * 16
+    bound = (want * n * 16 + P * (2 * k + 3) * 8 + P + (P // 8) * (n * 16 + 3 * 8)
+             + 4 * kernels._BLOCK * 8)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -809,6 +822,164 @@ def test_rejection_sample_working_set(scenarios_by_n):
         tracemalloc.stop()
     assert pts.shape == (want, n)
     assert peak < bound, (peak, bound)
+
+
+# --- the radial screen on the raw draws --------------------------------------
+
+def _radial_regions(pair):
+    """(scenario, region) for every radially screened region: the domains in
+    the bulk window and Omega2 in the z-disk window (Omega2-slab is the
+    Omega2 region under another label)."""
+    sc1, sc2 = pair
+    return [(sc1, sc1.domain_region()), (sc2, sc2.domain_region()),
+            (sc2, sc2.zdisk_region())]
+
+
+def _screen(region, u, g, r):
+    """``not radial(t, s) >= 0`` on the draws, as the sampler screens them:
+    the rows it forms."""
+    with np.errstate(invalid="ignore"):
+        kept = ~(region.radial(region.window.z_radius**2 * u, r * r) >= 0.0)
+    return kept | (g[:, 0] == 0.0)
+
+
+def _kept_rows(region, sampler):
+    rng = sampler.generator()
+    u, _ = _draw_disk(rng, sampler.count)
+    g, r = _draw_ball(rng, sampler.count, region.window.n - 1, region.window.w_radius)
+    return _screen(region, u, g, r)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_radial_screen_keeps_every_member(scenarios_by_n, n):
+    # 4 * 10^5 window proposals (not a multiple of _BLOCK) of the bulk and
+    # z-disk windows: every member is among the rows the screen keeps, the
+    # kept rows are those of the unscreened sample bit for bit, and the
+    # screen passes few rows: 1.1-13% of the bulk window, 0.3-23% of the
+    # z-disk window, where up to 21% are members (measured at n = 2, 3, 5)
+    for sc, region in _radial_regions(scenarios_by_n[n]):
+        sampler = Sampler(5, 400_000, stream=11)
+        full = sample(region.window, sampler)
+        batch = sample(region.window, sampler, screen=region.radial)
+        kept = _kept_rows(region, sampler)
+        assert len(batch) == sampler.count
+        np.testing.assert_array_equal(_bits(batch.points), _bits(full[kept]))
+        members = region.contains(full)
+        assert members.any(), region.label
+        assert not np.any(members & ~kept), region.label
+        most = 0.15 if region.window.z_radius > 1.0 else 0.25
+        assert np.mean(kept) < most, (region.label, np.mean(kept))
+
+
+@pytest.mark.parametrize("size", [1, kernels._BLOCK + 1, 3 * kernels._BLOCK - 7])
+def test_screened_rows_equal_unscreened_rows(scenarios_by_n, size):
+    for sc, region in _radial_regions(scenarios_by_n[3]):
+        sampler = Sampler(8, size, stream=3)
+        batch = sample(region.window, sampler, screen=region.radial)
+        kept = _kept_rows(region, sampler)
+        assert len(batch) == size and batch.points.shape == (np.sum(kept), 3)
+        np.testing.assert_array_equal(_bits(batch.points),
+                                      _bits(sample(region.window, sampler)[kept]))
+
+
+def test_screened_sample_needs_a_disk_window(scenarios_by_n):
+    region = scenarios_by_n[2][0].domain_region()
+    annulus = Window(2, 3.2, 3.0, z_inner=0.5)
+    with pytest.raises(ValueError, match="disk window"):
+        sample(annulus, Sampler(1, 10), screen=region.radial)
+    with pytest.raises(ValueError, match="disk window"):
+        sample(dataclasses.replace(region, window=annulus), Sampler(1, 10))
+
+
+def _adversarial_draws(sc, window):
+    """Raw draws (u, theta, g, r) on the edges of the radial bound: z at the
+    float poles, |z|^2 on ring-cell edges and one ulp either side, z = 0 and
+    a fine |z|^2 grid (so that the bound crosses 0); |w| at |w0| = 2 or 4
+    and one ulp either side, within a few guards of it, w = w0 itself, and
+    w = 0, on the w0 axis, opposite to it and on a generic direction."""
+    zr2 = window.z_radius**2
+    a = sc.schedule.a[: sc.trunc]
+    t = np.concatenate([np.abs(a) ** 2,
+                        np.unique(np.abs(_cell_edge_z(sc)) ** 2),
+                        np.linspace(0.0, zr2, 4001)])
+    t = t[t < zr2]
+    u = np.concatenate([t / zr2, np.nextafter(t / zr2, 0.0), np.nextafter(t / zr2, 1.0),
+                        [0.0]])
+    th = np.concatenate([np.angle(a) % (2.0 * np.pi),
+                         np.full(u.size - a.size, 0.7)])
+    k = sc.n - 1
+    w0 = sc.w0[0].real
+    r = np.array([0.0, 1.0, w0, np.nextafter(w0, 0.0), np.nextafter(w0, 9.0),
+                  w0 - 5e-13, w0 + 5e-13, w0 - 3e-12, w0 + 3e-12, w0 - 1e-10,
+                  w0 + 1e-10, 2.0, 4.0, 2.9])
+    dirs = np.zeros((3, 2 * k))
+    dirs[0, 0], dirs[1, 0] = 1.0, -1.0
+    dirs[2] = np.linspace(0.3, 1.0, 2 * k)
+    g = np.repeat(dirs, r.size, axis=0)
+    r = np.tile(r, len(dirs))
+    # every z row with every w row
+    return (np.repeat(u, r.size), np.repeat(th, r.size),
+            np.tile(g, (u.size, 1)), np.tile(r, u.size))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_radial_screen_adversarial_draws(scenarios_by_n, n):
+    # rows formed from the adversarial draws by the sampler's own row
+    # functions: the screen never drops a member of the region
+    for sc, region in _radial_regions(scenarios_by_n[n]):
+        window = region.window
+        u, th, g, r = _adversarial_draws(sc, window)
+        pts = np.empty((u.size, n), dtype=np.complex128)
+        _disk_rows(u, th, window.z_radius, pts[:, 0])
+        _ball_rows(g.copy(), r, pts[:, 1:])
+        kept = _screen(region, u, g, r)
+        with np.errstate(invalid="ignore", over="ignore"):
+            members = region.contains(pts)
+        assert members.any() and not kept.all(), region.label
+        assert not np.any(members & ~kept), (region.label, pts[members & ~kept][:3])
+        # w = w0 (r = |w0| on the w0 axis) is always kept, and so is z = 0
+        # in Omega1 (log|z| = -inf)
+        at_w0 = (r == sc.w0[0].real) & (g[:, 0] == 1.0)
+        assert at_w0.any() and kept[at_w0].all()
+        assert region.label != "Omega1" or kept[u == 0.0].all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_radial_bound_is_the_stated_formula(scenarios_by_n, n):
+    # the bound, inlined: the ring table minimised over each cell and its two
+    # neighbours, at t and s lowered by a relative 1e-13; the w-pole term at
+    # ||w| - |w0|| less a 1e-12 guard; and a 1e-9 slack below it all
+    rng = np.random.default_rng(n)
+    for sc in scenarios_by_n[n]:
+        w0 = sc.w0[0].real
+        t = np.concatenate([rng.uniform(0.0, 10.24, 200_000),
+                            np.abs(_cell_edge_z(sc)) ** 2, [0.0]])
+        s = np.concatenate([rng.uniform(0.0, 9.0, t.size - 200),
+                            (w0 + rng.uniform(-1e-9, 1e-9, 200)) ** 2])
+        s[:7] = [w0**2, 0.0, (w0 - 5e-13) ** 2, (w0 + 5e-13) ** 2,
+                 (w0 - 1e-11) ** 2, 1.0, 16.0]
+        ring = sc._ring_table
+        table = np.minimum(np.minimum(np.concatenate([ring[:1], ring[:-1]]), ring),
+                           np.concatenate([ring[1:], ring[-1:]]))
+        tl, sl = t * (1.0 - 1e-13), s * (1.0 - 1e-13)
+        gap = np.maximum(np.abs(np.sqrt(sl) - w0) - 1e-12, 0.0)
+        with np.errstate(divide="ignore"):
+            if sc._BOUND == 4.0:
+                terms = 0.5 * np.log(tl) + 0.5 * np.log(gap)
+            else:
+                terms = np.log10(gap)
+            got = sc.radial_lower(t, s)
+        want = table[ring_cells(tl)] + terms + tl + sl - sc._BOUND - 1e-9
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        assert np.all(got[~finite] == -np.inf)
+        assert np.max(np.abs(got[finite] - want[finite])) <= 1e-12
+        # a w-pole gap inside the guard makes the bound -inf
+        assert np.all(got[2:4] == -np.inf) and np.isfinite(got[4])
 
 
 # --- warm-up example --------------------------------------------------------
