@@ -124,10 +124,12 @@ def wirtinger_hessian_batch(f, points, h: float):
     construction and ok[i] is False when any stencil value at point i
     was nonfinite (those H rows are zeroed).
 
-    ``f`` is called on the stencils of ``_BLOCK // 5`` points at a time:
-    each stencil holds 5 distinct z at every n, so a call gives the series
-    about one kernel block of distinct z, while the stencil grid and f's
-    temporaries stay block-sized. ``f`` must be elementwise, so the values,
+    ``f`` is called on the stencils of ``_BLOCK // 5`` points at a time,
+    and of fewer when that would pass ``16 * _BLOCK`` stencil rows (from
+    n = 4 on; at n = 8 a stencil has 481 rows): each stencil holds 5
+    distinct z at every n, so a call gives the series at most about one
+    kernel block of distinct z, while the stencil grid and f's temporaries
+    stay block-sized at every n. ``f`` must be elementwise, so the values,
     hence H, are those of one call on every stencil, bit for bit.
     """
     points = np.asarray(points, dtype=np.complex128)
@@ -135,7 +137,7 @@ def wirtinger_hessian_batch(f, points, h: float):
     offsets, plus, minus, pair_axes, pair_idx = _stencil_offsets(n, h)
     nst = offsets.shape[0]
     vals = np.empty((npts, nst), dtype=np.float64)
-    step = kernels._BLOCK // 5
+    step = min(kernels._BLOCK // 5, 16 * kernels._BLOCK // nst)
     for lo in range(0, npts, step):
         grid = points[lo : lo + step, None, :] + offsets[None, :, :]
         vals[lo : lo + step] = np.reshape(f(grid.reshape(-1, n)), (-1, nst))

@@ -240,7 +240,11 @@ class TaperedForm:
         z = np.atleast_2d(np.asarray(z, dtype=np.complex128))
         xi = np.atleast_2d(np.asarray(xi, dtype=np.complex128))
         t = np.abs(z[:, 0]) ** 2
-        lam, lamp, lampp = kernels.taper_many(t)
+        return self._contract(z, xi, t, kernels.taper_many(t))
+
+    def _contract(self, z, xi, t, taper):
+        """``levi_contract`` with t = |z_1|^2 and its taper values given."""
+        lam, lamp, lampp = taper
         zp2 = _norm2(z[:, 1:])
         pair = np.sum(z[:, 1:] * np.conj(xi[:, 1:]), axis=1)
         first = ((lampp * t + lamp) * zp2 + self.quad_weight) * np.abs(xi[:, 0]) ** 2
@@ -277,9 +281,12 @@ class TaperedForm:
         xi = rng.standard_normal((count, 2 * n))
         xi = xi / np.linalg.norm(xi, axis=1)[:, None]
         xi = xi[:, :n] + 1j * xi[:, n:]
-        lam = kernels.taper_many(np.abs(z1) ** 2)[0]
-        denom = np.abs(xi[:, 0]) ** 2 + lam * _norm2(xi[:, 1:])
-        return float(np.min(self.levi_contract(z, xi) / denom))
+        # one taper evaluation for the form and the denominator: |z1|^2 of
+        # the contiguous draws has the bits of the strided column z[:, 0]
+        t = np.abs(z1) ** 2
+        taper = kernels.taper_many(t)
+        denom = np.abs(xi[:, 0]) ** 2 + taper[0] * _norm2(xi[:, 1:])
+        return float(np.min(self._contract(z, xi, t, taper) / denom))
 
 
 def build_tapered_form(n: int) -> TaperedForm:

@@ -13,7 +13,11 @@ fixed blocks of ``_BLOCK`` so that their per-pole temporaries stay in
 cache. Blocking only splits elementwise work: the per-pole term order
 of each point's accumulation is unchanged, so results are bit-identical
 to an unblocked evaluation and independent of the batch a point is in.
-``sigma_many`` sums every pole at every point of a block. ``u_many``
+``sigma_many`` sums its first ``_HEAD_POLES`` poles at every point of a
+block and the later ones only where a per-point bound cannot prove each of
+their terms below a quarter ulp of the sum so far, |acc| * 2^-55: such a
+term rounds away in ``acc + t``, so skipping it keeps every bit (the error
+budget of the bound is in its docstring). ``u_many``
 sorts each block by x and visits each disc only at the points in its
 x-window (twice the disc radius either side of the centre); a point
 outside that window cannot pass the disc test, so the values are those
@@ -36,12 +40,25 @@ BACKEND_NAME = "numpy"
 # ``SublevelRegion.contains`` screens _BLOCK points at a time,
 # ``wirtinger_hessian_batch`` evaluates the stencils of _BLOCK // 5 points per
 # call (5 distinct z each, so about one block of distinct z for the series),
+# or of fewer points when that passes 16 * _BLOCK stencil rows (n >= 4),
 # ``levi_floors`` takes the Hessians and eigenvalues of one such block at a
 # time, and the (N, J) pole distances of the certificates run over blocks of
 # 16 * _BLOCK entries. Each splits only elementwise or row-by-row work, so
 # every value keeps its bits; the one exception is the Jacobi eigensolver of
 # ``levi_floors``, whose stop test is batch-wide (see there).
 _BLOCK = 16384
+
+# The log-pole tail of ``sigma_many``: the first _HEAD_POLES poles are summed
+# at every point, and the rest only where a per-point bound cannot prove each
+# of their terms below a quarter ulp of the sum (see there). A tail shorter
+# than _MIN_TAIL poles costs less than the bound's passes and is summed.
+_HEAD_POLES = 64
+_MIN_TAIL = 4
+_TAIL_GUARD = 1e-12  # times 1 + |z| + M, off the gap to the tail moduli
+_TAIL_REL = 1e-9  # relative slack of the bound
+_TAIL_ABS = 5e-13  # absolute slack, in units of log|z - a_j|
+_TAIL_FLOOR = 1e-300  # covers a subnormal term; no |acc| near 0 skips
+_TAIL_CAP = 1e150  # q at or above it may overflow a tail |z - a_j|^2
 
 # Radial cutoff profile: 1 on [0, CHI_PLATEAU], 0 on [CHI_SUPPORT, inf),
 # exp-smoothstep in between (all derivatives vanish at both junctions).
@@ -130,27 +147,108 @@ def taper_many(t):
 # ---------------------------------------------------------------------------
 
 def sigma_many(zr, zi, ar, ai, delta):
-    """sum_j delta_j * log|z - a_j| at each point, -inf on an exact pole hit."""
+    """sum_j delta_j * log|z - a_j| at each point, -inf on an exact pole hit.
+
+    Every point adds its terms in pole order. The first ``_HEAD_POLES`` are
+    added at every point. When at least ``_MIN_TAIL`` poles follow, the
+    others are added only at the points that ``_tail_points`` returns:
+    everywhere else each of their terms t_j is below |acc| * 2^-55, a quarter
+    ulp of the head sum acc, so ``acc + t_j`` rounds back to acc and
+    skipping the tail keeps every bit.
+
+    Error budget of the bound on t_j = fl(delta_j * fl(0.5 * fl(log d2))),
+    d2 the computed |z - a_j|^2 (u = 2^-53):
+    - d2 is within a relative (1 + u)^4 of the exact |z - a_j|^2, so log d2
+      is within 5u of the exact log;
+    - the exact |z - a_j| lies between gap, the distance from |z| to the
+      tail's modulus range [m, M], and |z| + M. The computed |z| =
+      sqrt(x*x + y*y) (inf where the squares overflow, off by at most 1e-154
+      where they underflow), m and M (``hypot`` of the float poles) and gap
+      are within 4u (|z| + M) of the exact ones, well inside the guard
+      1e-12 (1 + |z| + M) subtracted from gap (gap');
+    - so |log|z - a_j|| <= log q with q = max(|z| + M, 1/gap') up to a few
+      u: this is ``max(-log gap', log(|z| + M), 0)`` in one log, and q > 1
+      because gap' < |z| + M;
+    - numpy's log is within a few ulps and every product rounds once: the
+      factor 1 + 1e-9 covers the relative errors, a slack of 5e-13 in log
+      units the absolute ones, and 1e-300 a subnormal delta_j * y.
+    So |t_j| <= D (1 + 1e-9) log q + D 5e-13 + 1e-300 with D the largest
+    |delta_j| of the tail. The bound fails, and the point sums its tail, at
+    gap' <= 0, at q >= 1e150 (a tail d2 could overflow), at acc = 0 and at
+    a NaN z, delta or acc. An infinite acc may skip, since every skipped
+    term is finite and leaves it as it is.
+    """
     out = np.zeros_like(zr)
-    npts = zr.shape[0]
+    npts, npoles = zr.shape[0], ar.shape[0]
+    head = _HEAD_POLES if npoles - _HEAD_POLES >= _MIN_TAIL else npoles
+    if head < npoles:
+        moduli = np.hypot(ar[head:], ai[head:])
+        big = np.max(np.abs(delta[head:]))
+        bound = (np.min(moduli), np.max(moduli), big * (1.0 + _TAIL_REL),
+                 big * _TAIL_ABS + _TAIL_FLOOR)
     dx = np.empty(min(npts, _BLOCK))
     dy = np.empty_like(dx)
     with np.errstate(divide="ignore"):
         for lo in range(0, npts, _BLOCK):
             hi = min(lo + _BLOCK, npts)
             bx, by, acc = dx[: hi - lo], dy[: hi - lo], out[lo:hi]
-            for j in range(ar.shape[0]):
-                # acc + delta_j * (0.5 * log(dx*dx + dy*dy)), op by op
-                np.subtract(zr[lo:hi], ar[j], out=bx)
-                np.multiply(bx, bx, out=bx)
-                np.subtract(zi[lo:hi], ai[j], out=by)
-                np.multiply(by, by, out=by)
-                np.add(bx, by, out=bx)
-                np.log(bx, out=bx)
-                np.multiply(0.5, bx, out=bx)
-                np.multiply(delta[j], bx, out=bx)
-                np.add(acc, bx, out=acc)
+            _add_poles(zr[lo:hi], zi[lo:hi], ar[:head], ai[:head], delta[:head],
+                       acc, bx, by)
+            if head == npoles:
+                continue
+            idx = _tail_points(zr[lo:hi], zi[lo:hi], acc, *bound, bx, by)
+            if idx.size:
+                part = acc[idx]
+                _add_poles(zr[lo:hi][idx], zi[lo:hi][idx], ar[head:], ai[head:],
+                           delta[head:], part, bx[: idx.size], by[: idx.size])
+                acc[idx] = part
     return out
+
+
+def _add_poles(zr, zi, ar, ai, delta, acc, bx, by):
+    """acc += delta_j * (0.5 * log(dx*dx + dy*dy)) pole by pole, op by op."""
+    for j in range(ar.shape[0]):
+        np.subtract(zr, ar[j], out=bx)
+        np.multiply(bx, bx, out=bx)
+        np.subtract(zi, ai[j], out=by)
+        np.multiply(by, by, out=by)
+        np.add(bx, by, out=bx)
+        np.log(bx, out=bx)
+        np.multiply(0.5, bx, out=bx)
+        np.multiply(delta[j], bx, out=bx)
+        np.add(acc, bx, out=acc)
+
+
+def _tail_points(zr, zi, acc, m, big_m, c1, c0, q, s):
+    """Indices of the points where the tail bound of ``sigma_many`` fails:
+    not ``c1 * log(q) + c0 < |acc| * 2^-55``, or q >= 1e150, with
+    q = max(|z| + M, 1/gap'). ``q`` and ``s`` are scratch arrays of the
+    points' size."""
+    # inf, NaN and huge z overflow, divide by 0 or subtract inf from inf on
+    # the way; each of them takes the tail
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.multiply(zr, zr, out=q)
+        np.multiply(zi, zi, out=s)
+        q += s
+        np.sqrt(q, out=q)                         # |z|, 15x faster than hypot
+        np.add(q, big_m, out=s)                   # |z| + M
+        inner = m - q
+        np.subtract(q, big_m, out=q)
+        np.maximum(q, inner, out=q)               # gap
+        np.multiply(s, _TAIL_GUARD, out=inner)
+        q -= _TAIL_GUARD
+        q -= inner                                # gap'
+        np.maximum(q, 0.0, out=q)                 # NaN stays NaN
+        np.divide(1.0, q, out=q)                  # +inf where gap' <= 0
+        np.maximum(s, q, out=q)
+        take = q >= _TAIL_CAP
+        np.log(q, out=q)
+        q *= c1
+        q += c0
+        np.abs(acc, out=s)
+        s *= 2.0**-55
+        take |= ~(q < s)                          # NaN bounds take the tail
+    return np.flatnonzero(take)
 
 
 # ---------------------------------------------------------------------------

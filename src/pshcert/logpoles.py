@@ -20,7 +20,10 @@ Truncation errors are certified: for |z| <= 1 or |z| >= 1 + 2/J the
 tail of the series beyond J is bounded termwise by
 ``delta_j * max(log j, log(|z|+3))`` and summed via the geometric
 majorant; inside the thin annulus ``1 < |z| < 1 + 2/J`` tail poles can
-come arbitrarily close to z and the error radius is +inf.
+come arbitrarily close to z and the error radius is +inf. This tail
+beyond trunc is left out of the value and bounded; the terms past pole 64
+that ``kernels.sigma_many`` skips are inside trunc, and each of them is
+proved to round away in float64, so the value keeps every bit.
 
 A cheap certified lower bound screens points before the series runs.
 By the reverse triangle inequality |z - a_j| >= ||z| - |a_j||, and

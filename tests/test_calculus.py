@@ -282,6 +282,64 @@ def test_hessian_working_set_is_block_sized():
     assert peak < bound, (peak, bound)
 
 
+ROWS = 16 * kernels._BLOCK  # stencil rows per f call, at most
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_large_n_hessian_calls_are_row_bounded(n):
+    # from n = 4 on, STEP stencils pass ROWS rows: f sees ROWS // S points'
+    # stencils per call, in order, and H keeps the bits of one call
+    nst = _stencil_offsets(n, H_STEP)[0].shape[0]
+    per_call = ROWS // nst
+    assert per_call < STEP
+    npts = 2 * per_call + 3
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(-1, 1, (npts, n)) + 1j * rng.uniform(-1, 1, (npts, n))
+    pts[[0, per_call - 1, per_call, npts - 1], 1] = 0.3
+    calls = []
+
+    def f(Z):
+        calls.append(len(Z))
+        return _log_pole_target(Z)
+
+    H, ok = wirtinger_hessian_batch(f, pts, H_STEP)
+    H_one, ok_one = _one_call_hessian(_log_pole_target, pts, H_STEP)
+    assert calls == [per_call * nst, per_call * nst, 3 * nst]
+    assert H.tobytes() == H_one.tobytes()
+    assert np.array_equal(ok, ok_one) and np.sum(~ok) == 4
+
+
+def test_levi_floors_working_set_at_n8():
+    # 4000 points at n = 8, 481 stencil rows each. Live at the peak, per
+    # Hessian block of STEP points: the stencil values (STEP*S float64), H
+    # (STEP*n*n complex) and Jacobi's copies and temporaries (under 8 more
+    # STEP*n*n float64 arrays); per f call, one grid of ROWS stencil rows
+    # (ROWS*n complex) and this f's temporaries (three ROWS*n float64 arrays).
+    # With the calls sized in points, one grid held STEP*S rows (202 MB) and
+    # the peak was 397 MiB
+    npts, n = 4000, 8
+    nst = _stencil_offsets(n, H_STEP)[0].shape[0]
+    bound = (STEP * nst * 8 + STEP * n * n * 16 + 8 * STEP * n * n * 8
+             + ROWS * n * 16 + 3 * ROWS * n * 8)
+    assert bound < STEP * nst * n * 16
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-1, 1, (npts, n)) + 1j * rng.uniform(-1, 1, (npts, n))
+    w = np.arange(1.0, n + 1.0)
+
+    def f(Z):
+        return np.sum(w * (Z.real ** 2 + Z.imag ** 2), axis=1)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        floors = levi_floors(f, pts, H_STEP)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(floors, 1.0, atol=1e-5)
+    assert peak < bound, (peak, bound)
+
+
 def test_levi_floors_working_set_is_block_sized():
     # 6 * 10^4 points at n = 3: the Hessians and their Jacobi eigenvalues run
     # per stencil block, so only the N floors outlive a block. Live at the

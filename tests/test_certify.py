@@ -161,6 +161,33 @@ def test_suite_report_bytes_pinned(suite, n, tiny_cfg):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _REPORT_PINS[suite, n]
 
 
+# sha256 of the "all" report at trunc 400, where sigma_many sums 336 poles
+# past its head only where their terms may not round away
+_DEEP_REPORT_PINS = {
+    2: "3c63b0024751909be66488b6a671ca5b092ce83da88b32960134e529d13350df",
+    3: "6dace7a8e39e910bacb7fe791bcd6dfc8bf54a14212113d733b8759396c10095",
+}
+
+
+@pytest.mark.parametrize("n", list(_DEEP_REPORT_PINS))
+def test_deep_truncation_report_bytes_pinned(n, tiny_cfg):
+    text = serialize_report(run_suite("all", replace(tiny_cfg, n=n, trunc=400)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _DEEP_REPORT_PINS[n]
+
+
+@pytest.mark.parametrize("fid, digest", [
+    ("sigma", "2412199274f3f52e4d3b805794d43a68f486eed8450876cd3f60cee63fb59667"),
+    ("sigma_thm2", "53b09020b880aea325e79ab39c95c940941f8395b40007fb8b8d33044f820711"),
+])
+def test_longest_series_grid_bytes_pinned(fid, digest, tiny_cfg, tmp_path):
+    # 121 x 121 cells at trunc MAX_TRUNC, the longest tail, on a region that
+    # crosses the annulus 1 < |z| <= 2 of the poles
+    out = tmp_path / f"{fid}.csv"
+    emit_grid(fid, "none", "-1.6:1.6,-1.6:1.6", (121, 121), str(out),
+              replace(tiny_cfg, trunc=MAX_TRUNC))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # sha256 of the --dump-schedule text of each suite (at --samples 100)
 _SCHEDULE_PINS = {
     "example1": "49cc95cf3feb66c7b99c044161ba06bd17412a1d47460ac0f1ff036357495d63",

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from pshcert import kernels
 from pshcert.calculus import min_eigs_batch
+from pshcert.config import MAX_TRUNC
+from pshcert.constructions import build_plateau
+from pshcert.logpoles import make_schedule
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -157,6 +160,234 @@ def test_blocked_kernels_equal_unblocked_formula(plateau):
     got = kernels.u_many(*args)
     assert np.array_equal(got, _u_unblocked(*args))
     assert np.all(got[hits] == 1.0)
+
+
+# --- the tail cutoff of sigma_many --------------------------------------------
+
+HEAD = kernels._HEAD_POLES
+
+
+@pytest.fixture(scope="module")
+def schedules():
+    # both coefficient schedules at the largest trunc; thm2 reads the discs
+    return {"thm1": make_schedule("thm1", MAX_TRUNC),
+            "thm2": build_plateau(MAX_TRUNC).thm2_schedule}
+
+
+def _zero_crossings(a, delta):
+    """Points on the zero set of sigma, where the head sum is tiny: sign
+    changes between neighbours of a 120 x 120 grid on [-2.2, 2.2]^2, each
+    bisected to two adjacent floats of its segment. Also the largest |sigma|
+    on the grid."""
+    ar, ai = a.real.copy(), a.imag.copy()
+    x = np.linspace(-2.2, 2.2, 120)
+    grid = x[None, :] + 1j * x[:, None]
+    v = _sigma_unblocked(grid.real.ravel(), grid.imag.ravel(), ar, ai, delta).reshape(grid.shape)
+    rows, cols = np.nonzero((v[:, :-1] > 0) & (v[:, 1:] < 0))
+    pick = np.linspace(0, rows.size - 1, 32).astype(int)
+    p, q = grid[rows[pick], cols[pick]], grid[rows[pick], cols[pick] + 1]
+    lo, hi = np.zeros(p.size), np.ones(p.size)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        z = p + mid * (q - p)
+        pos = _sigma_unblocked(z.real.copy(), z.imag.copy(), ar, ai, delta) > 0.0
+        lo, hi = np.where(pos, mid, lo), np.where(pos, hi, mid)
+    return np.concatenate([p + lo * (q - p), p + hi * (q - p)]), np.max(np.abs(v))
+
+
+def _adversarial_points(a, trunc):
+    """Pole hits in the head and the tail, the poles plus 1e-14, every tail
+    modulus +-1 ulp, times (1 +- 1e-15) and within 1e-12, the annulus
+    1 < |z| < 1 + 1/64, 0, NaN, +-inf, 1e154, 1e200 and a uniform cloud."""
+    rng = np.random.default_rng(trunc)
+    tail = a[HEAD:trunc]
+    mods = np.abs(tail)
+    unit = tail / mods
+    turn = np.exp(1j * rng.uniform(0, 2 * np.pi, mods.size))
+    pts = [a[:trunc], a[:trunc] + 1e-14, a[:trunc] + 1e-14j]
+    for r in (np.nextafter(mods, 0.0), np.nextafter(mods, 3.0), mods * (1 - 1e-15),
+              mods * (1 + 1e-15)):
+        pts += [r * unit, r * turn, r + 0j]
+    for k in (-8, -4, -2, -1, 1, 2, 4, 8):
+        pts += [(mods + k * 1.25e-13) * unit, (mods + k * 1.25e-13) * turn]
+    ann = 1.0 + rng.uniform(0.0, 1.0 / 64, 4000)
+    pts.append(ann * np.exp(1j * rng.uniform(0, 2 * np.pi, ann.size)))
+    special = (0.0, np.nan, np.inf, -np.inf, 1e154, -1e154, 1e200, 1.3)
+    pts.append(np.array([complex(x, y) for x in special for y in special]))
+    pts.append(rng.uniform(-3, 3, 4000) + 1j * rng.uniform(-3, 3, 4000))
+    return np.concatenate(pts)
+
+
+def _check_sigma_bits(z, a, delta):
+    args = (z.real.copy(), z.imag.copy(), a.real.copy(), a.imag.copy(), delta.copy())
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = kernels.sigma_many(*args)
+        want = _sigma_unblocked(*args)
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("trunc", [65, 100, 400, MAX_TRUNC])
+@pytest.mark.parametrize("variant", ["thm1", "thm2"])
+def test_sigma_tail_cutoff_keeps_every_bit(schedules, variant, trunc):
+    sch = schedules[variant]
+    a, delta = sch.a[:trunc], sch.delta[:trunc]
+    zeros, scale = _zero_crossings(a, delta)
+    z = np.concatenate([_adversarial_points(sch.a, trunc), zeros])
+    got = _check_sigma_bits(z, a, delta)
+    assert np.all(got[:trunc] == -np.inf)
+    # the zero set was reached: there acc is tiny and its tail is summed
+    assert np.sum(np.abs(got[-zeros.size:]) < 1e-12 * scale) >= 32
+
+
+def _tail_takers(monkeypatch, z, a, delta):
+    # the points whose tail the bound sends to the full loop
+    taken = []
+    orig = kernels._tail_points
+
+    def spy(*args):
+        idx = orig(*args)
+        taken.append(idx)
+        return idx
+
+    monkeypatch.setattr(kernels, "_tail_points", spy)
+    _check_sigma_bits(z, a, delta)
+    monkeypatch.undo()
+    return np.concatenate(taken)
+
+
+def test_sigma_tail_cutoff_arbitrary_poles():
+    # poles anywhere in the unit disk, in no order; some points on them
+    rng = np.random.default_rng(11)
+    J = 300
+    a = np.sqrt(rng.uniform(0, 1, J)) * np.exp(1j * rng.uniform(0, 2 * np.pi, J))
+    delta = 2.0 ** -rng.uniform(1, 60, J)
+    z = np.concatenate([_adversarial_points(a, J),
+                        rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-1, 1, 4000)])
+    _check_sigma_bits(z, a, delta)
+    # one pole in the middle of a tail of large moduli
+    a2 = 1.5 * np.exp(1j * rng.uniform(0, 2 * np.pi, J))
+    a2[200] = 0.25
+    _check_sigma_bits(z, a2, delta)
+
+
+@pytest.mark.parametrize("kind", ["negative", "negative-tail", "alternating", "nan-head",
+                                  "nan-tail", "inf-tail", "unsorted", "late-peak",
+                                  "zero-tail"])
+def test_sigma_tail_cutoff_odd_coefficients(schedules, kind):
+    sch = schedules["thm1"]
+    J = 400
+    a, delta = sch.a[:J], sch.delta[:J].copy()
+    if kind == "negative":
+        delta = -delta
+    elif kind == "negative-tail":
+        delta[HEAD:] *= -1.0  # an infinite head sum meets -inf tail terms
+    elif kind == "alternating":
+        delta[1::2] *= -1.0
+    elif kind == "nan-head":
+        delta[3] = np.nan
+    elif kind == "nan-tail":
+        delta[J - 5] = np.nan
+    elif kind == "inf-tail":
+        delta[HEAD + 7] = np.inf
+    elif kind == "unsorted":
+        delta = np.random.default_rng(2).permutation(delta)
+    elif kind == "late-peak":
+        delta[J - 1] = 1e-3
+    else:
+        delta[HEAD:] = 0.0
+    z = _adversarial_points(sch.a, J)
+    _check_sigma_bits(z, a, delta)
+
+
+@pytest.mark.parametrize("tail", [
+    # the first tail term lies between half an ulp of acc (about 1.9, ulp
+    # 2^-52) and |acc| * 2^-53, so it changes acc: a threshold above a
+    # quarter ulp would skip it
+    [1.6e-16] + [0.0] * 9,
+    # the largest |delta| comes last, or is negative: the bound must take it
+    [1e-30] * 9 + [1.6e-16],
+    [1e-30] * 4 + [-1.6e-16] + [1e-30] * 5,
+])
+def test_sigma_tail_term_above_quarter_ulp_is_added(tail):
+    # every pole at 0, so each term is delta_j * log|z| as the bound states
+    # it: at |z| = e the head sums to about 1.9
+    z = np.array([np.e + 0j, -np.e + 0j, 1j * np.e])
+    a = np.zeros(HEAD + len(tail), dtype=np.complex128)
+    delta = np.concatenate([np.full(HEAD, 1.9 / HEAD), tail])
+    got = _check_sigma_bits(z, a, delta)
+    head = _sigma_unblocked(z.real.copy(), z.imag.copy(), a.real[:HEAD].copy(),
+                            a.imag[:HEAD].copy(), delta[:HEAD].copy())
+    assert np.all(got != head)
+
+
+@pytest.mark.parametrize("edge", ["relative-slack", "absolute-slack", "guard", "floor"])
+def test_sigma_tail_bound_edges_take_the_tail(edge, monkeypatch):
+    # every pole at 0 except, for the guard, the tail's at 1; the tail's
+    # largest delta is set so that |acc| * 2^-55 lies just above the bound
+    # without one of its slacks, and the point must still take the tail
+    x = 1.0 + 5e-13 if edge == "guard" else np.e
+    z = np.array([x + 0j])
+    a = np.zeros(HEAD + 10, dtype=np.complex128)
+    head = np.full(HEAD, (1e-290 if edge == "floor" else 1.0) / HEAD)
+    acc = _sigma_unblocked(z.real.copy(), z.imag.copy(), a.real[:HEAD].copy(),
+                           a.imag[:HEAD].copy(), head)
+    lim = abs(acc[0]) * 2.0**-55
+    log_q = np.log(np.sqrt(x * x))
+    if edge == "relative-slack":
+        big = lim / (log_q * (1.0 + 0.5e-9))
+    elif edge == "absolute-slack":
+        big = lim / ((1.0 + 1e-9) * log_q + 2.5e-13)
+    elif edge == "guard":
+        a[HEAD:] = 1.0  # z is 5e-13 off the tail's circle, inside the guard
+        big = 1e-40
+    else:
+        big = 1e-320  # a subnormal term next to |acc| = 1e-290
+    delta = np.concatenate([head, [big], np.zeros(9)])
+    taken = _tail_takers(monkeypatch, z, a, delta)
+    assert taken.tolist() == [0]
+
+
+def test_sigma_tail_bound_is_the_stated_formula(schedules):
+    # the points that _tail_points sends to the full loop, against the bound
+    # of the sigma_many docstring written out, away from its rounding edge
+    for variant, trunc in (("thm1", 400), ("thm2", MAX_TRUNC), ("thm1", 100)):
+        sch = schedules[variant]
+        a, delta = sch.a[:trunc], sch.delta[:trunc]
+        z = _adversarial_points(sch.a, trunc)
+        zr, zi = z.real.copy(), z.imag.copy()
+        with np.errstate(all="ignore"):
+            acc = _sigma_unblocked(zr, zi, a.real[:HEAD].copy(), a.imag[:HEAD].copy(),
+                                   delta[:HEAD].copy())
+            mods = np.hypot(a.real[HEAD:], a.imag[HEAD:])
+            m, big_m = mods.min(), mods.max()
+            d = np.max(np.abs(delta[HEAD:]))
+            absz = np.sqrt(zr * zr + zi * zi)
+            gap = np.maximum(m - absz, absz - big_m) - 1e-12 * (1.0 + absz + big_m)
+            q = np.maximum(absz + big_m, np.where(gap > 0, 1.0 / gap, np.inf))
+            bound = d * (1.0 + 1e-9) * np.log(q) + d * 5e-13 + 1e-300
+            lim = np.abs(acc) * 2.0**-55
+            want = ~(bound < lim) | (q >= 1e150)
+            clear = ~(np.abs(bound - lim) <= 1e-6 * lim)
+        n = zr.size
+        got = np.zeros(n, dtype=bool)
+        got[kernels._tail_points(zr, zi, acc, m, big_m, d * (1.0 + kernels._TAIL_REL),
+                                 d * kernels._TAIL_ABS + kernels._TAIL_FLOOR,
+                                 np.empty(n), np.empty(n))] = True
+        assert np.array_equal(got[clear], want[clear])
+        assert np.sum(clear) > 0.99 * n
+        assert 0 < np.sum(want) < n
+
+
+def test_sigma_tail_is_skipped_on_the_grid_plane(schedules, monkeypatch):
+    # the grid-deep sigma plane: 400 x 400 points of [-1.6, 1.6]^2 at trunc
+    # 400. A bound that never skips keeps every byte and only costs time, so
+    # the share of points that take the tail is what shows it (0.82%)
+    x = np.linspace(-1.6, 1.6, 400)
+    z = (x[None, :] + 1j * x[:, None]).ravel()
+    sch = schedules["thm1"]
+    taken = _tail_takers(monkeypatch, z, sch.a[:400], sch.delta[:400])
+    assert 0 < taken.size < 0.05 * z.size
 
 
 def _disc_edge_points(a, r):
