@@ -221,10 +221,9 @@ def run_suite(name: str, cfg: CertifyConfig) -> Report:
 #: grid id -> (kind, evaluator of a builder and a batch): "z-plane" ids
 #: take the complex z plane, "point" ids full C^n points from the slice
 GRID_FUNCTIONS = {
-    "sigma": ("z-plane",
-              lambda b, z: series_values(b.thm1.schedule, z, b.cfg.trunc)[0]),
+    "sigma": ("z-plane", lambda b, z: series_values(b.thm1.schedule, z, b.cfg.trunc)),
     "sigma_thm2": ("z-plane", lambda b, z: series_values(
-        b.plateau.thm2_schedule, z, b.cfg.trunc)[0]),
+        b.plateau.thm2_schedule, z, b.cfg.trunc)),
     "u": ("z-plane", lambda b, z: b.plateau.values(z)),
     "d1": ("point", lambda b, pts: b.thm1.defining_values(pts)),
     "d2": ("point", lambda b, pts: b.thm2.defining_values(pts)),

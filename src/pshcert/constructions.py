@@ -60,6 +60,7 @@ from .logpoles import (
     schedule_condition_margin,
     series_lower_bounds_off_discs,
     series_values,
+    tail_error_radius,
 )
 
 # fixed internal seed: schedule constants are part of the constructed
@@ -134,9 +135,12 @@ class PlateauFunction:
 
     def values(self, z) -> np.ndarray:
         """u at each z; a run of adjacent equal z (grouped FD stencils) is
-        evaluated once (``kernels.distinct_runs``), with the same bits."""
-        zs, runs = kernels.distinct_runs(np.asarray(z, dtype=np.complex128).ravel())
-        vals = kernels.u_many(
+        evaluated once (``kernels.per_distinct_z``), with the same bits."""
+        return kernels.per_distinct_z(self._distinct_values, z)
+
+    def _distinct_values(self, zs):
+        """u at the 1-D complex zs, with no search for runs."""
+        return kernels.u_many(
             np.ascontiguousarray(zs.real),
             np.ascontiguousarray(zs.imag),
             np.ascontiguousarray(self.a.real),
@@ -144,7 +148,6 @@ class PlateauFunction:
             np.ascontiguousarray(self.r),
             np.ascontiguousarray(self.eps),
         )
-        return vals if runs is None else np.repeat(vals, runs)
 
 
 def _perturbation_values(a_j: complex, r_j: float, z: np.ndarray) -> np.ndarray:
@@ -235,15 +238,9 @@ class TaperedForm:
     def small_c(self) -> float:
         return 1.0 / self.quad_weight
 
-    def levi_contract(self, z: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """The displayed Levi form of S contracted with xi, per point."""
-        z = np.atleast_2d(np.asarray(z, dtype=np.complex128))
-        xi = np.atleast_2d(np.asarray(xi, dtype=np.complex128))
-        t = np.abs(z[:, 0]) ** 2
-        return self._contract(z, xi, t, kernels.taper_many(t))
-
     def _contract(self, z, xi, t, taper):
-        """``levi_contract`` with t = |z_1|^2 and its taper values given."""
+        """The displayed Levi form of S at the points z (N, n) contracted with
+        xi (N, n), per point, given t = |z_1|^2 and ``taper_many(t)``."""
         lam, lamp, lampp = taper
         zp2 = _norm2(z[:, 1:])
         pair = np.sum(z[:, 1:] * np.conj(xi[:, 1:]), axis=1)
@@ -348,6 +345,10 @@ class _Scenario:
     def sigma(self, z):
         return series_values(self.schedule, z, self.trunc)
 
+    def sigma_tail(self, z):
+        """The certified bound on the series tail beyond ``trunc`` at each z."""
+        return tail_error_radius(self.schedule, np.abs(z), self.trunc)
+
     def _sum(self, series, terms):
         for term in terms:
             series = series + term
@@ -355,7 +356,7 @@ class _Scenario:
 
     def defining_values(self, pts):
         z, terms = self._terms(pts)
-        return self._sum(self.sigma(z)[0], terms)
+        return self._sum(self.sigma(z), terms)
 
     @cached_property
     def _ring_table(self) -> np.ndarray:
@@ -479,12 +480,9 @@ class Thm1Scenario(_Scenario):
         """log|z| + (1/2) log||w| - |w0||, as one log of the product."""
         return 0.5 * np.log(t * gap)
 
-    def defining_error_radii(self, pts):
-        return self.sigma(_split(pts)[0])[1]
-
     def witness_smooth_values(self, pts):
         z, (hlz, qlw, nz2, nw2) = self._terms(pts)
-        return self.sigma(z)[0] + hlz + qlw + nz2 + 0.5 * nw2
+        return self.sigma(z) + hlz + qlw + nz2 + 0.5 * nw2
 
     def witness_values(self, pts):
         return np.maximum(self.witness_smooth_values(pts), -2.0)
@@ -532,13 +530,12 @@ class Thm2Scenario(_Scenario):
     def witness_values(self, pts):
         """The plateau function (|w| < 5/2) or 1 (|w| >= 5/2), plus small_c
         times the bump taper(|z|^2)|w|^2 (|w| < 5/2) or 0. The taper is
-        evaluated once per run of equal z (grouped FD stencils), same bits."""
+        evaluated, with u, once per run of equal z (grouped FD stencils), same
+        bits."""
         z, w = _split(pts)[:2]
-        u = self.plateau.values(z)
-        zs, runs = kernels.distinct_runs(np.ascontiguousarray(z))
-        lam = kernels.taper_many(zs.real**2 + zs.imag**2)[0]
-        if runs is not None:
-            lam = np.repeat(lam, runs)
+        u, lam = kernels.per_distinct_z(lambda zs: np.stack((
+            self.plateau._distinct_values(zs),
+            kernels.taper_many(zs.real**2 + zs.imag**2)[0])), z)
         nw2 = _norm2(w)
         inner = nw2 < _THETA_CUT**2
         return np.where(inner, u, 1.0) + self.form.small_c * np.where(inner, lam * nw2, 0.0)
@@ -754,15 +751,12 @@ def thm1_properties(sc: Thm1Scenario, cfg: CertifyConfig) -> list[Certificate]:
 
     # series bound |sigma| + tail < 1 on the closed unit disk
     zd = closed_disk_samples(cfg.samples, seed, 100)
-    vals, errs = sc.sigma(zd)
-    certs.append(
-        make_certificate("thm1-series-bound-disk",
-                         1.0 - (np.abs(vals) + errs), 0.0, zd)
-    )
+    certs.append(make_certificate(
+        "thm1-series-bound-disk", 1.0 - (np.abs(sc.sigma(zd)) + sc.sigma_tail(zd)), 0.0, zd))
 
     # sub-mean-value margins of the truncated series
     zs, rs = _submean_pairs(sc.schedule, cfg.submean_probes, seed, 101)
-    margins = circle_mean_test(lambda z: sc.sigma(z)[0], zs, rs)
+    margins = circle_mean_test(sc.sigma, zs, rs)
     certs.append(make_certificate("thm1-series-submean", margins, 1e-9, zs))
 
     # pole lines and the origin line stay inside the domain
@@ -781,7 +775,7 @@ def thm1_properties(sc: Thm1Scenario, cfg: CertifyConfig) -> list[Certificate]:
 
     # closed polydisk inside the domain (with certified series tail)
     pts = closed_polydisk_samples(sc.n, cfg.samples, seed, 103)
-    d = sc.defining_values(pts) + sc.defining_error_radii(pts)
+    d = sc.defining_values(pts) + sc.sigma_tail(pts[:, 0])
     certs.append(make_certificate("thm1-closure-membership", -d, 0.0, pts))
 
     # strict plurisubharmonicity of the smooth witness on the window
@@ -1034,10 +1028,8 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
 
     # series below 1/4 on the closed unit disk (tail included)
     zd = closed_disk_samples(cfg.samples, seed, 200)
-    vals, errs = sc.sigma(zd)
-    certs.append(
-        make_certificate("thm2-series-bound-disk", 0.25 - (vals + errs), 0.0, zd)
-    )
+    certs.append(make_certificate(
+        "thm2-series-bound-disk", 0.25 - (sc.sigma(zd) + sc.sigma_tail(zd)), 0.0, zd))
 
     # certified lower bound >= -1 off the plateau discs
     rng = philox(seed, 201)

@@ -218,12 +218,10 @@ def _ball_rows(g, r, out):
 
 
 def _unit_directions(rng, count, k):
-    """Uniform points of the unit sphere in C^k, (count, k)."""
-    g = rng.standard_normal((count, 2 * k))
-    nrm = np.sqrt(_row_sum(lambda j: g[:, j] * g[:, j], 2 * k))
-    nrm[nrm == 0] = 1.0
-    g /= nrm[:, None]
-    return g[:, :k] + 1j * g[:, k:]
+    """Uniform points of the unit sphere in C^k, (count, k): ``_ball_rows`` at
+    r = 1, where the product by 1.0 is exact."""
+    out = np.empty((count, k), dtype=np.complex128)
+    return _ball_rows(rng.standard_normal((count, 2 * k)), np.ones(count), out)
 
 
 def _sample_shell(rng, count, k, lo, hi):

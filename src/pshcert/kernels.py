@@ -5,8 +5,9 @@ are bit-stable from run to run and independent of the batch a point is
 evaluated in.
 
 Conventions: points in C are passed as separate float64 arrays of real
-and imaginary parts; log of a modulus is always computed as
-``0.5*log(dx*dx + dy*dy)``, which yields -inf exactly at a pole hit.
+and imaginary parts; log of a modulus is computed as
+``0.5*log(dx*dx + dy*dy)``, which yields -inf exactly at a pole hit, and
+as ``log(hypot(dx, dy))`` where that square overflows (``sigma_many``).
 
 The pole kernels (``sigma_many``, ``u_many``) walk the points in
 fixed blocks of ``_BLOCK`` so that their per-pole temporaries stay in
@@ -60,35 +61,24 @@ _TAIL_ABS = 5e-13  # absolute slack, in units of log|z - a_j|
 _TAIL_FLOOR = 1e-300  # covers a subnormal term; no |acc| near 0 skips
 _TAIL_CAP = 1e150  # q at or above it may overflow a tail |z - a_j|^2
 
-# Radial cutoff profile: 1 on [0, CHI_PLATEAU], 0 on [CHI_SUPPORT, inf),
-# exp-smoothstep in between (all derivatives vanish at both junctions).
-CHI_PLATEAU = 0.25
-CHI_SUPPORT = 0.75
-
-# Taper profile: the squared exp-smoothstep g(t)^2 with g = 1 on [0, 1/2]
-# and g = 0 on [1, inf). Squaring makes (taper')^2 <= 4*max(g'^2)*taper
-# an algebraic identity rather than an asymptotic fact.
-
 
 # ---------------------------------------------------------------------------
 # runs of equal points
 # ---------------------------------------------------------------------------
 
-def distinct_runs(z):
-    """``(zs, runs)``: complex z (1-D) with each run of adjacent points of equal
-    bits kept once, and the run lengths, or None when every run is one point.
-
-    An elementwise kernel evaluated at zs and expanded by ``np.repeat(v,
-    runs)`` gives the per-point values bit for bit. Grouped FD stencils hold
-    such runs; +0 and -0 differ in their bits, so they never merge.
-    """
+def per_distinct_z(fn, z):
+    """``fn`` of the complex points z (flattened), evaluated once per run of
+    adjacent points of equal bits and repeated along its result's last axis.
+    ``fn`` must map each point on its own: the result is then ``fn(z)`` bit
+    for bit. Grouped FD stencils hold such runs; +0 and -0 never merge."""
+    z = np.asarray(z, dtype=np.complex128).ravel()
     bits = z.view(np.uint64).reshape(-1, 2)
     new = np.ones(z.size, dtype=bool)
     np.not_equal(bits[1:, 0], bits[:-1, 0], out=new[1:])
     new[1:] |= bits[1:, 1] != bits[:-1, 1]
     if new.all():
-        return z, None
-    return z[new], np.diff(np.flatnonzero(new), append=z.size)
+        return fn(z)
+    return np.repeat(fn(z[new]), np.diff(np.flatnonzero(new), append=z.size), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +86,8 @@ def distinct_runs(z):
 # ---------------------------------------------------------------------------
 
 def chi_many(s):
+    """Radial cutoff profile: 1 on [0, 1/4], 0 on [3/4, inf), exp-smoothstep
+    in between (all derivatives vanish at both junctions)."""
     s = np.asarray(s, dtype=np.float64)
     out = np.zeros_like(s)
     out[s <= 0.25] = 1.0
@@ -113,7 +105,10 @@ def chi_many(s):
 # ---------------------------------------------------------------------------
 
 def taper_many(t):
-    """Return (lam, lam', lam'') of the taper profile at each t >= 0."""
+    """(lam, lam', lam'') of the taper profile at each t >= 0: the squared
+    exp-smoothstep g(t)^2 with g = 1 on [0, 1/2] and g = 0 on [1, inf).
+    Squaring makes (lam')^2 <= 4*max(g'^2)*lam an algebraic identity rather
+    than an asymptotic fact."""
     t = np.asarray(t, dtype=np.float64)
     lam = np.zeros_like(t)
     d1 = np.zeros_like(t)
@@ -177,6 +172,9 @@ def sigma_many(zr, zi, ar, ai, delta):
     gap' <= 0, at q >= 1e150 (a tail d2 could overflow), at acc = 0 and at
     a NaN z, delta or acc. An infinite acc may skip, since every skipped
     term is finite and leaves it as it is.
+
+    A finite z whose d2 overflows (|z| above about 1.34e154) takes every pole
+    and sums an infinite term; ``_resum_overflows`` sums it again with hypot.
     """
     out = np.zeros_like(zr)
     npts, npoles = zr.shape[0], ar.shape[0]
@@ -188,7 +186,8 @@ def sigma_many(zr, zi, ar, ai, delta):
                  big * _TAIL_ABS + _TAIL_FLOOR)
     dx = np.empty(min(npts, _BLOCK))
     dy = np.empty_like(dx)
-    with np.errstate(divide="ignore"):
+    # pole hits divide by 0, huge z overflow (re-summed below), inf meets -inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for lo in range(0, npts, _BLOCK):
             hi = min(lo + _BLOCK, npts)
             bx, by, acc = dx[: hi - lo], dy[: hi - lo], out[lo:hi]
@@ -202,7 +201,27 @@ def sigma_many(zr, zi, ar, ai, delta):
                 _add_poles(zr[lo:hi][idx], zi[lo:hi][idx], ar[head:], ai[head:],
                            delta[head:], part, bx[: idx.size], by[: idx.size])
                 acc[idx] = part
+        _resum_overflows(zr, zi, ar, ai, delta, out)
     return out
+
+
+def _resum_overflows(zr, zi, ar, ai, delta, out):
+    """Re-sum from log(hypot(dx, dy)) the points of finite z where some
+    dx*dx + dy*dy overflowed: their sums are not finite. Every other point,
+    a pole hit or an underflowed square among them, keeps its bits."""
+    finite = np.isfinite(out)
+    if finite.all():
+        return
+    idx = np.flatnonzero(~finite)
+    idx = idx[np.isfinite(zr[idx]) & np.isfinite(zi[idx])]
+    x, y = zr[idx], zi[idx]
+    over = np.zeros(idx.size, dtype=bool)
+    acc = np.zeros(idx.size)
+    for j in range(ar.shape[0]):
+        dx, dy = x - ar[j], y - ai[j]
+        over |= np.isinf(dx * dx + dy * dy)
+        acc = acc + delta[j] * np.log(np.hypot(dx, dy))
+    out[idx[over]] = acc[over]
 
 
 def _add_poles(zr, zi, ar, ai, delta, acc, bx, by):

@@ -16,14 +16,13 @@ threshold (their logs are of order -1e4 .. -1e11), so the schedule
 stores ``log_rho`` and every disc membership test compares
 ``log|z - a_j|`` against it; rho_j itself is never materialized.
 
-Truncation errors are certified: for |z| <= 1 or |z| >= 1 + 2/J the
-tail of the series beyond J is bounded termwise by
-``delta_j * max(log j, log(|z|+3))`` and summed via the geometric
-majorant; inside the thin annulus ``1 < |z| < 1 + 2/J`` tail poles can
-come arbitrarily close to z and the error radius is +inf. This tail
-beyond trunc is left out of the value and bounded; the terms past pole 64
-that ``kernels.sigma_many`` skips are inside trunc, and each of them is
-proved to round away in float64, so the value keeps every bit.
+``series_values`` sums the first J = trunc poles only; the tail beyond J
+is certified apart by ``tail_error_radius``: for |z| <= 1 or |z| >= 1 + 2/J
+it is bounded termwise by ``delta_j * max(log j, log(|z|+3))`` and summed
+via the geometric majorant; inside the thin annulus ``1 < |z| < 1 + 2/J``
+tail poles can come arbitrarily close to z and the error radius is +inf.
+The terms past pole 64 that ``kernels.sigma_many`` skips are inside trunc,
+and each is proved to round away in float64, so the value keeps every bit.
 
 A cheap certified lower bound screens points before the series runs.
 By the reverse triangle inequality |z - a_j| >= ||z| - |a_j||, and
@@ -163,26 +162,17 @@ def _checked_trunc(schedule: PoleSchedule, trunc: Optional[int]) -> int:
 
 
 def series_values(schedule: PoleSchedule, z, trunc: Optional[int] = None):
-    """Truncated series and certified tail radii at each point.
+    """The series over the first ``trunc`` poles at each point, float64: -inf
+    exactly when z hits one of them. ``tail_error_radius`` bounds the rest.
 
-    Returns ``(values, error_radii)`` float64 arrays; a value is -inf
-    exactly when z hits one of the first ``trunc`` poles. A run of adjacent
-    z with equal bits (grouped FD stencils) is evaluated once
-    (``kernels.distinct_runs``), which equals a per-point evaluation.
+    A run of adjacent z with equal bits (grouped FD stencils) is evaluated
+    once (``kernels.per_distinct_z``), which equals a per-point evaluation.
     """
     trunc = _checked_trunc(schedule, trunc)
-    zs, runs = kernels.distinct_runs(np.asarray(z, dtype=np.complex128).ravel())
-    vals = kernels.sigma_many(
-        np.ascontiguousarray(zs.real),
-        np.ascontiguousarray(zs.imag),
-        np.ascontiguousarray(schedule.a.real[:trunc]),
-        np.ascontiguousarray(schedule.a.imag[:trunc]),
-        np.ascontiguousarray(schedule.delta[:trunc]),
-    )
-    errs = tail_error_radius(schedule, np.abs(zs), trunc)
-    if runs is not None:
-        vals, errs = np.repeat(vals, runs), np.repeat(errs, runs)
-    return vals, errs
+    ar, ai, delta = (np.ascontiguousarray(v[:trunc]) for v in
+                     (schedule.a.real, schedule.a.imag, schedule.delta))
+    return kernels.per_distinct_z(lambda zs: kernels.sigma_many(
+        np.ascontiguousarray(zs.real), np.ascontiguousarray(zs.imag), ar, ai, delta), z)
 
 
 #: subtracted from every ring gap before its log; it dominates the rounding

@@ -490,7 +490,7 @@ def _circle_mean_one_probe(f, z0, radius, m):
 @pytest.mark.parametrize("target", ["thm1-series", "plateau"])
 def test_circle_mean_batch_equals_scalar_loop(target, thm1, plateau):
     if target == "thm1-series":
-        f, pole = (lambda z: thm1.sigma(z)[0]), thm1.schedule.a[0]
+        f, pole = thm1.sigma, thm1.schedule.a[0]
     else:
         f, pole = plateau.values, plateau.a[0]
     z0, rad = _probes(pole)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pshcert import certify
+from pshcert import certify, constructions
 from pshcert.certify import (
     GRID_FUNCTIONS,
     SUITES,
@@ -133,6 +133,22 @@ def test_report_bytes_are_stable(tiny_cfg):
     assert a == b
     assert a.endswith("\n")
     assert "elapsed" not in a
+
+
+def test_thm1_series_point_count_pinned(tiny_cfg, monkeypatch):
+    # every certificate evaluates the series once on its points; the closure
+    # membership reads its tail radii from tail_error_radius, not from a second
+    # series pass over its 200 points (16377 points when it did)
+    points = []
+    series = constructions.series_values
+
+    def counted(schedule, z, trunc=None):
+        points.append(np.size(z))
+        return series(schedule, z, trunc)
+
+    monkeypatch.setattr(constructions, "series_values", counted)
+    assert run_suite("thm1", tiny_cfg).passed
+    assert (sum(points), len(points)) == (16177, 23)
 
 
 def test_thm2_small_truncation_passes():

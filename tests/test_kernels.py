@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,71 @@ def test_taper_square_structure():
     assert np.all(d1**2 <= bound * lam + 1e-12)
 
 
+# --- runs of equal z ---------------------------------------------------------
+
+def _runs_case():
+    nan, inf = np.nan, np.inf
+    neg_nan = complex(-np.float64(nan), 0.0)  # a NaN of other bits
+    return np.array(
+        [0.3 + 0.2j] * 4 + [0.5] + [-0.4j] * 3
+        + [0.3 - 0.2j, 0.3 + 0.2j, -0.3 + 0.2j]  # equal real or imaginary part
+        + [complex(0.0, 0.0), complex(-0.0, 0.0), complex(-0.0, 0.0),
+           complex(0.0, -0.0), complex(-0.0, -0.0), complex(0.0, 0.0)]
+        + [complex(nan, 0.0)] * 3 + [neg_nan] * 2 + [complex(0.0, nan)] * 2
+        + [complex(nan, nan), complex(inf, 0.0), complex(inf, 0.0), 1.01],
+        dtype=np.complex128)
+
+
+def _bit_runs(z):
+    """Index of the first point of each run of adjacent z with equal bits."""
+    bits = [np.asarray([c]).tobytes() for c in z]
+    return [i for i in range(len(bits)) if i == 0 or bits[i] != bits[i - 1]]
+
+
+def _per_point(z):
+    # a z-only function that tells its points apart by their bits
+    with np.errstate(invalid="ignore"):
+        return np.stack((np.copysign(1.0, z.real) * (z.real**2 + 3.0 * z.imag),
+                         np.copysign(2.0, z.imag) + np.isnan(z.real)))
+
+
+@pytest.mark.parametrize("part", ["whole", "strided", "empty", "one", "distinct"])
+def test_per_distinct_z_evaluates_each_run_once(part):
+    z = _runs_case()
+    z = {"whole": z, "strided": np.stack([z, -z], axis=1)[:, 0], "empty": z[:0],
+         "one": z[-1:], "distinct": z[_bit_runs(z)]}[part]
+    seen = []
+
+    def fn(zs):
+        seen.append(zs.copy())
+        return _per_point(zs)
+
+    got = kernels.per_distinct_z(fn, z)
+    assert len(seen) == 1
+    assert seen[0].tobytes() == z[_bit_runs(z)].tobytes()
+    assert got.shape == (2, z.size)
+    want = np.concatenate([_per_point(z[i:i + 1]) for i in range(z.size)]
+                          + [np.empty((2, 0))], axis=1)
+    assert got.tobytes() == want.tobytes()
+    # a one-dimensional result is repeated as well
+    assert kernels.per_distinct_z(lambda zs: _per_point(zs)[0], z).tobytes() == (
+        want[0].tobytes())
+
+
+def test_per_distinct_z_keeps_signed_zeros_and_nan_bits_apart():
+    # +0 and -0 are other points, and so is a NaN of other bits; equal NaNs merge
+    z = _runs_case()
+    sizes = []
+
+    def fn(zs):
+        sizes.append(zs.size)
+        return zs.real
+
+    for part in (z, z[11:17], z[17:24]):
+        kernels.per_distinct_z(fn, part)
+    assert sizes == [17, 5, 3]
+
+
 # --- pole series ------------------------------------------------------------
 
 def _sigma_oracle(z, a, delta):
@@ -99,15 +165,54 @@ def test_sigma_pole_hit_is_neg_inf():
     assert got[0] == -np.inf
 
 
-def _sigma_unblocked(zr, zi, ar, ai, delta):
-    # the per-pole formula over the whole batch at once
-    out = np.zeros_like(zr)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("trunc", [60, 400])
+def test_sigma_finite_where_squares_overflow(sign, trunc):
+    # |z - a_j|^2 overflows above |z| ~ 1.34e154; there sigma is
+    # log|z| * sum(delta) to within the poles' relative size 2/|z|. Points
+    # whose squares stay finite (1e154), hit a pole, or underflow (a pole at 0
+    # missed by 1e-170, read as a hit) keep the bits of 0.5 * log(d2)
+    sch = make_schedule("thm1", trunc)
+    delta = sign * sch.delta
+    big = np.array([1e160, 1.5e160 + 1j, -1e200j, 3e250 - 4e250j, 1e300 + 1e300j,
+                    -1.7e308, 2e154])
+    kept = np.array([1e154, 1e154j, sch.a[3]])
+    z = np.concatenate([big, kept])
+    args = (z.real.copy(), z.imag.copy(), sch.a.real.copy(), sch.a.imag.copy(), delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels.sigma_many(*args)
+    np.testing.assert_allclose(got[:big.size], np.log(np.abs(big)) * np.sum(delta),
+                               rtol=1e-14)
+    assert got.tobytes() == _sigma_unblocked(*args).tobytes()
+    plain = np.zeros(kept.size)
     with np.errstate(divide="ignore"):
+        for j in range(trunc):
+            dx, dy = kept.real - sch.a.real[j], kept.imag - sch.a.imag[j]
+            plain = plain + delta[j] * (0.5 * np.log(dx * dx + dy * dy))
+    assert got[big.size:].tobytes() == plain.tobytes()
+    assert got[-1] == -sign * np.inf
+    tiny = kernels.sigma_many(np.array([1e-170, 1e160]), np.zeros(2), np.zeros(2),
+                              np.array([0.0, 1.0]), np.array([sign, sign]))
+    assert tiny[0] == -sign * np.inf
+    assert tiny[1] == pytest.approx(2.0 * sign * np.log(1e160), rel=1e-15)
+
+
+def _sigma_unblocked(zr, zi, ar, ai, delta):
+    # the per-pole formula over the whole batch at once; a finite point where
+    # some squared distance overflows takes the sum of log(hypot(dx, dy))
+    out = np.zeros_like(zr)
+    scaled = np.zeros_like(zr)
+    over = np.zeros(zr.shape, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j in range(ar.shape[0]):
             dx = zr - ar[j]
             dy = zi - ai[j]
-            out = out + delta[j] * (0.5 * np.log(dx * dx + dy * dy))
-    return out
+            d2 = dx * dx + dy * dy
+            over |= np.isinf(d2) & np.isfinite(dx) & np.isfinite(dy)
+            out = out + delta[j] * (0.5 * np.log(d2))
+            scaled = scaled + delta[j] * np.log(np.hypot(dx, dy))
+    return np.where(over, scaled, out)
 
 
 def _u_unblocked(zr, zi, ar, ai, rad, eps):
