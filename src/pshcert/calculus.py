@@ -267,8 +267,9 @@ def certify_psh(
     """Sampled Levi-form positivity certificate on a region.
 
     Draws ``sampler.count`` points (skipping any for which ``exclude``
-    returns True, refilling deterministically), computes FD Levi forms
-    in one batch, and passes when every smallest eigenvalue is at least
+    returns True, refilling deterministically), computes their FD Levi
+    floors with ``levi_floors`` (in blocks of ``_BLOCK // 5`` points), and
+    passes when every smallest eigenvalue is at least
     ``-tolerance``. Stencil failures appear as -inf margins with
     witnesses. Raises ``EmptyRegionError`` when 50 draws
     still leave fewer than ``sampler.count`` points.

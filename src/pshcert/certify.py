@@ -308,6 +308,10 @@ def emit_grid(
     built = SuiteBuilder(cfg)
     kind, fn = GRID_FUNCTIONS[function_id]
     varying, fixed = parse_slice_spec(slice_spec, cfg.n)
+    if kind == "z-plane" and fixed is not None:
+        raise ConfigError(f"function {function_id!r} of z alone takes the slice none")
+    if kind == "point" and fixed is None:
+        raise ConfigError(f"function {function_id!r} needs a w= or z= slice")
 
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
@@ -318,8 +322,6 @@ def emit_grid(
         vals = np.asarray(fn(built, plane), dtype=np.float64)
         axes = "re(z),im(z)"
     else:
-        if fixed is None:
-            raise ConfigError(f"function {function_id!r} needs a w= or z= slice")
         if varying == "z":
             pts = product_points(plane, fixed)
             axes = "re(z),im(z)"

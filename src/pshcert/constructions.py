@@ -40,6 +40,7 @@ from .geometry import (
     SublevelRegion,
     Window,
     _row_sum,
+    _sample_annulus,
     _sample_ball,
     _sample_disk,
     _sample_shell,
@@ -71,7 +72,7 @@ _W0_THM1 = 2.0  # |w0| for the first scenario
 _W0_THM2 = 4.0  # |w0| for the second scenario
 _THETA_CUT = 2.5  # |w| switching radius of the second scenario's witness
 
-#: subtracted from every entry of the ring-bound table in ``defining_lower``;
+#: subtracted from every entry of the ring-bound table in ``screened_values``;
 #: it covers the rounding of the computed series against its exact value
 _SCREEN_SLACK = 1e-9
 
@@ -369,17 +370,17 @@ class _Scenario:
         """
         return ring_bound_table(self.schedule, self.trunc) - _SCREEN_SLACK
 
-    def defining_lower(self, pts):
-        """``defining_values`` with the series replaced by its ring bound.
+    def screened_values(self, pts):
+        """``defining_values`` where the ring bound is ``not >= 0``, and that
+        bound elsewhere: the ``defining`` of ``domain_region``, with the
+        ``< 0`` mask of ``defining_values`` and its bits at every member.
 
-        Contract: ``defining_lower(p) <= defining_values(p)`` at every p
-        where neither is NaN, so ``domain_region`` may use it as its
-        screen. The ring bound is one lookup in a table built once per
-        scenario (``logpoles.ring_bound_table``), indexed by the |z|^2 term
-        that ``_terms`` already holds: the index ``floor(|z|^2 * 2^12)`` is
-        exact, and the 1e-12 ring guard covers the rounding of |z|^2, of
-        the cell edges and of the moduli. A NaN |z|^2 falls in the last
-        cell, and its NaN terms keep the point a candidate.
+        The ring bound replaces the series by one lookup in a table built
+        once per scenario (``logpoles.ring_bound_table``), indexed by the
+        |z|^2 term that ``_terms`` already holds: the index ``floor(|z|^2 *
+        2^12)`` is exact, and the 1e-12 ring guard covers the rounding of
+        |z|^2, of the cell edges and of the moduli. A NaN |z|^2 falls in the
+        last cell, and its NaN terms send the point to the series.
 
         Error budget: each entry R is below the exact series of the float
         poles a_j on its whole cell. Where R is finite, every |z - a_j|
@@ -392,10 +393,13 @@ class _Scenario:
         smaller, so its series terms are too). The other terms are the
         same arrays as in ``defining_values``, added in the same order,
         and rounding is monotone: a smaller first summand cannot give a
-        larger sum, so the sums add no error to the budget.
+        larger sum, so the bound stays below ``defining_values``.
         """
-        _, terms = self._terms(pts)
-        return self._sum(self._ring_table.take(ring_cells(terms[-2])), terms)
+        z, terms = self._terms(pts)
+        out = self._sum(self._ring_table.take(ring_cells(terms[-2])), terms)
+        todo = np.flatnonzero(~(out >= 0.0))
+        out[todo] = self._sum(self.sigma(z[todo]), [t[todo] for t in terms])
+        return out
 
     @cached_property
     def _radial_table(self) -> np.ndarray:
@@ -423,7 +427,7 @@ class _Scenario:
         the exact moduli of its float coordinates. The computed |z|^2 then
         lies in the cell of t or the next one, where the neighbour minimum
         still bounds the series (with ``_SCREEN_SLACK`` for its rounding, as
-        in ``defining_lower``). Lowering s raises |w0| - |w| by at most
+        in ``screened_values``). Lowering s raises |w0| - |w| by at most
         2e-13 where |w| < |w0| <= 4, and the formed w's modulus differs
         from r = sqrt(s) by a few ulps of 4; the guard 1e-12 covers both, so
         the w-pole term is below that of p as well. Each remaining term is
@@ -451,10 +455,8 @@ class _Scenario:
 
     def domain_region(self) -> SublevelRegion:
         self._radial_table  # noqa: B018 (built now, before any proposal)
-        return SublevelRegion(
-            self.defining_values, self.bulk_window(), label=self._LABEL,
-            lower=self.defining_lower, radial=self.radial_lower,
-        )
+        return SublevelRegion(self.screened_values, self.bulk_window(),
+                              label=self._LABEL, radial=self.radial_lower)
 
 
 @dataclass(frozen=True)
@@ -895,9 +897,7 @@ def plateau_properties(plateau: PlateauFunction,
     )
 
     # 1 <= u <= |z|^2 outside the unit disk
-    rng = philox(seed, 302)
-    r = np.sqrt(rng.uniform(1.0, 9.0, cfg.samples))
-    z = r * np.exp(2j * np.pi * rng.random(cfg.samples))
+    z = _sample_annulus(philox(seed, 302), cfg.samples, 1.0, 3.0)
     u = plateau.values(z)
     m2 = z.real**2 + z.imag**2
     certs.append(

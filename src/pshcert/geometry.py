@@ -9,16 +9,18 @@ the package starts from ``philox``, and the point shapes that the
 constructions draw (disk, ball, sphere, shell) and assemble
 (``product_points``) live here.
 
-Rejection sampling of a ``SublevelRegion`` screens its proposals twice,
-and neither screen may drop a member, so the members, their order and
-their bits are those of the unscreened sampler. ``radial`` sees only the
-draws of a row and runs before the row is formed: its z from u and theta,
-its w from the normals g and a radius r. A formed row's computed |z|^2 and
-|w|^2 differ from z_radius^2 u and r^2 by about 10 ulps (a square root, a
-complex exponential and a product for z; the norm of g, a quotient and a
-product per coordinate for w; then a sum of squares), and a radial screen
-allows a relative 1e-13 for it (``_Scenario.radial_lower`` in
-``constructions``). ``lower`` then sees the formed rows it kept.
+Rejection sampling of a ``SublevelRegion`` screens its proposals once,
+on their raw draws, and the screen may not drop a member, so the members,
+their order and their bits are those of the unscreened sampler.
+``radial`` sees only the draws of a row and runs before the row is
+formed: its z from u and theta, its w from the normals g and a radius r.
+A formed row's computed |z|^2 and |w|^2 differ from z_radius^2 u and r^2
+by about 10 ulps (a square root, a complex exponential and a product for
+z; the norm of g, a quotient and a product per coordinate for w; then a
+sum of squares), and a radial screen allows a relative 1e-13 for it
+(``_Scenario.radial_lower`` in ``constructions``). The rows it keeps go to
+``contains``; the scenarios' ``defining`` skips the series wherever a ring
+bound proves a row outside (``_Scenario.screened_values``).
 
 The dense angle sequence that drives all pole positions is the golden
 Kronecker sequence ``2*pi*frac(j*g)``; it is equidistributed, so its
@@ -77,24 +79,16 @@ class SublevelRegion:
 
     ``defining`` evaluates a batch of points of the window's C^n. The
     window only drives rejection sampling; membership itself is the
-    sublevel inequality.
-
-    ``lower``, when given, is a cheap screen: a batch function with
-    ``lower(p) <= defining(p)`` wherever both are numbers (NaN is
-    allowed and means "no bound"). ``contains`` evaluates ``defining``
-    only at points with ``not lower(p) >= 0``; every other point is
-    certainly outside. ``lower`` and ``defining`` must be elementwise (a
-    point's value does not depend on the rest of its batch), so the mask
-    is the same as without the screen, bit for bit, and ``lower`` may run
-    block by block.
+    sublevel inequality. ``defining`` must be elementwise (a point's value
+    does not depend on the rest of its batch).
 
     ``radial``, when given, screens rejection proposals before they are
     formed (the window must be a disk, ``z_inner`` = 0). A proposal row is
     drawn as u, theta (its z) and normals g, radius r (its w); ``radial(t,
     s)`` takes t = z_radius^2 u and s = r^2, the squared moduli that the
     formed row's computed |z|^2 and |w|^2 equal to about 10 ulps, and must
-    satisfy ``radial(t, s) <= defining(p)`` at the formed row p wherever
-    neither is NaN, rounding of t, s and p included. The rejection sampler
+    not be ``>= 0`` where the formed row p is a member (``defining(p) <
+    0``), rounding of t, s and p included. The rejection sampler
     forms only rows with ``not radial(t, s) >= 0`` and passes them to
     ``contains``, so the members, their order and their bits are those of
     the unscreened sampler; ``radial`` must be elementwise too.
@@ -103,27 +97,12 @@ class SublevelRegion:
     defining: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     window: Window
     label: str = "sublevel"
-    lower: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, compare=False
-    )
     radial: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
         default=None, compare=False
     )
 
     def contains(self, pts):
-        pts = np.asarray(pts, dtype=np.complex128)
-        if self.lower is None:
-            return self.defining(pts) < 0.0
-        # the screen in blocks of _BLOCK points, so that its temporaries
-        # stay in cache; ``defining`` then runs once, on every candidate
-        maybe = np.empty(pts.shape[0], dtype=bool)
-        for lo in range(0, pts.shape[0], _BLOCK):
-            np.greater_equal(self.lower(pts[lo : lo + _BLOCK]), 0.0,
-                             out=maybe[lo : lo + _BLOCK])
-        np.logical_not(maybe, out=maybe)
-        ok = np.zeros(pts.shape[0], dtype=bool)
-        ok[maybe] = self.defining(pts[maybe]) < 0.0
-        return ok
+        return self.defining(np.asarray(pts, dtype=np.complex128)) < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +143,7 @@ def product_points(z, w) -> np.ndarray:
 
 def _sample_disk(rng, count):
     """Uniform points of the open unit disk (radius draws first)."""
-    return np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
+    return _disk_rows(*_draw_disk(rng, count), 1.0, np.empty(count, dtype=np.complex128))
 
 
 def _row_sum(term, width):
@@ -231,10 +210,12 @@ def _sample_shell(rng, count, k, lo, hi):
     return _unit_directions(rng, count, k) * modulus[:, None]
 
 
-def _sample_z(rng, count, inner, outer, out):
-    """Uniform points of the open disk (inner = 0) or annulus inner < |z| < outer."""
-    if inner == 0.0:
-        return _disk_rows(*_draw_disk(rng, count), outer, out)
+def _sample_annulus(rng, count, inner, outer, out=None):
+    """Uniform points of the open annulus inner < |z| < outer, into ``out`` if
+    given; the squared radii are uniform on [inner^2, outer^2) and drawn
+    before the angles, and a point on the closed edge is drawn again."""
+    if out is None:
+        out = np.empty(count, dtype=np.complex128)
     got = 0
     while got < count:
         u = rng.random(count - got)
@@ -256,8 +237,8 @@ def _draw_disk(rng, count):
 def _disk_rows(u, th, outer, out):
     """Points ``(outer * sqrt(u)) * e^{i theta}`` into ``out``, in blocks of
     ``_BLOCK`` (elementwise, so the same bits whatever the blocks or the
-    other rows), keeping e^{i theta} block-sized. Not bit-equal to
-    ``_sample_disk`` scaled."""
+    other rows), keeping e^{i theta} block-sized. ``_sample_disk`` scaled by
+    ``outer`` does not have these bits."""
     for lo in range(0, len(u), _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         np.multiply(outer * np.sqrt(u[rows]), np.exp(1j * th[rows]), out=out[rows])
@@ -293,40 +274,34 @@ def sample(region: Window | SublevelRegion, sampler: Sampler,
         return _rejection_sample(region, sampler)
     rng = sampler.generator()
     count = sampler.count
-    if screen is not None:
-        return _screened_rows(rng, count, region, screen)
-    # z and w go straight into ``out``, each drawn by a function that frees its
-    # draws before the next one and forms its points in blocks of _BLOCK rows:
-    # besides ``out``, a 4x-count proposal holds only the draws of one factor
-    out = np.empty((count, region.n), dtype=np.complex128)
-    _sample_z(rng, count, region.z_inner, region.z_radius, out[:, 0])
-    _sample_ball(rng, count, region.n - 1, region.w_radius, out[:, 1:])
-    return out
-
-
-def _screened_rows(rng, count, window: Window, screen) -> ScreenedBatch:
-    """The window's draws (u, theta, the normals g, the radii r), screened
-    on t = z_radius^2 u and s = r^2 in blocks of ``_BLOCK``; only the rows
-    kept are formed, by the row functions of the unscreened sample."""
-    if window.z_inner != 0.0:
-        raise ValueError("a radial screen needs a disk window (z_inner = 0)")
+    if region.z_inner != 0.0:
+        if screen is not None:
+            raise ValueError("a radial screen needs a disk window (z_inner = 0)")
+        out = np.empty((count, region.n), dtype=np.complex128)
+        _sample_annulus(rng, count, region.z_inner, region.z_radius, out[:, 0])
+        _sample_ball(rng, count, region.n - 1, region.w_radius, out[:, 1:])
+        return out
     u, th = _draw_disk(rng, count)
-    g, r = _draw_ball(rng, count, window.n - 1, window.w_radius)
-    outside = np.empty(count, dtype=bool)
-    zr2 = window.z_radius * window.z_radius
-    for lo in range(0, count, _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        rb = r[rows]
-        np.greater_equal(screen(zr2 * u[rows], rb * rb), 0.0, out=outside[rows])
-    # a row of zero normals forms w = 0, not |w| = r: it stays a candidate
-    outside[g[:, 0] == 0.0] = False
-    keep = np.flatnonzero(~outside)
-    del outside
-    pts = np.empty((keep.size, window.n), dtype=np.complex128)
-    _disk_rows(u[keep], th[keep], window.z_radius, pts[:, 0])
+    g, r = _draw_ball(rng, count, region.n - 1, region.w_radius)
+    if screen is not None:
+        # screened on t = z_radius^2 u and s = r^2 in blocks of _BLOCK rows
+        outside = np.empty(count, dtype=bool)
+        zr2 = region.z_radius * region.z_radius
+        for lo in range(0, count, _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
+            rb = r[rows]
+            np.greater_equal(screen(zr2 * u[rows], rb * rb), 0.0, out=outside[rows])
+        # a row of zero normals forms w = 0, not |w| = r: it stays a candidate
+        outside[g[:, 0] == 0.0] = False
+        keep = np.flatnonzero(~outside)
+        del outside
+        u, th, g, r = u[keep], th[keep], g[keep], r[keep]
+    # only the kept rows are formed, z first, each factor in blocks of _BLOCK
+    pts = np.empty((len(u), region.n), dtype=np.complex128)
+    _disk_rows(u, th, region.z_radius, pts[:, 0])
     del u, th
-    _ball_rows(g[keep], r[keep], pts[:, 1:])
-    return ScreenedBatch(pts, count)
+    _ball_rows(g, r, pts[:, 1:])
+    return pts if screen is None else ScreenedBatch(pts, count)
 
 
 class EmptyRegionError(RuntimeError):

@@ -38,7 +38,6 @@ BACKEND_NAME = "numpy"
 # The layers above take their blocks from it too, so their working set stays
 # bounded as the batches grow: ``sample`` screens the draws of _BLOCK
 # proposals at a time and forms proposals in blocks of _BLOCK rows,
-# ``SublevelRegion.contains`` screens _BLOCK points at a time,
 # ``wirtinger_hessian_batch`` evaluates the stencils of _BLOCK // 5 points per
 # call (5 distinct z each, so about one block of distinct z for the series),
 # or of fewer points when that passes 16 * _BLOCK stencil rows (n >= 4),

@@ -332,6 +332,21 @@ def test_malformed_slice_value_is_config_error(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_z_plane_grid_with_a_slice_is_config_error(tmp_path, capsys):
+    # sigma, sigma_thm2 and u are functions of z alone: a w= or z= slice
+    # would label the z-plane with a slice it never took
+    out = tmp_path / "g.csv"
+    for fid in ("sigma", "sigma_thm2", "u"):
+        for spec in ("w=0", "z=0.5"):
+            with pytest.raises(ConfigError, match="slice none"):
+                emit_grid(fid, spec, "-1:1,-1:1", (2, 2), str(out), CertifyConfig())
+            code = main(["grid", fid, "--slice", spec, "--region=-1:1,-1:1",
+                         "--res", "2x2", "--out", str(out)])
+            assert code == 2
+            assert "slice none" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_nonfinite_region_is_config_error(tmp_path, capsys):
     for spec in ("-inf:inf,0:1", "0:1,-inf:1", "nan:1,0:1", "0:1,0:inf"):
         with pytest.raises(ConfigError, match="finite"):

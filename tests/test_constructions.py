@@ -653,30 +653,75 @@ def _screen_points(sc, count=200_000) -> np.ndarray:
     return np.concatenate([window, _adversarial_points(sc)])
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _ring_bound(sc, pts):
+    """``defining_values`` with the series replaced by the ring table entry."""
+    _, terms = sc._terms(pts)
+    return sc._sum(sc._ring_table.take(ring_cells(terms[-2])), terms)
+
+
+def _check_screened_values(sc, pts):
+    """``screened_values`` has the bits of ``defining_values`` at every member
+    and every row it computes, is never larger, and gives the same mask."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        screened = sc.screened_values(pts)
+        values = sc.defining_values(pts)
+    member = values < 0.0
+    np.testing.assert_array_equal(screened < 0.0, member)
+    np.testing.assert_array_equal(_bits(screened[member]), _bits(values[member]))
+    # a NaN value stays NaN or is a bound >= 0; a number is never exceeded
+    assert not np.any(screened > values)
+    differs = _bits(screened) != _bits(values)
+    assert np.all(screened[differs] >= 0.0)
+    return screened, values
+
+
 @pytest.mark.parametrize("n", [2, 3])
-def test_defining_lower_never_exceeds_defining(scenarios_by_n, deep_scenarios_by_n, n):
+def test_screened_values_never_exceed_defining(scenarios_by_n, deep_scenarios_by_n, n):
     for sc, count in ([(sc, 200_000) for sc in scenarios_by_n[n]]
                       + [(sc, 20_000) for sc in deep_scenarios_by_n[n]]):
         pts = _screen_points(sc, count)
-        with np.errstate(invalid="ignore", over="ignore"):
-            lower = sc.defining_lower(pts)
-            values = sc.defining_values(pts)
-        # lower <= values wherever both are numbers; a NaN lower bound
-        # only keeps a point a candidate
-        assert not np.any(lower > values)
-        # the bound is -inf at the float poles (a pole modulus in the
-        # cell) and NaN at a NaN coordinate
-        poles = pts[np.isin(pts[:, 0], sc.schedule.a[: sc.trunc])]
-        finite = np.all(np.isfinite(poles), axis=1)
-        assert np.all(sc.defining_lower(poles[finite]) == -np.inf)
+        screened, values = _check_screened_values(sc, pts)
+        # the float poles (a pole modulus in the cell) and a NaN coordinate
+        # are evaluated, with the bits of defining_values
+        poles = np.isin(pts[:, 0], sc.schedule.a[: sc.trunc])
+        assert poles.any() and np.any(values[poles] == -np.inf)
+        np.testing.assert_array_equal(_bits(screened[poles]), _bits(values[poles]))
         nan_z = np.zeros((1, n), dtype=np.complex128)
         nan_z[0, 0] = np.nan
         with np.errstate(invalid="ignore"):
-            assert np.isnan(sc.defining_lower(nan_z)[0])
-        # and it rejects most window proposals outright, which is the
-        # point of the screen
-        screened = np.mean(lower[:count] >= 0.0)
+            assert np.isnan(sc.screened_values(nan_z)[0])
+        # and the ring bound keeps most window proposals from the series,
+        # which is the point of the screen
+        screened = np.mean(_ring_bound(sc, pts[:count]) >= 0.0)
         assert screened > 0.9, screened
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_screened_values_send_only_candidates_to_the_series(scenarios_by_n, n,
+                                                            monkeypatch):
+    # one series call, on exactly the rows whose ring bound is not >= 0
+    # (NaN included), in their order
+    for sc in scenarios_by_n[n]:
+        pts = _screen_points(sc, 20_000)
+        with np.errstate(invalid="ignore", over="ignore"):
+            candidate = ~(_ring_bound(sc, pts) >= 0.0)
+        calls = []
+        series = constructions.series_values
+
+        def counted(schedule, z, trunc):
+            calls.append(np.array(z))
+            return series(schedule, z, trunc)
+
+        monkeypatch.setattr(constructions, "series_values", counted)
+        with np.errstate(invalid="ignore", over="ignore"):
+            sc.screened_values(pts)
+        monkeypatch.undo()
+        assert len(calls) == 1 and 0 < candidate.sum() < len(pts)
+        np.testing.assert_array_equal(_bits(calls[0]), _bits(pts[candidate, 0]))
 
 
 def test_ring_bound_slack_covers_series_rounding(scenarios_by_n, deep_scenarios_by_n):
@@ -708,12 +753,12 @@ def test_screened_mask_equals_unscreened(scenarios_by_n, n):
     pts = {id(sc): _screen_points(sc) for sc in pair}
     labels = []
     for region, sc in zip(_screened_regions(pair), (pair[0],) + (pair[1],) * 3):
-        assert region.lower is not None
+        assert region.defining == sc.screened_values
         labels.append(region.label)
         p = pts[id(sc)]
         with np.errstate(invalid="ignore", over="ignore"):
             screened = region.contains(p)
-            plain = dataclasses.replace(region, lower=None).contains(p)
+            plain = dataclasses.replace(region, defining=sc.defining_values).contains(p)
         np.testing.assert_array_equal(screened, plain)
         assert np.any(screened)
     assert labels == ["Omega1", "Omega2", "Omega2-slab", "Omega2-zdisk"]
@@ -722,33 +767,28 @@ def test_screened_mask_equals_unscreened(scenarios_by_n, n):
 @pytest.mark.parametrize("size", [0, 1, kernels._BLOCK, kernels._BLOCK + 1,
                                   3 * kernels._BLOCK - 7])
 def test_blocked_contains_equals_unblocked(scenarios_by_n, size):
-    # ``contains`` screens in blocks of _BLOCK points and then evaluates
-    # ``defining`` once; the mask is the one-pass screen's, bit for bit
+    # ``screened_values`` is elementwise: ``contains`` on blocks of _BLOCK
+    # points is ``contains`` on the whole batch, and both are the mask of
+    # ``defining_values``
     sc = scenarios_by_n[2][0]
     region = sc.domain_region()
     pts = sample(region.window, Sampler(9, max(size, 1), stream=5))[:size]
-    # NaN and +-inf rows, in z and in w, at both ends of the first blocks
+    # NaN and +-inf rows, in z and in w, at both ends of the first blocks,
+    # then a pole hit and w = w0
     for i, v in zip((0, kernels._BLOCK - 1, kernels._BLOCK, size - 1),
                     (np.nan, np.inf, -np.inf, complex(np.inf, np.nan))):
         if 0 <= i < size:
             pts[i, i % 2] = v
-    calls = []
-
-    def lower(p):
-        calls.append(len(p))
-        return sc.defining_lower(p)
-
+    if size > 2:
+        pts[1, 0], pts[2, 1:] = sc.schedule.a[0], sc.w0
     with np.errstate(invalid="ignore", over="ignore"):
-        blocked = dataclasses.replace(region, lower=lower).contains(pts)
-        want = np.zeros(size, dtype=bool)
-        maybe = ~(sc.defining_lower(pts) >= 0.0)
-        want[maybe] = sc.defining_values(pts[maybe]) < 0.0
-        plain = dataclasses.replace(region, lower=None).contains(pts)
-    np.testing.assert_array_equal(blocked, want)
-    np.testing.assert_array_equal(blocked, plain)
-    assert calls == [min(kernels._BLOCK, size - lo)
-                     for lo in range(0, size, kernels._BLOCK)]
-    assert size < 100 or np.any(blocked)
+        _, values = _check_screened_values(sc, pts)
+        blocked = [region.contains(pts[lo : lo + kernels._BLOCK])
+                   for lo in range(0, size, kernels._BLOCK)]
+        whole = region.contains(pts)
+    np.testing.assert_array_equal(whole, values < 0.0)
+    np.testing.assert_array_equal(np.concatenate(blocked or [whole]), whole)
+    assert size < 100 or np.any(whole)
 
 
 # sha256 of sample(region, Sampler(42, 2000, stream=107)) before the screen
@@ -854,10 +894,6 @@ def _kept_rows(region, sampler):
     u, _ = _draw_disk(rng, sampler.count)
     g, r = _draw_ball(rng, sampler.count, region.window.n - 1, region.window.w_radius)
     return _screen(region, u, g, r)
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.int64)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
