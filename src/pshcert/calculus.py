@@ -16,6 +16,7 @@ a Certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,7 +80,10 @@ def make_certificate(name, margins, tolerance, points=None):
 # ---------------------------------------------------------------------------
 
 def _stencil_offsets(n: int, h: float):
-    """Offsets (S, n) complex and index maps for Hessian assembly.
+    """Offsets (S, n) complex and the index maps of Hessian assembly: +h and
+    -h along each real axis (x_j = 2j, y_j = 2j + 1), and ``pair_idx``
+    (pairs, 4, 4): per pair j < k, in row-major order, the quads xx, yy, xy
+    and yx (x_j x_k, y_j y_k, x_j y_k, y_j x_k), each over (++, +-, -+, --).
 
     Sorted stably by z-component, so each stencil is 5 runs of equal z for
     ``series_values``; the zero offset stays at index 0, read as the centre.
@@ -99,7 +103,6 @@ def _stencil_offsets(n: int, h: float):
         minus[a] = len(offsets)
         offsets.append(-h * unit(a))
 
-    pair_axes = []
     pair_idx = []
     for j in range(n):
         for k in range(j + 1, n):
@@ -109,12 +112,12 @@ def _stencil_offsets(n: int, h: float):
                 for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                     quad.append(len(offsets))
                     offsets.append(sa * h * unit(aj) + sb * h * unit(ak))
-                pair_axes.append((j, k, aj % 2, ak % 2))
                 pair_idx.append(quad)
     offsets = np.stack(offsets)
     order = np.lexsort((offsets[:, 0].imag, offsets[:, 0].real, offsets[:, 0] != 0))
     inverse = np.argsort(order)
-    return offsets[order], inverse[plus], inverse[minus], pair_axes, inverse[pair_idx]
+    pair_idx = inverse[np.array(pair_idx, dtype=np.intp).reshape(-1, 4, 4)]
+    return offsets[order], inverse[plus], inverse[minus], pair_idx
 
 
 def wirtinger_hessian_batch(f, points, h: float):
@@ -131,10 +134,13 @@ def wirtinger_hessian_batch(f, points, h: float):
     kernel block of distinct z, while the stencil grid and f's temporaries
     stay block-sized at every n. ``f`` must be elementwise, so the values,
     hence H, are those of one call on every stencil, bit for bit.
+
+    Each H_jk, j < k, is written in one pass from the pair's (4, 4) quads of
+    ``_stencil_offsets`` (xx, yy, xy, yx, each over ++, +-, -+, --).
     """
     points = np.asarray(points, dtype=np.complex128)
     npts, n = points.shape
-    offsets, plus, minus, pair_axes, pair_idx = _stencil_offsets(n, h)
+    offsets, plus, minus, pair_idx = _stencil_offsets(n, h)
     nst = offsets.shape[0]
     vals = np.empty((npts, nst), dtype=np.float64)
     step = min(kernels._BLOCK // 5, 16 * kernels._BLOCK // nst)
@@ -153,16 +159,10 @@ def wirtinger_hessian_batch(f, points, h: float):
             syy = (vals[:, plus[2 * j + 1]] + vals[:, minus[2 * j + 1]]
                    - 2.0 * f0) / h2
             H[:, j, j] = 0.25 * (sxx + syy)
-        mixed = {}
-        for (j, k, pj, pk), quad in zip(pair_axes, pair_idx):
-            m = (vals[:, quad[0]] - vals[:, quad[1]] - vals[:, quad[2]]
-                 + vals[:, quad[3]]) / (4.0 * h2)
-            mixed[(j, k, pj, pk)] = m
-    for j in range(n):
-        for k in range(j + 1, n):
-            re = mixed[(j, k, 0, 0)] + mixed[(j, k, 1, 1)]
-            im = mixed[(j, k, 0, 1)] - mixed[(j, k, 1, 0)]
-            H[:, j, k] = 0.25 * (re + 1j * im)
+        for (j, k), quads in zip(combinations(range(n), 2), pair_idx):
+            xx, yy, xy, yx = ((vals[:, q[0]] - vals[:, q[1]] - vals[:, q[2]]
+                               + vals[:, q[3]]) / (4.0 * h2) for q in quads)
+            H[:, j, k] = 0.25 * ((xx + yy) + 1j * (xy - yx))
             H[:, k, j] = np.conj(H[:, j, k])
     H[~ok] = 0.0
     return H, ok
@@ -190,9 +190,7 @@ def min_eigs_batch(H: np.ndarray) -> np.ndarray:
             np.ascontiguousarray(H[:, 0, 1].real),
             np.ascontiguousarray(H[:, 0, 1].imag),
         )
-    return kernels.jacobi_min_eig_many(
-        np.ascontiguousarray(H.real), np.ascontiguousarray(H.imag)
-    )
+    return kernels.jacobi_min_eig_many(H.real, H.imag)
 
 
 def levi_floors(f, points, h: float) -> np.ndarray:
@@ -201,11 +199,8 @@ def levi_floors(f, points, h: float) -> np.ndarray:
 
     The Hessians and their eigenvalues run per block of ``_BLOCK // 5``
     points (one stencil block of ``wirtinger_hessian_batch``), so only the
-    N floors outlive a block. The 2x2 closed form is elementwise; Jacobi
-    (n >= 3) stops when every matrix of its batch has converged, so a
-    block may take fewer sweeps than the whole batch would. The pinned
-    n = 3 reports and the Levi grids at n = 3..8 keep their bytes
-    (CHANGES.md); that is measured, not proven.
+    N floors outlive a block. Both eigenvalue kernels treat each matrix on
+    its own, so the floors are those of one whole-batch call, bit for bit.
     """
     points = np.asarray(points, dtype=np.complex128)
     floors = np.empty(points.shape[0])

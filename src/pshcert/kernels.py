@@ -44,8 +44,7 @@ BACKEND_NAME = "numpy"
 # ``levi_floors`` takes the Hessians and eigenvalues of one such block at a
 # time, and the (N, J) pole distances of the certificates run over blocks of
 # 16 * _BLOCK entries. Each splits only elementwise or row-by-row work, so
-# every value keeps its bits; the one exception is the Jacobi eigensolver of
-# ``levi_floors``, whose stop test is batch-wide (see there).
+# every value keeps its bits.
 _BLOCK = 16384
 
 # The log-pole tail of ``sigma_many``: the first _HEAD_POLES poles are summed
@@ -358,21 +357,24 @@ def jacobi_min_eig_many(hr, hi):
     """Smallest eigenvalues by cyclic-by-row complex Jacobi on the (real,
     imag) parts, vectorized across the batch.
 
-    The sweeps stop when every matrix of the batch has converged, so a
-    converged matrix may take further (rounding-sized) rotations: unlike
-    the other kernels, a result may depend on the batch it is in.
+    Each matrix leaves the sweeps on its own, at the first convergence test
+    it passes or after ``_JACOBI_SWEEPS`` sweeps, with its diagonal minimum:
+    its result depends on its own entries only, as when evaluated alone.
     """
-    hr = hr.copy()
-    hi = hi.copy()
-    nmat, n, _ = hr.shape
-    idx = np.arange(nmat)
-    for _ in range(_JACOBI_SWEEPS):
+    n = hr.shape[1]
+    diag = np.arange(n)
+    out = np.empty(hr.shape[0])
+    live = np.arange(hr.shape[0])
+    for sweep in range(_JACOBI_SWEEPS + 1):
         offs = np.sqrt(hr**2 + hi**2)
-        for p in range(n):
-            offs[:, p, p] = 0.0
-        off = offs.reshape(nmat, -1).max(axis=1)
-        diag = np.abs(hr[:, np.arange(n), np.arange(n)]).max(axis=1)
-        if np.all(off <= _JACOBI_TOL * np.maximum(diag, 1.0)):
+        offs[:, diag, diag] = 0.0
+        scale = np.abs(hr[:, diag, diag]).max(axis=1)
+        done = offs.max(axis=(1, 2)) <= _JACOBI_TOL * np.maximum(scale, 1.0)
+        done |= sweep == _JACOBI_SWEEPS
+        out[live[done]] = hr[done][:, diag, diag].min(axis=1)
+        # boolean indexing copies: the rotations never touch the caller's arrays
+        live, hr, hi = live[~done], hr[~done], hi[~done]
+        if not live.size:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -395,12 +397,13 @@ def jacobi_min_eig_many(hr, hi):
                 cc = 1.0 / np.sqrt(1.0 + tt * tt)
                 ss = tt * cc
                 tr = tt * r
-                hr[idx, p, p] = hr[:, p, p] - tr
-                hr[idx, q, q] = hr[:, q, q] + tr
-                hr[idx, p, q] = np.where(act, 0.0, hr[:, p, q])
-                hi[idx, p, q] = np.where(act, 0.0, hi[:, p, q])
-                hr[idx, q, p] = hr[:, p, q]
-                hi[idx, q, p] = -hi[:, p, q]
+                hr[:, p, p] -= tr
+                # an inactive pair leaves its matrix as it is; -0.0 + 0.0 is +0.0
+                hr[:, q, q] = np.where(act, hr[:, q, q] + tr, hr[:, q, q])
+                hr[:, p, q] = np.where(act, 0.0, hr[:, p, q])
+                hi[:, p, q] = np.where(act, 0.0, hi[:, p, q])
+                hr[:, q, p] = hr[:, p, q]
+                hi[:, q, p] = -hi[:, p, q]
                 for k in range(n):
                     if k == p or k == q:
                         continue
@@ -417,12 +420,12 @@ def jacobi_min_eig_many(hr, hi):
                     wxi = wr * xi + wi * xr
                     nyr = ss * wxr + cc * yr
                     nyi = ss * wxi + cc * yi
-                    hr[idx, k, p] = np.where(act, nxr, xr)
-                    hi[idx, k, p] = np.where(act, nxi, xi)
-                    hr[idx, k, q] = np.where(act, nyr, yr)
-                    hi[idx, k, q] = np.where(act, nyi, yi)
-                    hr[idx, p, k] = hr[:, k, p]
-                    hi[idx, p, k] = -hi[:, k, p]
-                    hr[idx, q, k] = hr[:, k, q]
-                    hi[idx, q, k] = -hi[:, k, q]
-    return hr[:, np.arange(n), np.arange(n)].min(axis=1)
+                    hr[:, k, p] = np.where(act, nxr, xr)
+                    hi[:, k, p] = np.where(act, nxi, xi)
+                    hr[:, k, q] = np.where(act, nyr, yr)
+                    hi[:, k, q] = np.where(act, nyi, yi)
+                    hr[:, p, k] = hr[:, k, p]
+                    hi[:, p, k] = -hi[:, k, p]
+                    hr[:, q, k] = hr[:, k, q]
+                    hi[:, q, k] = -hi[:, k, q]
+    return out

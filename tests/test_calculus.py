@@ -116,7 +116,7 @@ def _unsorted_stencil_offsets(n, h):
         offsets.append(h * unit(a))
         minus[a] = len(offsets)
         offsets.append(-h * unit(a))
-    pair_axes, pair_idx = [], []
+    pair_idx = []
     for j in range(n):
         for k in range(j + 1, n):
             for aj, ak in ((2 * j, 2 * k), (2 * j + 1, 2 * k + 1),
@@ -125,21 +125,20 @@ def _unsorted_stencil_offsets(n, h):
                 for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                     quad.append(len(offsets))
                     offsets.append(sa * h * unit(aj) + sb * h * unit(ak))
-                pair_axes.append((j, k, aj % 2, ak % 2))
                 pair_idx.append(quad)
-    return np.stack(offsets), plus, minus, pair_axes, pair_idx
+    return np.stack(offsets), plus, minus, np.reshape(pair_idx, (-1, 4, 4))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_stencil_offsets_grouped_by_z(n):
-    offsets, plus, minus, pair_axes, pair_idx = _stencil_offsets(n, H_STEP)
+    offsets, plus, minus, pair_idx = _stencil_offsets(n, H_STEP)
     assert offsets.shape == (1 + 4 * n + 8 * n * (n - 1), n)
+    assert pair_idx.shape == (n * (n - 1) // 2, 4, 4)
     assert np.all(offsets[0] == 0)
     z = offsets[:, 0]
     assert 1 + np.count_nonzero(z[1:] != z[:-1]) == 5
     # the same stencil, only reordered
-    old, old_plus, old_minus, old_axes, old_idx = _unsorted_stencil_offsets(n, H_STEP)
-    assert old_axes == pair_axes
+    old, old_plus, old_minus, old_idx = _unsorted_stencil_offsets(n, H_STEP)
     np.testing.assert_array_equal(offsets[plus], old[old_plus])
     np.testing.assert_array_equal(offsets[minus], old[old_minus])
     np.testing.assert_array_equal(offsets[pair_idx], old[old_idx])
@@ -181,9 +180,10 @@ def test_stencil_error_at_log_pole():
 
 
 def _one_call_hessian(f, points, h):
-    # the unblocked formula: f called once on every stencil of every point
+    # the unblocked formula: f called once on every stencil of every point,
+    # and the mixed differences of all pairs formed before any H_jk
     npts, n = points.shape
-    offsets, plus, minus, pair_axes, pair_idx = _stencil_offsets(n, h)
+    offsets, plus, minus, pair_idx = _stencil_offsets(n, h)
     nst = offsets.shape[0]
     grid = points[:, None, :] + offsets[None, :, :]
     vals = np.asarray(f(grid.reshape(npts * nst, n)), dtype=np.float64)
@@ -199,10 +199,12 @@ def _one_call_hessian(f, points, h):
                    - 2.0 * f0) / h2
             H[:, j, j] = 0.25 * (sxx + syy)
         mixed = {}
-        for (j, k, pj, pk), quad in zip(pair_axes, pair_idx):
-            m = (vals[:, quad[0]] - vals[:, quad[1]] - vals[:, quad[2]]
-                 + vals[:, quad[3]]) / (4.0 * h2)
-            mixed[(j, k, pj, pk)] = m
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+        for (j, k), quads in zip(pairs, pair_idx):
+            for (pj, pk), quad in zip(((0, 0), (1, 1), (0, 1), (1, 0)), quads):
+                m = (vals[:, quad[0]] - vals[:, quad[1]] - vals[:, quad[2]]
+                     + vals[:, quad[3]]) / (4.0 * h2)
+                mixed[(j, k, pj, pk)] = m
     for j in range(n):
         for k in range(j + 1, n):
             re = mixed[(j, k, 0, 0)] + mixed[(j, k, 1, 1)]

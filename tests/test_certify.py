@@ -472,6 +472,21 @@ def test_grid_export_bytes_pinned(fid, slice_spec, region, res, digest,
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("fid, n, digest", [
+    ("levi_thm1", 4, "077681fbd604dce5fd0d11c2920f624e43aa1562220e2d95580eec6b7f15e252"),
+    ("levi_thm1", 8, "4f28bfa502561e137280cc9db663833e26721dcf0362de0b798564c1a9537a99"),
+    ("levi_thm2", 4, "7dc1c3576e49b23b57c06666c12d037ce99655de4196f60122838c94d80f38ad"),
+    ("levi_thm2", 8, "c96a2bd0b1a74345052cefbaac037151c821421304f93d58e2b866a97df6836b"),
+], ids=["levi_thm1-n4", "levi_thm1-n8", "levi_thm2-n4", "levi_thm2-n8"])
+def test_large_n_levi_grid_bytes_pinned(fid, n, digest, tiny_cfg, tmp_path):
+    # the n >= 4 Levi path: 113- and 481-row stencils and Jacobi eigenvalues
+    # of 4x4 and 8x8 Hessians, on 40 x 40 cells at w = 0.3 on every axis
+    out = tmp_path / f"{fid}.csv"
+    emit_grid(fid, "w=" + ";".join(["0.3"] * (n - 1)), "-0.9:0.9,-0.9:0.9", (40, 40),
+              str(out), replace(tiny_cfg, n=n))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_grid_levi_floor_on_window_slice(tiny_cfg, tmp_path):
     out = tmp_path / "levi.csv"
     values = emit_grid(

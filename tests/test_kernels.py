@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pshcert import kernels
-from pshcert.calculus import min_eigs_batch
-from pshcert.config import MAX_TRUNC
-from pshcert.constructions import build_plateau
+from pshcert.calculus import min_eigs_batch, wirtinger_hessian_batch
+from pshcert.config import MAX_TRUNC, CertifyConfig
+from pshcert.constructions import build_plateau, build_tapered_form, build_thm2
+from pshcert.geometry import Sampler, sample
 from pshcert.logpoles import make_schedule
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
@@ -649,6 +650,14 @@ def test_jacobi_matches_eigvalsh(n):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def test_jacobi_matrix_that_never_converges_leaves_after_the_last_sweep():
+    # a NaN entry fails every convergence test: that matrix leaves after
+    # _JACOBI_SWEEPS sweeps with its diagonal minimum, the other at sweep 0
+    H = np.array([np.diag([1.0, 2.0, 3.0]), np.diag([3.0, -1.0, 2.0])], dtype=complex)
+    H[0, 0, 1] = H[0, 1, 0] = np.nan
+    assert min_eigs_batch(H).tolist() == [1.0, -1.0]
+
+
 def _hermitian_batches(n):
     # generic, diagonal, singular (a repeated column) and near-singular
     rng = np.random.default_rng(1000 + n)
@@ -666,10 +675,36 @@ def _hermitian_batches(n):
 
 def test_min_eigs_batch_bytes_pinned():
     # the n >= 3 (Jacobi) path, bit for bit: its eigenvalues feed the
-    # margins of every n >= 3 report
+    # margins of every n >= 3 report. Each value is that of its matrix
+    # alone; a batch-wide stop test changes 16 of them
     h = hashlib.sha256()
     for n in range(3, 9):
         h.update(min_eigs_batch(_hermitian_batches(n)).tobytes())
     assert h.hexdigest() == (
-        "d90e939e9cc1f3113a389c401ca2fbf2adfd36340a4dce231b6d9dfba6a07837"
+        "f5772f49e41560962d67c1a0dad6e84bfa8ba47eea495837c8eec3763c40a26d"
     )
+
+
+def _thm2_window_block(n):
+    # the Hessians of the first levi_floors block of seed-42 thm2-window-psd-fd
+    cfg = CertifyConfig(n=n, seed=42)
+    sc = build_thm2(cfg, build_plateau(cfg.j_max), lambda: build_tapered_form(n))
+    pts = sample(sc.strict_window_resolvable(), Sampler(42, cfg.samples, stream=208))
+    H, ok = wirtinger_hessian_batch(sc.witness_values, pts[: kernels._BLOCK // 5],
+                                    cfg.fd_step)
+    assert ok.all()
+    return H
+
+
+def test_min_eigs_batch_is_per_matrix():
+    # each matrix leaves the Jacobi sweeps at its own convergence test, so
+    # its eigenvalue is the one it gets alone, bit for bit; a batch-wide stop
+    # test changes 16 synthetic values and 165 of the 3276 real ones. In the
+    # last batch, pair (0, 1) rotates the second matrix only, and the first
+    # keeps its -0.0 diagonal minimum
+    signed = np.array([[[1, 0, 1], [0, -0.0, 0], [1, 0, 2]],
+                       [[1, 1, 0], [1, 2, 0], [0, 0, 3]]], dtype=complex)
+    for H in [_hermitian_batches(n) for n in range(3, 9)] + [_thm2_window_block(5),
+                                                            signed]:
+        alone = np.concatenate([min_eigs_batch(H[i : i + 1]) for i in range(len(H))])
+        assert min_eigs_batch(H).tobytes() == alone.tobytes()
