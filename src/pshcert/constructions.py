@@ -118,16 +118,27 @@ class PlateauFunction:
     safety factor 2) to keep the glued function subharmonic. The
     saturated plateau around a_j has radius exp(log_rho_j), far below
     float64 resolution, so plateau membership is tested in log space.
+
+    eps_j is computed the first time something reads disc j
+    (``disc_eps``): ``values`` probes only the discs that hold one of its
+    points, and ``eps``, ``log_rho`` and ``thm2_schedule`` probe every disc.
     """
 
     a: np.ndarray
     r: np.ndarray
-    eps: np.ndarray
-    log_rho: np.ndarray
+    disc_eps: _DiscEps = field(repr=False, compare=False)
 
     @property
     def j_max(self) -> int:
         return self.a.size
+
+    @cached_property
+    def eps(self) -> np.ndarray:
+        return self.disc_eps.all()
+
+    @cached_property
+    def log_rho(self) -> np.ndarray:
+        return np.minimum(np.log(0.25 * self.r), -5.0 / self.eps)
 
     @cached_property
     def thm2_schedule(self) -> PoleSchedule:
@@ -140,14 +151,15 @@ class PlateauFunction:
         return kernels.per_distinct_z(self._distinct_values, z)
 
     def _distinct_values(self, zs):
-        """u at the 1-D complex zs, with no search for runs."""
+        """u at the 1-D complex zs, with no search for runs. ``u_many`` reads
+        eps_j only at the discs that hold a point, so only those are probed."""
         return kernels.u_many(
             np.ascontiguousarray(zs.real),
             np.ascontiguousarray(zs.imag),
             np.ascontiguousarray(self.a.real),
             np.ascontiguousarray(self.a.imag),
             np.ascontiguousarray(self.r),
-            np.ascontiguousarray(self.eps),
+            self.disc_eps,
         )
 
 
@@ -175,22 +187,57 @@ def _annulus_laplacians(f, a, r, seed: int, streams) -> np.ndarray:
     return _fd_laplacian(f, z, r * 1e-3)
 
 
-#: discs per block of ``build_plateau``: their five stacked 1000-point
+#: discs per probe of ``_DiscEps.all``: their five stacked 1000-point
 #: stencils fill at most one ``_BLOCK``. Larger blocks raised the peak RSS
 #: of the grid exports (glibc heap layout)
 _EPS_DISCS = kernels._BLOCK // 5000
 
 
-def build_plateau(j_max: int) -> PlateauFunction:
-    """The plateau function on the first ``j_max`` pole discs.
+class _DiscEps:
+    """eps_j of each plateau disc, computed the first time disc j is read.
 
     eps_j = 2 / K_j, where K_j doubles the sup of
     |Laplacian(chi(|.|/r_j) log|.|)| over 1000 samples of the transition
     annulus (floored at 1), so the finite-difference Laplacian of
     |z|^2 + eps_j * perturbation stays >= 2 on the disc. Disc j draws its
-    annulus from stream 11_001 + j of ``_BUILD_SEED``; the discs are
-    evaluated ``_EPS_DISCS`` at a time by the ``_annulus_laplacians`` of the
-    ``plateau-laplacian-floor`` certificate.
+    annulus from stream 11_001 + j of ``_BUILD_SEED``, so eps_j depends on j
+    alone and every order or grouping of reads gives the same bits. A probe
+    runs the ``_annulus_laplacians`` of the ``plateau-laplacian-floor``
+    certificate: ``self[j]`` probes disc j alone, ``all()`` every disc not
+    yet probed, ``_EPS_DISCS`` at a time. Each disc is probed once; a
+    nonfinite Laplacian raises ``RuntimeError`` at every read that needs it.
+    """
+
+    def __init__(self, a: np.ndarray, r: np.ndarray):
+        self._a, self._r = a, r
+        self._eps = np.full(a.size, np.nan)  # NaN until the disc is probed
+
+    def __getitem__(self, j: int) -> float:
+        if np.isnan(self._eps[j]):
+            self._probe(np.array([j]))
+        return self._eps[j]
+
+    def all(self) -> np.ndarray:
+        todo = np.flatnonzero(np.isnan(self._eps))
+        for lo in range(0, todo.size, _EPS_DISCS):
+            self._probe(todo[lo : lo + _EPS_DISCS])
+        return self._eps
+
+    def _probe(self, discs: np.ndarray) -> None:
+        aj, rj = self._a[discs, None], self._r[discs, None]
+        lap = _annulus_laplacians(lambda zz: _perturbation_values(aj, rj, zz), aj, rj,
+                                  _BUILD_SEED, (11_001 + discs).tolist())
+        if not np.all(np.isfinite(lap)):
+            raise RuntimeError("nonfinite Laplacian probe in plateau construction")
+        self._eps[discs] = 2.0 / np.maximum(1.0, 2.0 * np.max(np.abs(lap), axis=1))
+
+
+def build_plateau(j_max: int) -> PlateauFunction:
+    """The plateau function on the first ``j_max`` pole discs.
+
+    Only the disc geometry is built here; each eps_j is probed the first
+    time it is read (``_DiscEps``), so a grid of the plateau away from the
+    poles probes no disc.
 
     log_rho_j = min(log(r_j/4), -5/eps_j) is the log of the saturated
     plateau's radius: within it the cutoff equals 1 and
@@ -199,18 +246,7 @@ def build_plateau(j_max: int) -> PlateauFunction:
     is meaningful.
     """
     _, a, r = pole_discs(j_max)
-    eps = np.empty(j_max)
-    streams = range(11_001, 11_001 + j_max)
-    for lo in range(0, j_max, _EPS_DISCS):
-        discs = slice(lo, lo + _EPS_DISCS)
-        aj, rj = a[discs, None], r[discs, None]
-        lap = _annulus_laplacians(lambda zz: _perturbation_values(aj, rj, zz), aj, rj,
-                                  _BUILD_SEED, streams[discs])
-        if not np.all(np.isfinite(lap)):
-            raise RuntimeError("nonfinite Laplacian probe in plateau construction")
-        eps[discs] = 2.0 / np.maximum(1.0, 2.0 * np.max(np.abs(lap), axis=1))
-    log_rho = np.minimum(np.log(0.25 * r), -5.0 / eps)
-    return PlateauFunction(a, r, eps, log_rho)
+    return PlateauFunction(a, r, _DiscEps(a, r))
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +368,13 @@ def _split(pts):
 class _Scenario:
     """Sublevel domain ``series(z) + terms(z, w) - _BOUND < 0`` in C x C^{n-1}.
 
-    A scenario supplies its non-series terms (``_terms``, in summation
-    order, the last two |z|^2 and |w|^2), ``_BOUND`` and the label of its
-    domain region. Rejection sampling of the domain proposes from the
-    window |z| < 3.2, |w| < 3.
+    A scenario supplies its pole ``schedule``, its non-series terms
+    (``_terms``, in summation order, the last two |z|^2 and |w|^2),
+    ``_BOUND`` and the label of its domain region. Rejection sampling of
+    the domain proposes from the window |z| < 3.2, |w| < 3.
     """
 
     n: int
-    schedule: PoleSchedule
     trunc: int
     w0: np.ndarray  # on the first w axis (``_axis_point``): ``_terms`` shifts by w0[0]
 
@@ -468,6 +503,8 @@ class Thm1Scenario(_Scenario):
     the annulus 1/2 < |z| < 1 with the unit ball.
     """
 
+    schedule: PoleSchedule
+
     _BOUND = 4.0
     _LABEL = "Omega1"
 
@@ -495,7 +532,7 @@ class Thm1Scenario(_Scenario):
 
 def build_thm1(cfg: CertifyConfig) -> Thm1Scenario:
     schedule = make_schedule("thm1", cfg.j_max)
-    return Thm1Scenario(cfg.n, schedule, cfg.trunc, _axis_point(_W0_THM1, cfg.n - 1))
+    return Thm1Scenario(cfg.n, cfg.trunc, _axis_point(_W0_THM1, cfg.n - 1), schedule)
 
 
 @dataclass(frozen=True)
@@ -507,13 +544,19 @@ class Thm2Scenario(_Scenario):
     while every membership chain below needs log|w - w0| <= log 5 < 3/4
     on the unit ball. The witness glues the plateau function (for
     |w| < 5/2) with the constant 1, plus small_c times the tapered
-    |w|^2 bump. The domain never reads the form, built on first use.
+    |w|^2 bump. The domain never reads the form, and the witness never
+    reads the schedule: each is built on first use, so a witness grid
+    away from the poles probes no plateau disc.
     """
 
     plateau: PlateauFunction
     make_form: Callable[[], TaperedForm] = field(repr=False, compare=False)
 
     form = cached_property(lambda self: self.make_form())
+
+    @property
+    def schedule(self) -> PoleSchedule:
+        return self.plateau.thm2_schedule
 
     _BOUND = 3.0
     _LABEL = "Omega2"
@@ -587,10 +630,8 @@ class Thm2Scenario(_Scenario):
 
 def build_thm2(cfg: CertifyConfig, plateau: PlateauFunction,
                make_form: Callable[[], TaperedForm]) -> Thm2Scenario:
-    return Thm2Scenario(
-        cfg.n, plateau.thm2_schedule, cfg.trunc, _axis_point(_W0_THM2, cfg.n - 1),
-        plateau, make_form,
-    )
+    return Thm2Scenario(cfg.n, cfg.trunc, _axis_point(_W0_THM2, cfg.n - 1), plateau,
+                        make_form)
 
 
 # ---------------------------------------------------------------------------

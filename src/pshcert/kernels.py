@@ -282,7 +282,9 @@ def u_many(zr, zi, ar, ai, rad, eps):
     |fl(x - re a_j)| < r_j, and such an x lies inside the window whenever
     r_j exceeds a few ulps of |a_j| (for r_j = 1/(4j(j+1)) and |a_j| of
     order 1, every j below about 10^7). Discs are visited in ascending j
-    and each point keeps its first hit, as in an all-pairs scan.
+    and each point keeps its first hit, as in an all-pairs scan. ``eps`` is
+    read only as ``eps[j]`` at a disc j that holds a point, so it may be any
+    indexable that computes eps_j on first read.
     """
     out = np.empty_like(zr)
     win_lo = ar - 2.0 * rad

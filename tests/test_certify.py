@@ -521,6 +521,61 @@ def test_d2_grid_builds_no_tapered_form(tiny_cfg, tmp_path, monkeypatch):
                   str(tmp_path / "p.csv"), tiny_cfg)
 
 
+#: the five grid exports of the grid-deep benchmark batch at input seed 42
+_GRID_DEEP_EXPORTS = (
+    ("sigma", "none", "-1.6:1.6,-1.6:1.6", "400x400"),
+    ("u", "none", "-1.6:1.6,-1.6:1.6", "400x400"),
+    ("d2", "w=0.5", "-2:2,-2:2", "400x400"),
+    ("levi_thm1", "w=0", "-0.95:0.95,-0.95:0.95", "150x150"),
+    ("levi_thm2", "w=0", "-0.9:0.9,-0.9:0.9", "150x150"),
+)
+
+
+def test_grid_exports_probe_only_the_plateau_discs_they_read(tmp_path, monkeypatch):
+    # each export builds a fresh plateau, whose eps_j is probed the first time
+    # disc j is read: u probes exactly the discs where u_many reads eps, d2
+    # probes every disc for the one thm2 schedule of its series, and the
+    # other exports, levi_thm2's witness included, probe none
+    probed, read, thm2_schedules = [], set(), []
+    real_probe = constructions._DiscEps._probe
+    real_u, real_schedule = constructions.kernels.u_many, constructions.make_schedule
+
+    def counted_probe(self, discs):
+        probed.extend(discs.tolist())
+        return real_probe(self, discs)
+
+    class RecordedReads:
+        def __init__(self, eps):
+            self.eps = eps
+
+        def __getitem__(self, j):
+            read.add(j)
+            return self.eps[j]
+
+    def counted_schedule(kind, *args):
+        if kind == "thm2":
+            thm2_schedules.append(args)
+        return real_schedule(kind, *args)
+
+    monkeypatch.setattr(constructions._DiscEps, "_probe", counted_probe)
+    monkeypatch.setattr(constructions.kernels, "u_many",
+                        lambda *args: real_u(*args[:-1], RecordedReads(args[-1])))
+    monkeypatch.setattr(constructions, "make_schedule", counted_schedule)
+    for fid, slice_spec, region, res in _GRID_DEEP_EXPORTS:
+        probed.clear()
+        read.clear()
+        thm2_schedules.clear()
+        assert main(["grid", fid, "--slice", slice_spec, f"--region={region}", "--res", res,
+                     "--trunc", "400", "--seed", "42", "--out", str(tmp_path / "g.csv")]) == 0
+        assert len(thm2_schedules) == (fid == "d2"), fid
+        if fid == "u":
+            assert sorted(probed) == sorted(read) and len(probed) == 7
+        elif fid == "d2":
+            assert sorted(probed) == list(range(400))
+        else:
+            assert probed == [], fid
+
+
 def test_grid_unknown_function(tiny_cfg, tmp_path):
     with pytest.raises(ConfigError):
         emit_grid("mystery", "none", "-1:1,-1:1", (4, 4),

@@ -10,6 +10,7 @@ import pytest
 
 from pshcert import constructions, kernels
 from pshcert.calculus import circle_mean_test, wirtinger_hessian_batch
+from pshcert.certify import run_suite
 from pshcert.config import MAX_TRUNC, PSD_TOL, CertifyConfig
 from pshcert.constructions import (
     _SCREEN_SLACK,
@@ -139,43 +140,87 @@ def _plateau_eps_per_disc(a_j, r_j, j):
 
 @pytest.mark.parametrize("j_max", [1, 2, 3, 4, 60, 400])
 def test_plateau_eps_match_per_disc_oracle(j_max):
-    # the blocked build against one disc at a time, bit for bit, on block
-    # edges (blocks hold kernels._BLOCK // 5000 = 3 discs) and at trunc 400
-    plateau = build_plateau(j_max)
-    want = [_plateau_eps_per_disc(plateau.a[j], plateau.r[j], j) for j in range(j_max)]
-    assert np.asarray(want).tobytes() == plateau.eps.tobytes()
+    # the probes against one disc at a time, bit for bit, on block edges
+    # (``eps`` probes kernels._BLOCK // 5000 = 3 discs per call) and at trunc
+    # 400, whatever the order of the reads, each on a fresh build: every disc
+    # at once; one disc at a time in reverse; a random subset one at a time,
+    # then the rest at once
+    want = None
+    subset = np.random.default_rng(j_max).permutation(j_max)[: (j_max + 1) // 2].tolist()
+    for read in ([], list(range(j_max))[::-1], subset):
+        plateau = build_plateau(j_max)
+        if want is None:
+            want = np.asarray([_plateau_eps_per_disc(plateau.a[j], plateau.r[j], j)
+                               for j in range(j_max)])
+        got = [plateau.disc_eps[j] for j in read]
+        assert np.asarray(got).tobytes() == want[read].tobytes()
+        assert want.tobytes() == plateau.eps.tobytes()
 
 
 def test_plateau_build_blocks(monkeypatch):
-    # every disc is evaluated once, in calls of at most _BLOCK points, each
-    # but the last as full as whole discs (5 stencils x 1000 points) allow
-    sizes = []
+    # across any sequence of reads every disc is probed at most once, in calls
+    # of at most _BLOCK points; ``eps`` probes the discs not yet read in calls
+    # each but the last as full as whole discs (5 stencils x 1000 points) allow
+    calls = []
     real = constructions._perturbation_values
 
     def counted(a, r, z):
-        sizes.append(z.size)
+        calls.append((a.ravel().tolist(), z.size))
         return real(a, r, z)
 
     monkeypatch.setattr(constructions, "_perturbation_values", counted)
     for j_max in (1, 7, 60):
-        sizes.clear()
-        build_plateau(j_max)
+        calls.clear()
+        build_plateau(j_max).eps
+        sizes = [size for _, size in calls]
         assert sum(sizes) == 5000 * j_max
         assert max(sizes) <= kernels._BLOCK
         assert all(s > kernels._BLOCK - 5000 for s in sizes[:-1])
 
+    calls.clear()
+    plateau = build_plateau(60)
+    assert calls == []
+    for j in (5, 5, 0, 59):
+        plateau.disc_eps[j]
+    plateau.values(plateau.a[[5, 7, 7]])
+    assert [a for a, _ in calls] == [[plateau.a[j]] for j in (5, 0, 59, 7)]
+    plateau.eps
+    rest = calls[4:]
+    assert all(size > kernels._BLOCK - 5000 for _, size in rest[:-1])
+    plateau.log_rho
+    plateau.thm2_schedule
+    plateau.values(plateau.a)
+    plateau.disc_eps[7]
+    probed = [a for discs, _ in calls for a in discs]
+    assert len(probed) == 60 and set(probed) == set(plateau.a.tolist())
+    assert max(size for _, size in calls) <= kernels._BLOCK
+
 
 def test_plateau_nonfinite_laplacian_raises(monkeypatch):
-    # a NaN perturbation on disc 4 only, in the second block of the build
+    # a NaN perturbation on disc 4 only: the build returns, every read that
+    # needs disc 4 raises, at each attempt, and reads of other discs do not
     a4 = pole_discs(5)[1][4]
 
     def nan_at_disc_4(a, r, z):
         return np.where(a == a4, np.nan, 0.0) + 0.0 * z.real
 
     monkeypatch.setattr(constructions, "_perturbation_values", nan_at_disc_4)
-    build_plateau(4)
-    with pytest.raises(RuntimeError, match="nonfinite Laplacian"):
-        build_plateau(5)
+    build_plateau(4).eps
+    plateau = build_plateau(5)
+    with np.errstate(divide="ignore"):
+        assert plateau.values([0j, plateau.a[3]]).tolist() == [0.0, 1.0]
+    inside_4 = [plateau.a[4] + 0.5 * plateau.r[4]]
+    for read in (lambda: plateau.eps, lambda: plateau.log_rho,
+                 lambda: plateau.thm2_schedule, lambda: plateau.values(inside_4),
+                 lambda: plateau.disc_eps[4]):
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="nonfinite Laplacian"):
+                read()
+    report = run_suite("lemma21", CertifyConfig(samples=100, submean_probes=40,
+                                                plateau_checks=8))
+    [cert] = report.certificates
+    assert cert.name == "construction-failure"
+    assert "nonfinite Laplacian" in cert.witnesses[0]["error"]
 
 
 def test_plateau_runs_match_per_point_evaluation(plateau, thm2, monkeypatch):
