@@ -14,12 +14,12 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from .calculus import Certificate, levi_floors
-from .geometry import EmptyRegionError, product_points
+from .geometry import product_points
 from .kernels import BACKEND_NAME
 from .config import MAX_GRID_CELLS, CertifyConfig, ConfigError
 from .constructions import (
@@ -107,24 +107,21 @@ def serialize_report(report: Report) -> str:
 # suite construction
 # ---------------------------------------------------------------------------
 
+@dataclass
 class SuiteBuilder:
-    """The constructed objects of one run, each built on first use."""
+    """The constructed objects of one run, each built on first use. thm2 takes
+    only the form's constant C, so only the suites that report on the form
+    build it."""
 
-    def __init__(self, cfg: CertifyConfig):
-        self.cfg = cfg
-        # thm2 builds the shared form through this closure, which refers to
-        # the config and not to the builder: a builder -> thm2 -> builder
-        # cycle would keep a finished run's scenarios and screen tables alive
-        # until the cyclic collector runs
-        self._form = cache(lambda: build_tapered_form(cfg.n))
+    cfg: CertifyConfig
 
     @cached_property
     def plateau(self):
         return build_plateau(self.cfg.j_max)
 
-    @property
+    @cached_property
     def form(self):
-        return self._form()
+        return build_tapered_form(self.cfg.n)
 
     @cached_property
     def thm1(self):
@@ -132,7 +129,7 @@ class SuiteBuilder:
 
     @cached_property
     def thm2(self):
-        return build_thm2(self.cfg, self.plateau, self._form)
+        return build_thm2(self.cfg, self.plateau)
 
 
 # schedule exports: the text each suite's fingerprint hashes
@@ -189,7 +186,7 @@ def run_suite(name: str, cfg: CertifyConfig) -> Report:
     try:
         certs = certificates(built)
         schedule_text = schedule(built)
-    except (RuntimeError, EmptyRegionError) as exc:
+    except RuntimeError as exc:
         # construction failures (no positive sampled form floor,
         # starved rejection sampler) become a failing report, not a crash
         certs = [

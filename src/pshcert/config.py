@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 
@@ -87,6 +88,10 @@ class CertifyConfig:
         return max(self.trunc, self.plateau_checks)
 
     def validate(self) -> "CertifyConfig":
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int" and (type(v) is bool or not isinstance(v, numbers.Integral)):
+                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
         if not 2 <= self.n <= 8:
             raise ConfigError(f"ambient dimension n must be in [2, 8], got {self.n}")
         if not 1 <= self.trunc <= MAX_TRUNC:

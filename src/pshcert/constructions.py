@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -323,18 +322,11 @@ class TaperedForm:
         return float(np.min(self._contract(z, xi, t, taper) / denom))
 
 
-def build_tapered_form(n: int) -> TaperedForm:
-    """Fix the form's constants on C x B(0, TAPER_RADIUS) in C^n and
-    certify a positive sampled floor.
-
-    The growth constant comes from a finite-difference scan of the
-    taper's square root on a uniform 10^4-point grid (5% safety), the
-    mixed bound from the analytic derivatives, and the quadratic weight
-    from the explicit formula 2(B + R^2 L) + 1. The floor sampled at 10^5
-    points must come out positive (for every accepted n it is near 1),
-    else the build raises ``RuntimeError``.
-    """
-    radius = TAPER_RADIUS
+def _taper_constants() -> tuple[float, float, float]:
+    """The form's constants (L, B, C) on C x B(0, TAPER_RADIUS), for every n:
+    L from a finite-difference scan of the taper's square root on a uniform
+    10^4-point grid (5% safety), B from the analytic derivatives, and the
+    quadratic weight from the explicit formula C = 2(B + R^2 L) + 1."""
     t = (np.arange(10_000, dtype=np.float64) + 0.5) / 10_000
     h = 1e-6
     lam_p, _, _ = kernels.taper_many(t + h)
@@ -345,8 +337,15 @@ def build_tapered_form(n: int) -> TaperedForm:
     growth = 4.0 * float(np.max(gp_fd**2)) * 1.05
     lam, lamp, lampp = kernels.taper_many(t)
     mix = float(np.max(np.abs(lampp * t + lamp)))
-    quad = 2.0 * (mix + radius * radius * growth) + 1.0
-    form = TaperedForm(radius, growth, mix, quad, 0.0)
+    quad = 2.0 * (mix + TAPER_RADIUS * TAPER_RADIUS * growth) + 1.0
+    return growth, mix, quad
+
+
+def build_tapered_form(n: int) -> TaperedForm:
+    """The form in C^n with the constants of ``_taper_constants``. Its floor
+    sampled at 10^5 points must come out positive (for every accepted n it
+    is near 1), else the build raises ``RuntimeError``."""
+    form = TaperedForm(TAPER_RADIUS, *_taper_constants(), 0.0)
     eps_out = form.sampled_epsilon(n, 100_000, _BUILD_SEED)
     if not eps_out > 0.0:
         raise RuntimeError(f"tapered form: sampled Levi floor {eps_out!r} is not positive")
@@ -543,16 +542,14 @@ class Thm2Scenario(_Scenario):
     closed unit polydisk would stick out of the domain (log 5 > 3/4),
     while every membership chain below needs log|w - w0| <= log 5 < 3/4
     on the unit ball. The witness glues the plateau function (for
-    |w| < 5/2) with the constant 1, plus small_c times the tapered
-    |w|^2 bump. The domain never reads the form, and the witness never
-    reads the schedule: each is built on first use, so a witness grid
-    away from the poles probes no plateau disc.
+    |w| < 5/2) with the constant 1, plus small_c = 1/C (the tapered form's
+    ``small_c``) times the tapered |w|^2 bump. It never reads the form's
+    sampled floor or the schedule, which is built on first use, so a
+    witness grid away from the poles probes no plateau disc.
     """
 
     plateau: PlateauFunction
-    make_form: Callable[[], TaperedForm] = field(repr=False, compare=False)
-
-    form = cached_property(lambda self: self.make_form())
+    small_c: float
 
     @property
     def schedule(self) -> PoleSchedule:
@@ -583,7 +580,7 @@ class Thm2Scenario(_Scenario):
             kernels.taper_many(zs.real**2 + zs.imag**2)[0])), z)
         nw2 = _norm2(w)
         inner = nw2 < _THETA_CUT**2
-        return np.where(inner, u, 1.0) + self.form.small_c * np.where(inner, lam * nw2, 0.0)
+        return np.where(inner, u, 1.0) + self.small_c * np.where(inner, lam * nw2, 0.0)
 
     def strict_window_resolvable(self) -> Window:
         """Strictness window minus the collar where the taper underflows.
@@ -615,7 +612,7 @@ class Thm2Scenario(_Scenario):
         """
         z, w, t = _split(pts)
         lam, lamp, lampp = kernels.taper_many(t)
-        c = self.form.small_c
+        c = self.small_c
         nw2 = _norm2(w)
         a11 = 1.0 + c * (lampp * t + lamp) * nw2
         off = c * np.abs(lamp) * np.abs(z) * np.sqrt(nw2)
@@ -628,10 +625,9 @@ class Thm2Scenario(_Scenario):
         )
 
 
-def build_thm2(cfg: CertifyConfig, plateau: PlateauFunction,
-               make_form: Callable[[], TaperedForm]) -> Thm2Scenario:
+def build_thm2(cfg: CertifyConfig, plateau: PlateauFunction) -> Thm2Scenario:
     return Thm2Scenario(cfg.n, cfg.trunc, _axis_point(_W0_THM2, cfg.n - 1), plateau,
-                        make_form)
+                        1.0 / _taper_constants()[2])  # TaperedForm.small_c's bits
 
 
 # ---------------------------------------------------------------------------
@@ -1156,7 +1152,7 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
     # recoverable from the report as bound - worst_margin
     pts = thm2_member_mixture(sc, cfg.samples, seed, 210)
     phi = sc.witness_values(pts)
-    bound = 9.0 + sc.form.small_c * _THETA_CUT**2
+    bound = 9.0 + sc.small_c * _THETA_CUT**2
     certs.append(make_certificate("thm2-witness-nonnegative", phi, 0.0, pts))
     certs.append(make_certificate("thm2-witness-sup", bound - phi, 0.0, pts))
 

@@ -48,5 +48,5 @@ def thm1(small_cfg):
 
 
 @pytest.fixture(scope="session")
-def thm2(small_cfg, plateau, tapered):
-    return build_thm2(small_cfg, plateau, lambda: tapered)
+def thm2(small_cfg, plateau):
+    return build_thm2(small_cfg, plateau)

@@ -62,6 +62,15 @@ def test_config_validation():
                 dict(plateau_checks=-3)):
         with pytest.raises(ConfigError):
             CertifyConfig(samples=100, **bad).validate()
+    # integer fields take integers only: a float seed used to run as its
+    # integer part and echo the float, and a float n or samples raised a raw
+    # TypeError after validation
+    for bad in (dict(seed=1.5), dict(trunc=True), dict(plateau_checks=8.5),
+                dict(n=2.0), dict(samples=150.5), dict(submean_probes=40.0),
+                dict(seed=False), dict(n=np.float64(3))):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            CertifyConfig(**bad).validate()
+    assert CertifyConfig(n=np.int64(3), seed=np.int64(7), samples=np.int32(150)).validate()
     assert CertifyConfig().validate() is not None
 
 
@@ -266,15 +275,26 @@ def test_construction_failure_becomes_failing_report(tiny_cfg, monkeypatch):
     assert serialize_report(report)
 
 
+@pytest.mark.parametrize("suite", ["lemma3", "thm2", "all"])
+def test_non_positive_floor_fails_every_form_report(suite, tiny_cfg, monkeypatch):
+    # the witness reads the form's constant C only, but the thm2 and all
+    # schedule texts still record the form, so its floor still decides them
+    monkeypatch.setattr(constructions.TaperedForm, "sampled_epsilon",
+                        lambda self, n, count, seed: 0.0)
+    report = run_suite(suite, tiny_cfg)
+    assert [c.name for c in report.certificates] == ["construction-failure"]
+    assert "not positive" in report.certificates[0].witnesses[0]["error"]
+    assert report.schedule_text == "# construction failed\n"
+
+
 def test_suite_builder_objects_freed_without_cycle_collector():
-    # thm2 shares the builder's form without referring to the builder, so
     # a finished run's scenarios (and their screen tables) are freed by
     # reference counting, not whenever the cyclic collector next runs
     import gc
     import weakref
 
     built = certify.SuiteBuilder(CertifyConfig(samples=100, plateau_checks=8))
-    assert built.thm2.form is built.form
+    assert built.thm2.small_c.hex() == built.form.small_c.hex()
     refs = [weakref.ref(built.thm1), weakref.ref(built.thm2)]
     gc.disable()
     try:
@@ -461,14 +481,22 @@ def test_grid_row_template_matches_format(tiny_cfg, tmp_path, monkeypatch):
          "1db4072a7735606726a6632ac509a5a2a1d05c483433b2d3bd052301c5c4792b"),
         ("levi_thm1", "z=0.7", "-0.9:0.9,-0.9:0.9", (5, 5),
          "5e864a47a1e0e97f80177636783bfa09f1b96e23159df8c7ad49f324e25ebeb9"),
+        # the witness across the plateau discs and the end of its taper at
+        # |z| = 1, at n = 2 and (one more w value) n = 3
+        ("phi_thm2", "w=0.5", "-2:2,-2:2", (41, 41),
+         "48af4d854c2ae0fae99e9c1447f8e8e6071718cf1dec807e62738acba73314ae"),
+        ("phi_thm2", "w=0.5;0.2", "-2:2,-2:2", (41, 41),
+         "1fe62b67dba3c423ceca5bf68a8f5001123420b34aec76c5829f13b85889b787"),
     ],
-    ids=["u-41x41", "d1-3x3", "levi_thm1-9x9", "levi_thm2-9x9", "levi_thm1-zslice-5x5"],
+    ids=["u-41x41", "d1-3x3", "levi_thm1-9x9", "levi_thm2-9x9", "levi_thm1-zslice-5x5",
+         "phi_thm2-41x41", "phi_thm2-n3-41x41"],
 )
 def test_grid_export_bytes_pinned(fid, slice_spec, region, res, digest,
                                   tiny_cfg, tmp_path):
     # digests of the per-cell writer's output for the same exports
     out = tmp_path / f"{fid}.csv"
-    emit_grid(fid, slice_spec, region, res, str(out), tiny_cfg)
+    n = 2 + slice_spec.count(";")  # a w= slice holds n - 1 values
+    emit_grid(fid, slice_spec, region, res, str(out), replace(tiny_cfg, n=n))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -507,8 +535,8 @@ def test_sigma_thm2_grid_builds_no_tapered_form(tiny_cfg, tmp_path, monkeypatch)
 
 
 def test_d2_grid_builds_no_tapered_form(tiny_cfg, tmp_path, monkeypatch):
-    # the thm2 domain reads the plateau schedule only; the witness, which
-    # needs the form, still builds it on first use
+    # the thm2 domain reads the plateau schedule only, and the witness the
+    # form's constant C only, so neither grid builds the form
     def broken(*args, **kwargs):
         raise RuntimeError("tapered form: sampled Levi floor 0.0 is not positive")
 
@@ -516,9 +544,9 @@ def test_d2_grid_builds_no_tapered_form(tiny_cfg, tmp_path, monkeypatch):
     values = emit_grid("d2", "w=0.5", "-1:1,-1:1", (3, 3),
                        str(tmp_path / "d.csv"), tiny_cfg)
     assert values.size == 9
-    with pytest.raises(RuntimeError, match="not positive"):
-        emit_grid("phi_thm2", "w=0.5", "-1:1,-1:1", (3, 3),
-                  str(tmp_path / "p.csv"), tiny_cfg)
+    values = emit_grid("phi_thm2", "w=0.5", "-1:1,-1:1", (3, 3),
+                       str(tmp_path / "p.csv"), tiny_cfg)
+    assert values.size == 9 and len((tmp_path / "p.csv").read_text().splitlines()) == 11
 
 
 #: the five grid exports of the grid-deep benchmark batch at input seed 42
@@ -535,8 +563,9 @@ def test_grid_exports_probe_only_the_plateau_discs_they_read(tmp_path, monkeypat
     # each export builds a fresh plateau, whose eps_j is probed the first time
     # disc j is read: u probes exactly the discs where u_many reads eps, d2
     # probes every disc for the one thm2 schedule of its series, and the
-    # other exports, levi_thm2's witness included, probe none
-    probed, read, thm2_schedules = [], set(), []
+    # other exports, levi_thm2's witness included, probe none. No export
+    # samples the tapered form's floor: the witness reads its constant C only
+    probed, read, thm2_schedules, floors = [], set(), [], []
     real_probe = constructions._DiscEps._probe
     real_u, real_schedule = constructions.kernels.u_many, constructions.make_schedule
 
@@ -561,6 +590,9 @@ def test_grid_exports_probe_only_the_plateau_discs_they_read(tmp_path, monkeypat
     monkeypatch.setattr(constructions.kernels, "u_many",
                         lambda *args: real_u(*args[:-1], RecordedReads(args[-1])))
     monkeypatch.setattr(constructions, "make_schedule", counted_schedule)
+    real_floor = constructions.TaperedForm.sampled_epsilon
+    monkeypatch.setattr(constructions.TaperedForm, "sampled_epsilon",
+                        lambda *args: floors.append(args[1:]) or real_floor(*args))
     for fid, slice_spec, region, res in _GRID_DEEP_EXPORTS:
         probed.clear()
         read.clear()
@@ -568,6 +600,7 @@ def test_grid_exports_probe_only_the_plateau_discs_they_read(tmp_path, monkeypat
         assert main(["grid", fid, "--slice", slice_spec, f"--region={region}", "--res", res,
                      "--trunc", "400", "--seed", "42", "--out", str(tmp_path / "g.csv")]) == 0
         assert len(thm2_schedules) == (fid == "d2"), fid
+        assert floors == [], fid
         if fid == "u":
             assert sorted(probed) == sorted(read) and len(probed) == 7
         elif fid == "d2":

@@ -1,7 +1,6 @@
 """Plateau function, tapered form, scenarios, and the warm-up example."""
 
 import dataclasses
-import functools
 import hashlib
 import tracemalloc
 
@@ -336,6 +335,14 @@ def test_tapered_form_constants(tapered):
     assert tapered.small_c == 1.0 / tapered.quad_weight
 
 
+def test_thm2_small_c_is_form_small_c(plateau):
+    # the witness takes 1/C from the form's constant scan, not from a built
+    # form, with the bits of TaperedForm.small_c at every accepted n
+    for n in range(2, 9):
+        got = build_thm2(CertifyConfig(n=n), plateau).small_c
+        assert got.hex() == build_tapered_form(n).small_c.hex(), n
+
+
 @pytest.mark.parametrize("floor", [0.0, -1e-3, float("nan")])
 def test_tapered_form_non_positive_floor_raises(floor, monkeypatch):
     # one try: a sampled floor that is not positive ends the build
@@ -516,7 +523,7 @@ def test_thm2_witness_on_window_is_scaled_form(thm2):
     from pshcert import kernels
 
     lam = kernels.taper_many(np.abs(z[:, 0]) ** 2)[0]
-    want = np.abs(z[:, 0]) ** 2 + thm2.form.small_c * lam * np.abs(w[:, 0]) ** 2
+    want = np.abs(z[:, 0]) ** 2 + thm2.small_c * lam * np.abs(w[:, 0]) ** 2
     np.testing.assert_allclose(thm2.witness_values(pts), want, rtol=1e-14)
 
 
@@ -541,7 +548,7 @@ def test_thm2_branch_values(thm2):
     # off the unit disk the taper is 0: the plateau value 1 at the pole
     assert thm2.witness_values(lo)[0] == thm2.plateau.values([a0])[0] == 1.0
     # on |z|^2 <= 1/4 the taper is 1: |z|^2 + small_c |w|^2
-    assert thm2.witness_values(lo)[1] == 0.25 + thm2.form.small_c * 4.0
+    assert thm2.witness_values(lo)[1] == 0.25 + thm2.small_c * 4.0
     assert thm2.witness_values(hi).tolist() == [1.0, 1.0]
 
 
@@ -564,7 +571,7 @@ def test_dimension_three_smoke():
     from pshcert.calculus import min_eigs_batch
 
     cfg = CertifyConfig(n=3, samples=200, submean_probes=40, plateau_checks=8)
-    sc = build_thm2(cfg, build_plateau(cfg.j_max), lambda: build_tapered_form(cfg.n))
+    sc = build_thm2(cfg, build_plateau(cfg.j_max))
     pts = sample(sc.strict_window_resolvable(), Sampler(7, 100))
     assert pts.shape == (100, 3)
     eigs = sc.witness_min_eigs_on_window(pts)
@@ -629,20 +636,18 @@ def scenarios_by_n(plateau):
     for n in (2, 3, 5):
         cfg = CertifyConfig(n=n)
         assert cfg.j_max == plateau.j_max
-        out[n] = (build_thm1(cfg),
-                  build_thm2(cfg, plateau, functools.partial(build_tapered_form, n)))
+        out[n] = (build_thm1(cfg), build_thm2(cfg, plateau))
     return out
 
 
 @pytest.fixture(scope="module")
-def deep_scenarios_by_n(scenarios_by_n):
+def deep_scenarios_by_n():
     # trunc = MAX_TRUNC, where the rounding budget of the screen is largest
     plateau = build_plateau(MAX_TRUNC)
     out = {}
     for n in (2, 3):
         cfg = CertifyConfig(n=n, trunc=MAX_TRUNC)
-        out[n] = (build_thm1(cfg),
-                  build_thm2(cfg, plateau, scenarios_by_n[n][1].make_form))
+        out[n] = (build_thm1(cfg), build_thm2(cfg, plateau))
     return out
 
 

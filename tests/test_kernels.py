@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pshcert import kernels
 from pshcert.calculus import min_eigs_batch, wirtinger_hessian_batch
 from pshcert.config import MAX_TRUNC, CertifyConfig
-from pshcert.constructions import build_plateau, build_tapered_form, build_thm2
+from pshcert.constructions import build_plateau, build_thm2
 from pshcert.geometry import Sampler, sample
 from pshcert.logpoles import make_schedule
 
@@ -688,7 +688,7 @@ def test_min_eigs_batch_bytes_pinned():
 def _thm2_window_block(n):
     # the Hessians of the first levi_floors block of seed-42 thm2-window-psd-fd
     cfg = CertifyConfig(n=n, seed=42)
-    sc = build_thm2(cfg, build_plateau(cfg.j_max), lambda: build_tapered_form(n))
+    sc = build_thm2(cfg, build_plateau(cfg.j_max))
     pts = sample(sc.strict_window_resolvable(), Sampler(42, cfg.samples, stream=208))
     H, ok = wirtinger_hessian_batch(sc.witness_values, pts[: kernels._BLOCK // 5],
                                     cfg.fd_step)
