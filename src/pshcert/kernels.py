@@ -42,9 +42,10 @@ BACKEND_NAME = "numpy"
 # call (5 distinct z each, so about one block of distinct z for the series),
 # or of fewer points when that passes 16 * _BLOCK stencil rows (n >= 4),
 # ``levi_floors`` takes the Hessians and eigenvalues of one such block at a
-# time, and the (N, J) pole distances of the certificates run over blocks of
-# 16 * _BLOCK entries. Each splits only elementwise or row-by-row work, so
-# every value keeps its bits.
+# time, the (N, J) pole distances of the certificates run over blocks of
+# 16 * _BLOCK entries, and ``emit_grid`` evaluates and writes whole grid rows
+# of about _BLOCK cells at a time. Each splits only elementwise or row-by-row
+# work, so every value keeps its bits.
 _BLOCK = 16384
 
 # The log-pole tail of ``sigma_many``: the first _HEAD_POLES poles are summed
@@ -206,20 +207,43 @@ def sigma_many(zr, zi, ar, ai, delta):
 def _resum_overflows(zr, zi, ar, ai, delta, out):
     """Re-sum from log(hypot(dx, dy)) the points of finite z where some
     dx*dx + dy*dy overflowed: their sums are not finite. Every other point,
-    a pole hit or an underflowed square among them, keeps its bits."""
+    a pole hit or an underflowed square among them, keeps its bits.
+
+    Only a point with fl(max(|x|, |y|) + P) >= 2^510 can overflow, P the
+    largest |ar_j| or |ai_j|; the others, pole hits among them, are not
+    re-summed. Bound, with u = 2^-53 and s = max(|x|, |y|): below that
+    threshold s + P < 2^510 / (1 - u) < 2^511. Each computed difference is
+    at most (s + P)(1 + u) in magnitude, each square at most
+    (s + P)^2 (1 + u)^3, and their computed sum at most
+    2 (s + P)^2 (1 + u)^4 < 2^1023 (1 + u)^4, below the largest float
+    2^1024 (1 - u). Rounding is monotone, so no square and no sum reaches
+    inf there. The threshold is 2^510, about 3.4e153, where the squares of
+    poles of modulus at most 2 overflow only from |z| of about 1.34e154 on.
+    """
     finite = np.isfinite(out)
     if finite.all():
         return
     idx = np.flatnonzero(~finite)
-    idx = idx[np.isfinite(zr[idx]) & np.isfinite(zi[idx])]
     x, y = zr[idx], zi[idx]
-    over = np.zeros(idx.size, dtype=bool)
-    acc = np.zeros(idx.size)
+    reach = max(np.max(np.abs(ar)), np.max(np.abs(ai)))
+    keep = np.isfinite(x) & np.isfinite(y)
+    keep &= np.maximum(np.abs(x), np.abs(y)) + reach >= 2.0**510
+    if keep.any():
+        idx = idx[keep]
+        acc, over = _hypot_sums(x[keep], y[keep], ar, ai, delta)
+        out[idx[over]] = acc[over]
+
+
+def _hypot_sums(x, y, ar, ai, delta):
+    """sum_j delta_j * log(hypot(dx, dy)) at each point, and whether some
+    dx*dx + dy*dy of the point overflowed."""
+    over = np.zeros(x.size, dtype=bool)
+    acc = np.zeros(x.size)
     for j in range(ar.shape[0]):
         dx, dy = x - ar[j], y - ai[j]
         over |= np.isinf(dx * dx + dy * dy)
         acc = acc + delta[j] * np.log(np.hypot(dx, dy))
-    out[idx[over]] = acc[over]
+    return acc, over
 
 
 def _add_poles(zr, zi, ar, ai, delta, acc, bx, by):

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import stat
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -465,6 +468,128 @@ def test_grid_row_template_matches_format(tiny_cfg, tmp_path, monkeypatch):
     rows = out.read_text().splitlines()[2:]
     assert rows == [f"{format(x, '.17g')},{format(y, '.17g')},{format(v, '.17g')}"
                     for (y, x), v in zip([(y, x) for y in ys for x in xs], vals)]
+
+
+@pytest.mark.parametrize("fid, slice_spec, region", [
+    ("sigma", "none", "-1.6:1.6,-1.6:1.6"),
+    ("u", "none", "-1.6:1.6,-1.6:1.6"),
+    ("d2", "w=0.5", "-2:2,-2:2"),
+    ("levi_thm1", "z=0.7", "-0.9:0.9,-0.9:0.9"),
+    ("phi_thm2", "w=0.5;0.2", "-2:2,-2:2"),
+])
+def test_grid_blocks_keep_the_bytes(fid, slice_spec, region, tiny_cfg, tmp_path, monkeypatch):
+    # the default block holds the whole 11 x 7 grid; one-row blocks and
+    # 3-row blocks (7 = 3 + 3 + 1) must write the same bytes and values
+    nx, ny = 11, 7
+    cfg = replace(tiny_cfg, n=2 + slice_spec.count(";"))
+    got = []
+    for block in (certify._BLOCK, 1, 3 * nx):
+        monkeypatch.setattr(certify, "_BLOCK", block)
+        out = tmp_path / f"{block}.csv"
+        values = emit_grid(fid, slice_spec, region, (nx, ny), str(out), cfg)
+        got.append((out.read_bytes(), values.tobytes()))
+    assert got[1] == got[0] and got[2] == got[0]
+
+
+def test_grid_csv_matches_per_cell_formatter_at_block_edges(tiny_cfg, tmp_path,
+                                                              monkeypatch):
+    # the special values of test_grid_csv_matches_per_cell_formatter open
+    # every 2-row block and, reversed, close it, so each block edge sits
+    # between two runs of them
+    special = np.array([-np.inf, np.inf, np.nan, -np.nan, -0.0, 0.0, 5e-324,
+                        -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0])
+
+    def plane(z):
+        vals = z.real * np.pi + z.imag / 7.0
+        vals[: special.size] = special
+        vals[-special.size:] = special[::-1]
+        return vals
+
+    monkeypatch.setitem(GRID_FUNCTIONS, "sigma", ("z-plane", lambda b, z: plane(z)))
+    monkeypatch.setattr(certify, "_BLOCK", 2 * 13)
+    out = tmp_path / "special.csv"
+    region = "-1.5:2.25,-0.3:0.7"
+    values = emit_grid("sigma", "none", region, (13, 7), str(out), tiny_cfg)
+    for lo in range(0, 13 * 6, 2 * 13):  # the full blocks; the last is 1 row
+        assert values[lo : lo + special.size].tobytes() == special.tobytes()
+    header = f"# axes=re(z),im(z) slice=none region={region} res=13x7 function=sigma"
+    xs, ys = np.linspace(-1.5, 2.25, 13), np.linspace(-0.3, 0.7, 7)
+    assert out.read_text() == _per_cell_csv(header, xs, ys, values)
+
+
+def test_grid_memory_does_not_grow_with_resolution(tmp_path):
+    # the traced peak grows by the returned values (8 bytes per cell) alone:
+    # 128 columns make one 16384-cell block of 128 rows, so 768 rows run 6
+    # blocks of the same shape. Evaluated all at once, the peak grew by about
+    # 58 bytes per cell (9.3 MiB for a 400 x 400 sigma export). Few columns
+    # keep the test short: tracemalloc makes each written cell cost 10-20 us
+    cfg = CertifyConfig()
+
+    def peak(ny):
+        tracemalloc.start()
+        try:
+            emit_grid("sigma", "none", "-1.6:1.6,-1.6:1.6", (128, ny),
+                      str(tmp_path / "g.csv"), cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)
+    small, large = peak(128), peak(768)
+    assert large - small <= 8 * 128 * (768 - 128) + 2**20, (small, large)
+
+
+def test_grid_error_leaves_the_target_as_it_was(tiny_cfg, tmp_path, monkeypatch, capsys):
+    # the file is written block by block, so an error in the second block
+    # must neither create nor change out_path, nor leave a partial file
+    calls = []
+
+    def second_block_raises(b, z):
+        calls.append(z.size)
+        if len(calls) == 2:
+            raise RuntimeError("second block")
+        return z.real.copy()
+
+    monkeypatch.setitem(GRID_FUNCTIONS, "sigma", ("z-plane", second_block_raises))
+    monkeypatch.setattr(certify, "_BLOCK", 2 * 4)
+    out = tmp_path / "g.csv"
+    with pytest.raises(RuntimeError, match="second block"):
+        emit_grid("sigma", "none", "-1:1,-1:1", (4, 6), str(out), tiny_cfg)
+    assert calls == [8, 8] and list(tmp_path.iterdir()) == []
+    out.write_bytes(b"old bytes\n")
+    calls.clear()
+    argv = ["grid", "sigma", "--slice", "none", "--region=-1:1,-1:1", "--res", "4x6",
+            "--out", str(out)]
+    assert main(argv) == 3
+    assert "internal error: second block" in capsys.readouterr().err
+    assert out.read_bytes() == b"old bytes\n" and list(tmp_path.iterdir()) == [out]
+
+
+def test_grid_replaces_the_file_a_link_names_and_keeps_its_mode(tiny_cfg, tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    values = emit_grid("sigma", "none", "-1:1,-1:1", (3, 3), str(link), tiny_cfg)
+    assert link.is_symlink() and (target.stat().st_mode & 0o777) == 0o640
+    lines = target.read_text().splitlines()
+    assert len(lines) == 11 and lines[-1].endswith(format(values[-1], ".17g"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_grid_writes_a_pipe_in_place(tiny_cfg, tmp_path):
+    # a target that is not a regular file (a pipe, /dev/stdout) cannot be
+    # replaced; it is written directly, as before
+    fifo = tmp_path / "grid.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open
+    try:
+        emit_grid("sigma", "none", "-1:1,-1:1", (3, 3), str(fifo), tiny_cfg)
+        body = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert body.startswith("# axes=re(z),im(z)") and len(body.splitlines()) == 11
 
 
 @pytest.mark.parametrize(

@@ -199,6 +199,38 @@ def test_sigma_finite_where_squares_overflow(sign, trunc):
     assert tiny[1] == pytest.approx(2.0 * sign * np.log(1e160), rel=1e-15)
 
 
+@pytest.mark.parametrize("trunc", [60, 400])
+def test_resum_takes_only_points_whose_squares_can_overflow(trunc, monkeypatch):
+    # the hypot re-sum sees only finite z with max(|x|, |y|) + max pole
+    # coordinate >= 2^510 (~3.4e153): exact pole hits sum to -inf and skip
+    # it, and overflows from max(|x|, |y|) ~ 9.5e153 on are still taken
+    resummed = []
+    real = kernels._hypot_sums
+
+    def spy(x, y, *rest):
+        resummed.append(x.size)
+        return real(x, y, *rest)
+
+    monkeypatch.setattr(kernels, "_hypot_sums", spy)
+    sch = make_schedule("thm1", trunc)
+    poles = (sch.a.real.copy(), sch.a.imag.copy())
+    hits = np.tile(sch.a, 3)
+    got = kernels.sigma_many(hits.real.copy(), hits.imag.copy(), *poles, sch.delta)
+    assert np.all(got == -np.inf) and resummed == []
+    z = np.array([1e154 + 1e154j, 9.5e153 + 9.5e153j, 1e154, sch.a[5], complex(np.nan, 0)])
+    args = (z.real.copy(), z.imag.copy(), *poles, sch.delta)
+    got = kernels.sigma_many(*args)
+    assert resummed == [2] and np.all(np.isfinite(got[:3])) and got[3] == -np.inf
+    assert got.tobytes() == _sigma_unblocked(*args).tobytes()
+    # a pole hit at 1e154 passes the magnitude test, is re-summed, stays -inf
+    resummed.clear()
+    ar, ai = np.array([1e154, 0.5]), np.zeros(2)
+    got = kernels.sigma_many(np.array([1e154, 1.0]), np.zeros(2), ar, ai, np.ones(2))
+    assert resummed == [1] and got[0] == -np.inf
+    assert got.tobytes() == _sigma_unblocked(np.array([1e154, 1.0]), np.zeros(2), ar, ai,
+                                             np.ones(2)).tobytes()
+
+
 def _sigma_unblocked(zr, zi, ar, ai, delta):
     # the per-pole formula over the whole batch at once; a finite point where
     # some squared distance overflows takes the sum of log(hypot(dx, dy))
