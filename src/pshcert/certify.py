@@ -10,11 +10,8 @@ never serialized; the report carries the text's sha256.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import os
-import shutil
 import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -294,13 +291,13 @@ def emit_grid(
     written with ``.17g`` (exact round trip); nonfinite values appear as
     "-inf", "inf" and "nan".
 
-    The grid is evaluated and written in blocks of whole rows, about
-    ``_BLOCK`` cells each and at least one row, so the working set is one
-    block plus the returned values (8 bytes per cell) at any resolution.
-    Every grid function maps each point on its own, so the values and the
-    bytes do not depend on the block size. The file appears at
-    ``out_path`` only once every block is written (see ``_replacing``): an
-    error in any block leaves ``out_path`` as it was.
+    The grid is evaluated in blocks of whole rows, about ``_BLOCK`` cells
+    each and at least one row, into the returned array; the file is then
+    written one grid row at a time. The working set is one block plus the
+    returned values (8 bytes per cell) at any resolution. Every grid
+    function maps each point on its own, so the values and the bytes do not
+    depend on the block size. The file is opened only after the last
+    block, so an error in any block leaves ``out_path`` as it was.
     """
     cfg.validate()
     if function_id not in GRID_FUNCTIONS:
@@ -326,54 +323,26 @@ def emit_grid(
     axes = "re(w),im(w)" if varying == "w" else "re(z),im(z)"
     rows = max(1, _BLOCK // nx)
     vals = np.empty(nx * ny)
+    for r0 in range(0, ny, rows):
+        gx, gy = np.meshgrid(xs, ys[r0 : r0 + rows])
+        plane = (gx + 1j * gy).ravel()
+        if kind == "z-plane":
+            batch = plane
+        elif varying == "z":
+            batch = product_points(plane, fixed)
+        else:
+            batch = product_points(np.full(plane.size, fixed[0]), plane[:, None])
+        vals[r0 * nx : r0 * nx + plane.size] = fn(built, batch)
+
     # one %-format per row, on a template that holds every column's x text:
     # "%.17g" renders a float as format(float, ".17g") does, including -inf,
     # inf, nan (of either sign), -0 and subnormals
     template = "".join([f"{format(x, '.17g')},%s,%.17g\n" for x in xs.tolist()])
-    with _replacing(out_path) as fh:
+    with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(f"# axes={axes} slice={slice_spec} region={region_spec} "
                  f"res={nx}x{ny} function={function_id}\nx,y,value\n")
-        for r0 in range(0, ny, rows):
-            block_ys = ys[r0 : r0 + rows]
-            gx, gy = np.meshgrid(xs, block_ys)
-            plane = (gx + 1j * gy).ravel()
-            if kind == "z-plane":
-                batch = plane
-            elif varying == "z":
-                batch = product_points(plane, fixed)
-            else:
-                batch = product_points(np.full(plane.size, fixed[0]), plane[:, None])
-            block = vals[r0 * nx : r0 * nx + plane.size]
-            block[:] = fn(built, batch)
-            for iy, y in enumerate(block_ys.tolist()):
-                args = [format(y, ".17g"), 0.0] * nx
-                args[1::2] = block[iy * nx : (iy + 1) * nx].tolist()
-                fh.write(template % tuple(args))
+        for iy, y in enumerate(ys.tolist()):
+            args = [format(y, ".17g"), 0.0] * nx
+            args[1::2] = vals[iy * nx : (iy + 1) * nx].tolist()
+            fh.write(template % tuple(args))
     return vals
-
-
-@contextlib.contextmanager
-def _replacing(out_path: str):
-    """A text handle whose bytes reach ``out_path`` only when the ``with``
-    block ends without an error. They go to a new file beside the target
-    (the target's real path, so a symlink keeps pointing at it), which
-    takes the target's mode and replaces it at the end; on an error the new
-    file is removed and the target is left as it was. A target that exists
-    but is not a regular file, such as a pipe or ``/dev/stdout``, is
-    written in place."""
-    dest = os.path.realpath(out_path)
-    if os.path.exists(dest) and not os.path.isfile(dest):
-        with open(out_path, "w", encoding="utf-8") as fh:
-            yield fh
-        return
-    tmp = f"{dest}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
-            if os.path.exists(dest):
-                shutil.copymode(dest, tmp)
-            yield fh
-        os.replace(tmp, dest)
-    except BaseException:
-        os.remove(tmp)
-        raise

@@ -2,8 +2,6 @@
 
 import hashlib
 import json
-import os
-import stat
 import tracemalloc
 from dataclasses import replace
 
@@ -540,8 +538,8 @@ def test_grid_memory_does_not_grow_with_resolution(tmp_path):
 
 
 def test_grid_error_leaves_the_target_as_it_was(tiny_cfg, tmp_path, monkeypatch, capsys):
-    # the file is written block by block, so an error in the second block
-    # must neither create nor change out_path, nor leave a partial file
+    # the grid is evaluated block by block before the file is opened, so an
+    # error in the second block must neither create nor change out_path
     calls = []
 
     def second_block_raises(b, z):
@@ -563,33 +561,6 @@ def test_grid_error_leaves_the_target_as_it_was(tiny_cfg, tmp_path, monkeypatch,
     assert main(argv) == 3
     assert "internal error: second block" in capsys.readouterr().err
     assert out.read_bytes() == b"old bytes\n" and list(tmp_path.iterdir()) == [out]
-
-
-def test_grid_replaces_the_file_a_link_names_and_keeps_its_mode(tiny_cfg, tmp_path):
-    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
-    target.write_text("old\n")
-    target.chmod(0o640)
-    link.symlink_to(target)
-    values = emit_grid("sigma", "none", "-1:1,-1:1", (3, 3), str(link), tiny_cfg)
-    assert link.is_symlink() and (target.stat().st_mode & 0o777) == 0o640
-    lines = target.read_text().splitlines()
-    assert len(lines) == 11 and lines[-1].endswith(format(values[-1], ".17g"))
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
-
-
-def test_grid_writes_a_pipe_in_place(tiny_cfg, tmp_path):
-    # a target that is not a regular file (a pipe, /dev/stdout) cannot be
-    # replaced; it is written directly, as before
-    fifo = tmp_path / "grid.fifo"
-    os.mkfifo(fifo)
-    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open
-    try:
-        emit_grid("sigma", "none", "-1:1,-1:1", (3, 3), str(fifo), tiny_cfg)
-        body = os.read(reader, 1 << 16).decode()
-    finally:
-        os.close(reader)
-    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
-    assert body.startswith("# axes=re(z),im(z)") and len(body.splitlines()) == 11
 
 
 @pytest.mark.parametrize(
