@@ -38,6 +38,10 @@ from .geometry import (
     Sampler,
     SublevelRegion,
     Window,
+    _ball_rows,
+    _disk_rows,
+    _draw_ball,
+    _draw_disk,
     _row_sum,
     _sample_annulus,
     _sample_ball,
@@ -186,7 +190,8 @@ def _annulus_laplacians(f, a, r, seed: int, streams) -> np.ndarray:
     return _fd_laplacian(f, z, r * 1e-3)
 
 
-#: discs per probe of ``_DiscEps.all``: their five stacked 1000-point
+#: discs per probe of ``_DiscEps.all`` and per chunk of the
+#: plateau-laplacian-floor certificate: their five stacked 1000-point
 #: stencils fill at most one ``_BLOCK``. Larger blocks raised the peak RSS
 #: of the grid exports (glibc heap layout)
 _EPS_DISCS = kernels._BLOCK // 5000
@@ -307,19 +312,38 @@ class TaperedForm:
         return H
 
     def sampled_epsilon(self, n: int, count: int, seed: int) -> float:
-        """Min of H_S(z, xi)/(|xi_1|^2 + taper |xi'|^2), z in D x B(0,R)."""
+        """Min of H_S(z, xi)/(|xi_1|^2 + taper |xi'|^2), z in D x B(0,R).
+
+        One generator, ``philox(seed, 23)``, draws the disk's radius
+        uniforms and angles, then the ball's normals and radii, all whole,
+        and the z rows are formed from them. The directions xi are then
+        drawn from the same generator one ``_BLOCK`` of rows at a time, and
+        each block's quotients are formed and reduced to their minimum.
+        Philox continues one stream across the blocks and every quotient is
+        computed per row, so the floor is the same float as that of one
+        whole-sample evaluation; the working set is the draws and z plus
+        block-sized temporaries.
+        """
         rng = philox(seed, 23)
-        z1 = _sample_disk(rng, count)
-        z = product_points(z1, _sample_ball(rng, count, n - 1, self.radius))
-        xi = rng.standard_normal((count, 2 * n))
-        xi = xi / np.linalg.norm(xi, axis=1)[:, None]
-        xi = xi[:, :n] + 1j * xi[:, n:]
-        # one taper evaluation for the form and the denominator: |z1|^2 of
-        # the contiguous draws has the bits of the strided column z[:, 0]
-        t = np.abs(z1) ** 2
-        taper = kernels.taper_many(t)
-        denom = np.abs(xi[:, 0]) ** 2 + taper[0] * _norm2(xi[:, 1:])
-        return float(np.min(self._contract(z, xi, t, taper) / denom))
+        u, th = _draw_disk(rng, count)
+        g, r = _draw_ball(rng, count, n - 1, self.radius)
+        z = np.empty((count, n), dtype=np.complex128)
+        _disk_rows(u, th, 1.0, z[:, 0])
+        del u, th
+        _ball_rows(g, r, z[:, 1:])
+        del g, r
+        mins = []
+        for lo in range(0, count, kernels._BLOCK):
+            zb = z[lo : lo + kernels._BLOCK]
+            xi = rng.standard_normal((len(zb), 2 * n))
+            xi /= np.linalg.norm(xi, axis=1)[:, None]
+            xi = xi[:, :n] + 1j * xi[:, n:]
+            # one taper evaluation for the form and the denominator
+            t = np.abs(zb[:, 0]) ** 2
+            taper = kernels.taper_many(t)
+            denom = np.abs(xi[:, 0]) ** 2 + taper[0] * _norm2(xi[:, 1:])
+            mins.append(np.min(self._contract(zb, xi, t, taper) / denom))
+        return float(np.min(mins))
 
 
 def _taper_constants() -> tuple[float, float, float]:
@@ -914,8 +938,9 @@ def plateau_properties(plateau: PlateauFunction,
     # the glued branch of each checked disc, evaluated on one row per disc
     a, r, eps = plateau.a[:jc, None], plateau.r[:jc, None], plateau.eps[:jc, None]
 
-    def branch(zz):
-        return zz.real**2 + zz.imag**2 + eps * _perturbation_values(a, r, zz)
+    def branch(zz, rows=slice(None)):
+        pert = _perturbation_values(a[rows], r[rows], zz)
+        return zz.real**2 + zz.imag**2 + eps[rows] * pert
 
     # branch continuity across every disc boundary
     bd = a + r * np.exp(2j * np.pi * np.arange(1000) / 1000.0)
@@ -926,11 +951,19 @@ def plateau_properties(plateau: PlateauFunction,
                          plateau.a[:jc])
     )
 
-    # sampled Laplacian floor of the glued branch inside each disc
-    lap = _annulus_laplacians(branch, a, r, seed, range(301_000, 301_000 + jc))
+    # sampled Laplacian floor of the glued branch inside each disc, _EPS_DISCS
+    # discs at a time so the five stacked stencils stay block-sized; disc j
+    # keeps stream 301_000 + j and each floor is the min of its own row, so
+    # the chunks keep every bit
+    streams = np.arange(301_000, 301_000 + jc)
+    floor = np.empty(jc)
+    for lo in range(0, jc, _EPS_DISCS):
+        rows = slice(lo, lo + _EPS_DISCS)
+        lap = _annulus_laplacians(lambda zz: branch(zz, rows), a[rows], r[rows], seed,
+                                  streams[rows].tolist())
+        floor[rows] = np.min(lap, axis=1)
     certs.append(
-        make_certificate("plateau-laplacian-floor", np.min(lap, axis=1) - 2.0, 0.0,
-                         plateau.a[:jc])
+        make_certificate("plateau-laplacian-floor", floor - 2.0, 0.0, plateau.a[:jc])
     )
 
     # 1 <= u <= |z|^2 outside the unit disk

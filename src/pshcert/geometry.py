@@ -172,9 +172,13 @@ def _sample_ball(rng, count, k, radius, out=None):
 
 def _draw_ball(rng, count, k, radius):
     """The draws of ``count`` ball points in C^k: the normals g (count, 2k),
-    then the radii r = radius * U^(1/2k)."""
+    then the radii r = radius * U^(1/2k), formed in place in the uniforms'
+    array (the bits of ``radius * U ** (1/2k)``, with no second array)."""
     g = rng.standard_normal((count, 2 * k))
-    return g, radius * rng.random(count) ** (1.0 / (2 * k))
+    r = rng.random(count)
+    r **= 1.0 / (2 * k)
+    r *= radius
+    return g, r
 
 
 def _ball_rows(g, r, out):

@@ -20,7 +20,14 @@ from pshcert.certify import (
     serialize_report,
 )
 from pshcert.cli import _build_parser, _config_from_args, main
-from pshcert.config import MAX_GRID_CELLS, MAX_TRUNC, PSD_TOL, CertifyConfig, ConfigError
+from pshcert.config import (
+    MAX_GRID_CELLS,
+    MAX_PLATEAU_CHECKS,
+    MAX_TRUNC,
+    PSD_TOL,
+    CertifyConfig,
+    ConfigError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +70,16 @@ def test_config_validation():
                 dict(plateau_checks=-3)):
         with pytest.raises(ConfigError):
             CertifyConfig(samples=100, **bad).validate()
+    # past MAX_PLATEAU_CHECKS the Laplacian stencils of the small outer discs
+    # lose |z|^2 to rounding: plateau-laplacian-floor used to fail there
+    # (margin -0.21 at 80 checks and seed 43, -2.76e4 at 1015 and seed 42)
+    for bad in (MAX_PLATEAU_CHECKS + 1, 100, 200, MAX_TRUNC):
+        with pytest.raises(ConfigError, match="plateau_checks"):
+            CertifyConfig(samples=100, plateau_checks=bad).validate()
+    for seed in (42, 43):
+        report = run_suite("lemma21", CertifyConfig(samples=100, seed=seed,
+                                                    plateau_checks=MAX_PLATEAU_CHECKS))
+        assert report.status == "pass", seed
     # integer fields take integers only: a float seed used to run as its
     # integer part and echo the float, and a float n or samples raised a raw
     # TypeError after validation

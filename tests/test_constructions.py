@@ -323,6 +323,43 @@ def test_plateau_disc_margins_match_per_disc_loops(plateau, monkeypatch):
     np.testing.assert_array_equal(seen["plateau-laplacian-floor"], floor)
 
 
+@pytest.mark.parametrize("checks", [1, 2, 3, 4, 7, 50])
+def test_plateau_laplacian_chunks_equal_one_stack(plateau, checks, monkeypatch):
+    # the Laplacian floors run over chunks of _EPS_DISCS discs; their margins
+    # and those of branch continuity equal one stack of every checked disc
+    cfg = CertifyConfig(seed=7, plateau_checks=checks)
+    seen, chunks = {}, []
+    make, annulus = constructions.make_certificate, constructions._annulus_laplacians
+
+    def record(name, margins, *args, **kwargs):
+        seen[name] = np.asarray(margins)
+        return make(name, margins, *args, **kwargs)
+
+    def spy(f, a, r, seed, streams):
+        if seed == cfg.seed:  # not an eps probe of the plateau build
+            chunks.append(list(streams))
+        return annulus(f, a, r, seed, streams)
+
+    monkeypatch.setattr(constructions, "make_certificate", record)
+    monkeypatch.setattr(constructions, "_annulus_laplacians", spy)
+    plateau_properties(plateau, cfg)
+
+    a, r = plateau.a[:checks, None], plateau.r[:checks, None]
+    eps = plateau.eps[:checks, None]
+
+    def branch(zz):
+        return zz.real**2 + zz.imag**2 + eps * _perturbation_values(a, r, zz)
+
+    bd = a + r * np.exp(2j * np.pi * np.arange(1000) / 1000.0)
+    worst = np.max(np.abs(np.maximum(branch(bd), 1.0) - (bd.real**2 + bd.imag**2)), axis=1)
+    lap = annulus(branch, a, r, cfg.seed, range(301_000, 301_000 + checks))
+    np.testing.assert_array_equal(seen["plateau-branch-continuity"], 1e-12 - worst)
+    np.testing.assert_array_equal(seen["plateau-laplacian-floor"], np.min(lap, axis=1) - 2.0)
+    step = constructions._EPS_DISCS
+    assert chunks == [list(range(301_000 + lo, 301_000 + min(lo + step, checks)))
+                      for lo in range(0, checks, step)]
+
+
 
 # --- tapered form -----------------------------------------------------------
 
@@ -350,6 +387,66 @@ def test_tapered_form_non_positive_floor_raises(floor, monkeypatch):
                         lambda self, n, count, seed: floor)
     with pytest.raises(RuntimeError, match="not positive"):
         build_tapered_form(2)
+
+
+def _sampled_epsilon_whole(form, n, count, seed):
+    """``TaperedForm.sampled_epsilon`` as one whole-sample evaluation: the same
+    draws, with the ball radii as ``radius * U ** (1/2k)``."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 23]))
+    z1 = _sample_disk(rng, count)
+    g = rng.standard_normal((count, 2 * (n - 1)))
+    r = form.radius * rng.random(count) ** (1.0 / (2 * (n - 1)))
+    z = np.empty((count, n), dtype=np.complex128)
+    z[:, 0] = z1
+    _ball_rows(g, r, z[:, 1:])
+    xi = rng.standard_normal((count, 2 * n))
+    xi = xi / np.linalg.norm(xi, axis=1)[:, None]
+    xi = xi[:, :n] + 1j * xi[:, n:]
+    t = np.abs(z1) ** 2
+    taper = kernels.taper_many(t)
+    denom = np.abs(xi[:, 0]) ** 2 + taper[0] * constructions._norm2(xi[:, 1:])
+    return float(np.min(form._contract(z, xi, t, taper) / denom))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_sampled_epsilon_blocks_keep_the_floor(tapered, n):
+    # the directions are drawn and the quotients formed one _BLOCK of rows
+    # at a time from the generator of the whole draws: the same floor, bit
+    # for bit, on either side of each block edge
+    B = kernels._BLOCK
+    for count in (1, 2, B - 1, B, B + 1, 3 * B + 7):
+        got = tapered.sampled_epsilon(n, count, 5)
+        assert got.hex() == _sampled_epsilon_whole(tapered, n, count, 5).hex(), count
+
+
+def test_sampled_epsilon_memory_grows_by_its_draws(tapered):
+    # at n = 2 the draws and rows of a point hold 72 bytes: the radius
+    # uniform u, the angle, two normals and the ball radius (5 float64), and
+    # the row z (2 complex128). The directions xi and the quotients are
+    # block-sized, so from 10^5 to 4 * 10^5 points the peak grows by at most
+    # 72 B per added point (plus 1 MiB); the whole-sample evaluation held
+    # xi three times over (normals, normalised, complex) besides z
+    def peak(count):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tapered.sampled_epsilon(2, count, 42)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(100_000), peak(400_000)
+    assert large - small <= 300_000 * 72 + 2**20, (small, large)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_draw_ball_radius_in_place_keeps_bits(k):
+    # the radii are formed in the uniforms' array with the bits of
+    # radius * U ** (1/2k); k = 1 takes numpy's square-root path
+    g, r = _draw_ball(np.random.Generator(np.random.Philox(key=[3, 9])), 5000, k, 2.5)
+    rng = np.random.Generator(np.random.Philox(key=[3, 9]))
+    np.testing.assert_array_equal(g, rng.standard_normal((5000, 2 * k)))
+    np.testing.assert_array_equal(r, 2.5 * rng.random(5000) ** (1.0 / (2 * k)))
 
 
 def _contract(form, z, xi):
