@@ -178,19 +178,15 @@ def min_eigs_batch(H: np.ndarray) -> np.ndarray:
 
     2x2 matrices use the closed form (det/lambda_max when positive,
     which stays accurate for tiny minimal eigenvalues); larger sizes use
-    cyclic Jacobi.
+    cyclic Jacobi. H goes to the kernels as it is, of any strides, and
+    keeps its bits: Jacobi rotates copies of its real and imaginary parts.
     """
     n = H.shape[1]
     if n > MAX_EIG_DIM:
         raise ValueError(f"matrix dimension {n} exceeds {MAX_EIG_DIM}")
     if n == 2:
-        return kernels.min_eig_2x2_many(
-            np.ascontiguousarray(H[:, 0, 0].real),
-            np.ascontiguousarray(H[:, 1, 1].real),
-            np.ascontiguousarray(H[:, 0, 1].real),
-            np.ascontiguousarray(H[:, 0, 1].imag),
-        )
-    return kernels.jacobi_min_eig_many(H.real, H.imag)
+        return kernels.min_eig_2x2_many(H[:, 0, 0].real, H[:, 1, 1].real, H[:, 0, 1])
+    return kernels.jacobi_min_eig_many(H)
 
 
 def levi_floors(f, points, h: float) -> np.ndarray:

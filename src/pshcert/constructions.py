@@ -156,14 +156,7 @@ class PlateauFunction:
     def _distinct_values(self, zs):
         """u at the 1-D complex zs, with no search for runs. ``u_many`` reads
         eps_j only at the discs that hold a point, so only those are probed."""
-        return kernels.u_many(
-            np.ascontiguousarray(zs.real),
-            np.ascontiguousarray(zs.imag),
-            np.ascontiguousarray(self.a.real),
-            np.ascontiguousarray(self.a.imag),
-            np.ascontiguousarray(self.r),
-            self.disc_eps,
-        )
+        return kernels.u_many(zs, self.a, self.r, self.disc_eps)
 
 
 def _perturbation_values(a_j: complex, r_j: float, z: np.ndarray) -> np.ndarray:
@@ -641,12 +634,7 @@ class Thm2Scenario(_Scenario):
         a11 = 1.0 + c * (lampp * t + lamp) * nw2
         off = c * np.abs(lamp) * np.abs(z) * np.sqrt(nw2)
         a22 = c * lam
-        return kernels.min_eig_2x2_many(
-            np.ascontiguousarray(a11),
-            np.ascontiguousarray(a22),
-            np.ascontiguousarray(off),
-            np.zeros_like(off),
-        )
+        return kernels.min_eig_2x2_many(a11, a22, off)
 
 
 def build_thm2(cfg: CertifyConfig, plateau: PlateauFunction) -> Thm2Scenario:

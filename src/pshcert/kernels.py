@@ -4,8 +4,11 @@ Each kernel performs its arithmetic in a fixed term order, so results
 are bit-stable from run to run and independent of the batch a point is
 evaluated in.
 
-Conventions: points in C are passed as separate float64 arrays of real
-and imaginary parts; log of a modulus is computed as
+Conventions: points and poles in C are passed as complex arrays, and
+Hermitian matrices as one complex (N, n, n) batch, of any strides; no
+kernel writes to them, and the pole loops read the contiguous float64
+real and imaginary parts that ``_real_imag`` makes, so a strided view
+gives the bits of a contiguous copy. Log of a modulus is computed as
 ``0.5*log(dx*dx + dy*dy)``, which yields -inf exactly at a pole hit, and
 as ``log(hypot(dx, dy))`` where that square overflows (``sigma_many``).
 
@@ -60,6 +63,12 @@ _TAIL_REL = 1e-9  # relative slack of the bound
 _TAIL_ABS = 5e-13  # absolute slack, in units of log|z - a_j|
 _TAIL_FLOOR = 1e-300  # covers a subnormal term; no |acc| near 0 skips
 _TAIL_CAP = 1e150  # q at or above it may overflow a tail |z - a_j|^2
+
+
+def _real_imag(z):
+    """Contiguous float64 real and imaginary parts of the complex points z."""
+    z = np.asarray(z, dtype=np.complex128)
+    return np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +150,8 @@ def taper_many(t):
 # truncated log-pole series
 # ---------------------------------------------------------------------------
 
-def sigma_many(zr, zi, ar, ai, delta):
-    """sum_j delta_j * log|z - a_j| at each point, -inf on an exact pole hit.
+def sigma_many(z, a, delta):
+    """sum_j delta_j * log|z - a_j| at each point z, -inf on an exact pole hit.
 
     Every point adds its terms in pole order. The first ``_HEAD_POLES`` are
     added at every point. When at least ``_MIN_TAIL`` poles follow, the
@@ -176,6 +185,7 @@ def sigma_many(zr, zi, ar, ai, delta):
     A finite z whose d2 overflows (|z| above about 1.34e154) takes every pole
     and sums an infinite term; ``_resum_overflows`` sums it again with hypot.
     """
+    (zr, zi), (ar, ai) = _real_imag(z), _real_imag(a)
     out = np.zeros_like(zr)
     npts, npoles = zr.shape[0], ar.shape[0]
     head = _HEAD_POLES if npoles - _HEAD_POLES >= _MIN_TAIL else npoles
@@ -297,7 +307,7 @@ def _tail_points(zr, zi, acc, m, big_m, c1, c0, q, s):
 # plateau-glued subharmonic function u
 # ---------------------------------------------------------------------------
 
-def u_many(zr, zi, ar, ai, rad, eps):
+def u_many(z, a, rad, eps):
     """max(|z|^2 + eps_j*chi(|z-a_j|/r_j)*log|z-a_j|, 1) inside the disc
     around a_j that contains z (the discs are disjoint), |z|^2 elsewhere.
 
@@ -311,6 +321,7 @@ def u_many(zr, zi, ar, ai, rad, eps):
     read only as ``eps[j]`` at a disc j that holds a point, so it may be any
     indexable that computes eps_j on first read.
     """
+    (zr, zi), (ar, ai) = _real_imag(z), _real_imag(a)
     out = np.empty_like(zr)
     win_lo = ar - 2.0 * rad
     win_hi = ar + 2.0 * rad
@@ -356,13 +367,14 @@ def _u_block(zr, zi, ar, ai, rad, eps, win_lo, win_hi):
 # smallest eigenvalue of Hermitian 2x2 matrices [[a, b], [conj(b), c]]
 # ---------------------------------------------------------------------------
 
-def min_eig_2x2_many(a, c, br, bi):
+def min_eig_2x2_many(a, c, b):
+    """Smallest eigenvalue of each [[a, b], [conj(b), c]], b real or complex."""
     # det/lmax resolves a tiny bottom eigenvalue without cancellation,
     # but only when m >= 0 (else lmax = m + disc itself cancels); for
     # m < 0 the direct branch m - disc adds same-sign terms and is exact
     m = 0.5 * (a + c)
     d = 0.5 * (a - c)
-    b2 = br * br + bi * bi
+    b2 = b.real * b.real + b.imag * b.imag
     disc = np.sqrt(d * d + b2)
     lmax = m + disc
     det = a * c - b2
@@ -380,14 +392,16 @@ _JACOBI_SWEEPS = 60
 _JACOBI_TOL = 1e-14
 
 
-def jacobi_min_eig_many(hr, hi):
-    """Smallest eigenvalues by cyclic-by-row complex Jacobi on the (real,
-    imag) parts, vectorized across the batch.
+def jacobi_min_eig_many(H):
+    """Smallest eigenvalues of the complex Hermitian (N, n, n) batch H by
+    cyclic-by-row complex Jacobi on its (real, imag) parts, vectorized
+    across the batch and, for each pair (p, q), across the other rows.
 
     Each matrix leaves the sweeps on its own, at the first convergence test
     it passes or after ``_JACOBI_SWEEPS`` sweeps, with its diagonal minimum:
     its result depends on its own entries only, as when evaluated alone.
     """
+    hr, hi = H.real, H.imag
     n = hr.shape[1]
     diag = np.arange(n)
     out = np.empty(hr.shape[0])
@@ -431,28 +445,26 @@ def jacobi_min_eig_many(hr, hi):
                 hi[:, p, q] = np.where(act, 0.0, hi[:, p, q])
                 hr[:, q, p] = hr[:, p, q]
                 hi[:, q, p] = -hi[:, p, q]
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    xr = hr[:, k, p].copy()
-                    xi = hi[:, k, p].copy()
-                    yr = hr[:, k, q].copy()
-                    yi = hi[:, k, q].copy()
-                    # A[k,p] <- c*x - s*conj(w)*y ; A[k,q] <- s*w*x + c*y
-                    cwyr = wr * yr + wi * yi
-                    cwyi = wr * yi - wi * yr
-                    nxr = cc * xr - ss * cwyr
-                    nxi = cc * xi - ss * cwyi
-                    wxr = wr * xr - wi * xi
-                    wxi = wr * xi + wi * xr
-                    nyr = ss * wxr + cc * yr
-                    nyi = ss * wxi + cc * yi
-                    hr[:, k, p] = np.where(act, nxr, xr)
-                    hi[:, k, p] = np.where(act, nxi, xi)
-                    hr[:, k, q] = np.where(act, nyr, yr)
-                    hi[:, k, q] = np.where(act, nyi, yi)
-                    hr[:, p, k] = hr[:, k, p]
-                    hi[:, p, k] = -hi[:, k, p]
-                    hr[:, q, k] = hr[:, k, q]
-                    hi[:, q, k] = -hi[:, k, q]
+                # all rows k != p, q at once, each from its own x and y
+                ks = np.delete(diag, (p, q))
+                act, cc, ss, wr, wi = (v[:, None] for v in (act, cc, ss, wr, wi))
+                xr, xi = hr[:, ks, p], hi[:, ks, p]
+                yr, yi = hr[:, ks, q], hi[:, ks, q]
+                # A[k,p] <- c*x - s*conj(w)*y ; A[k,q] <- s*w*x + c*y
+                cwyr = wr * yr + wi * yi
+                cwyi = wr * yi - wi * yr
+                nxr = cc * xr - ss * cwyr
+                nxi = cc * xi - ss * cwyi
+                wxr = wr * xr - wi * xi
+                wxi = wr * xi + wi * xr
+                nyr = ss * wxr + cc * yr
+                nyi = ss * wxi + cc * yi
+                hr[:, ks, p] = np.where(act, nxr, xr)
+                hi[:, ks, p] = np.where(act, nxi, xi)
+                hr[:, ks, q] = np.where(act, nyr, yr)
+                hi[:, ks, q] = np.where(act, nyi, yi)
+                hr[:, p, ks] = hr[:, ks, p]
+                hi[:, p, ks] = -hi[:, ks, p]
+                hr[:, q, ks] = hr[:, ks, q]
+                hi[:, q, ks] = -hi[:, ks, q]
     return out

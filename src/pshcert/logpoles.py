@@ -169,10 +169,8 @@ def series_values(schedule: PoleSchedule, z, trunc: Optional[int] = None):
     once (``kernels.per_distinct_z``), which equals a per-point evaluation.
     """
     trunc = _checked_trunc(schedule, trunc)
-    ar, ai, delta = (np.ascontiguousarray(v[:trunc]) for v in
-                     (schedule.a.real, schedule.a.imag, schedule.delta))
-    return kernels.per_distinct_z(lambda zs: kernels.sigma_many(
-        np.ascontiguousarray(zs.real), np.ascontiguousarray(zs.imag), ar, ai, delta), z)
+    a, delta = schedule.a[:trunc], schedule.delta[:trunc]
+    return kernels.per_distinct_z(lambda zs: kernels.sigma_many(zs, a, delta), z)
 
 
 #: subtracted from every ring gap before its log; it dominates the rounding

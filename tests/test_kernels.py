@@ -154,15 +154,13 @@ def test_sigma_matches_python_oracle():
     a = (1 + 1 / np.arange(1, 13)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 12))
     delta = rng.uniform(0.01, 0.2, 12)
     z = rng.uniform(-2, 2, 200) + 1j * rng.uniform(-2, 2, 200)
-    got = kernels.sigma_many(z.real.copy(), z.imag.copy(), a.real.copy(),
-                             a.imag.copy(), delta)
+    got = kernels.sigma_many(z, a, delta)
     np.testing.assert_allclose(got, _sigma_oracle(z, a, delta), rtol=1e-12)
 
 
 def test_sigma_pole_hit_is_neg_inf():
     a = np.array([2.0 + 0j])
-    got = kernels.sigma_many(np.array([2.0]), np.array([0.0]),
-                             a.real, a.imag, np.array([0.5]))
+    got = kernels.sigma_many(np.array([2.0 + 0j]), a, np.array([0.5]))
     assert got[0] == -np.inf
 
 
@@ -179,7 +177,7 @@ def test_sigma_finite_where_squares_overflow(sign, trunc):
                     -1.7e308, 2e154])
     kept = np.array([1e154, 1e154j, sch.a[3]])
     z = np.concatenate([big, kept])
-    args = (z.real.copy(), z.imag.copy(), sch.a.real.copy(), sch.a.imag.copy(), delta)
+    args = (z, sch.a, delta)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = kernels.sigma_many(*args)
@@ -193,8 +191,8 @@ def test_sigma_finite_where_squares_overflow(sign, trunc):
             plain = plain + delta[j] * (0.5 * np.log(dx * dx + dy * dy))
     assert got[big.size:].tobytes() == plain.tobytes()
     assert got[-1] == -sign * np.inf
-    tiny = kernels.sigma_many(np.array([1e-170, 1e160]), np.zeros(2), np.zeros(2),
-                              np.array([0.0, 1.0]), np.array([sign, sign]))
+    tiny = kernels.sigma_many(np.array([1e-170 + 0j, 1e160]), np.array([0j, 1j]),
+                              np.array([sign, sign]))
     assert tiny[0] == -sign * np.inf
     assert tiny[1] == pytest.approx(2.0 * sign * np.log(1e160), rel=1e-15)
 
@@ -213,27 +211,26 @@ def test_resum_takes_only_points_whose_squares_can_overflow(trunc, monkeypatch):
 
     monkeypatch.setattr(kernels, "_hypot_sums", spy)
     sch = make_schedule("thm1", trunc)
-    poles = (sch.a.real.copy(), sch.a.imag.copy())
     hits = np.tile(sch.a, 3)
-    got = kernels.sigma_many(hits.real.copy(), hits.imag.copy(), *poles, sch.delta)
+    got = kernels.sigma_many(hits, sch.a, sch.delta)
     assert np.all(got == -np.inf) and resummed == []
     z = np.array([1e154 + 1e154j, 9.5e153 + 9.5e153j, 1e154, sch.a[5], complex(np.nan, 0)])
-    args = (z.real.copy(), z.imag.copy(), *poles, sch.delta)
+    args = (z, sch.a, sch.delta)
     got = kernels.sigma_many(*args)
     assert resummed == [2] and np.all(np.isfinite(got[:3])) and got[3] == -np.inf
     assert got.tobytes() == _sigma_unblocked(*args).tobytes()
     # a pole hit at 1e154 passes the magnitude test, is re-summed, stays -inf
     resummed.clear()
-    ar, ai = np.array([1e154, 0.5]), np.zeros(2)
-    got = kernels.sigma_many(np.array([1e154, 1.0]), np.zeros(2), ar, ai, np.ones(2))
+    args = (np.array([1e154 + 0j, 1.0]), np.array([1e154 + 0j, 0.5]), np.ones(2))
+    got = kernels.sigma_many(*args)
     assert resummed == [1] and got[0] == -np.inf
-    assert got.tobytes() == _sigma_unblocked(np.array([1e154, 1.0]), np.zeros(2), ar, ai,
-                                             np.ones(2)).tobytes()
+    assert got.tobytes() == _sigma_unblocked(*args).tobytes()
 
 
-def _sigma_unblocked(zr, zi, ar, ai, delta):
+def _sigma_unblocked(z, a, delta):
     # the per-pole formula over the whole batch at once; a finite point where
     # some squared distance overflows takes the sum of log(hypot(dx, dy))
+    zr, zi, ar, ai = z.real, z.imag, a.real, a.imag
     out = np.zeros_like(zr)
     scaled = np.zeros_like(zr)
     over = np.zeros(zr.shape, dtype=bool)
@@ -248,8 +245,9 @@ def _sigma_unblocked(zr, zi, ar, ai, delta):
     return np.where(over, scaled, out)
 
 
-def _u_unblocked(zr, zi, ar, ai, rad, eps):
+def _u_unblocked(z, a, rad, eps):
     # the per-pole formula over the whole batch at once
+    zr, zi, ar, ai = z.real, z.imag, a.real, a.imag
     m2 = zr * zr + zi * zi
     out = m2.copy()
     claimed = np.zeros(zr.shape[0], dtype=bool)
@@ -286,15 +284,13 @@ def test_blocked_kernels_equal_unblocked_formula(plateau):
         z[k * step] = plateau.a[j] + frac * plateau.r[j] * np.exp(1j * k)
     hits = kernels._BLOCK + np.arange(5) * 1000
     z[hits] = plateau.a[:5]
-    zr, zi = z.real.copy(), z.imag.copy()
-    ar, ai = plateau.a.real.copy(), plateau.a.imag.copy()
     delta = 2.0 ** -(np.arange(1, plateau.j_max + 1) + 1.0)
 
-    got = kernels.sigma_many(zr, zi, ar, ai, delta)
-    assert np.array_equal(got, _sigma_unblocked(zr, zi, ar, ai, delta))
+    got = kernels.sigma_many(z, plateau.a, delta)
+    assert np.array_equal(got, _sigma_unblocked(z, plateau.a, delta))
     assert np.all(got[hits] == -np.inf)
 
-    args = (zr, zi, ar, ai, plateau.r.copy(), plateau.eps.copy())
+    args = (z, plateau.a, plateau.r, plateau.eps)
     got = kernels.u_many(*args)
     assert np.array_equal(got, _u_unblocked(*args))
     assert np.all(got[hits] == 1.0)
@@ -317,10 +313,9 @@ def _zero_crossings(a, delta):
     changes between neighbours of a 120 x 120 grid on [-2.2, 2.2]^2, each
     bisected to two adjacent floats of its segment. Also the largest |sigma|
     on the grid."""
-    ar, ai = a.real.copy(), a.imag.copy()
     x = np.linspace(-2.2, 2.2, 120)
     grid = x[None, :] + 1j * x[:, None]
-    v = _sigma_unblocked(grid.real.ravel(), grid.imag.ravel(), ar, ai, delta).reshape(grid.shape)
+    v = _sigma_unblocked(grid.ravel(), a, delta).reshape(grid.shape)
     rows, cols = np.nonzero((v[:, :-1] > 0) & (v[:, 1:] < 0))
     pick = np.linspace(0, rows.size - 1, 32).astype(int)
     p, q = grid[rows[pick], cols[pick]], grid[rows[pick], cols[pick] + 1]
@@ -328,7 +323,7 @@ def _zero_crossings(a, delta):
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         z = p + mid * (q - p)
-        pos = _sigma_unblocked(z.real.copy(), z.imag.copy(), ar, ai, delta) > 0.0
+        pos = _sigma_unblocked(z, a, delta) > 0.0
         lo, hi = np.where(pos, mid, lo), np.where(pos, hi, mid)
     return np.concatenate([p + lo * (q - p), p + hi * (q - p)]), np.max(np.abs(v))
 
@@ -357,10 +352,9 @@ def _adversarial_points(a, trunc):
 
 
 def _check_sigma_bits(z, a, delta):
-    args = (z.real.copy(), z.imag.copy(), a.real.copy(), a.imag.copy(), delta.copy())
     with np.errstate(invalid="ignore", over="ignore"):
-        got = kernels.sigma_many(*args)
-        want = _sigma_unblocked(*args)
+        got = kernels.sigma_many(z, a, delta)
+        want = _sigma_unblocked(z, a, delta)
     assert got.tobytes() == want.tobytes()
     return got
 
@@ -454,8 +448,7 @@ def test_sigma_tail_term_above_quarter_ulp_is_added(tail):
     a = np.zeros(HEAD + len(tail), dtype=np.complex128)
     delta = np.concatenate([np.full(HEAD, 1.9 / HEAD), tail])
     got = _check_sigma_bits(z, a, delta)
-    head = _sigma_unblocked(z.real.copy(), z.imag.copy(), a.real[:HEAD].copy(),
-                            a.imag[:HEAD].copy(), delta[:HEAD].copy())
+    head = _sigma_unblocked(z, a[:HEAD], delta[:HEAD])
     assert np.all(got != head)
 
 
@@ -468,8 +461,7 @@ def test_sigma_tail_bound_edges_take_the_tail(edge, monkeypatch):
     z = np.array([x + 0j])
     a = np.zeros(HEAD + 10, dtype=np.complex128)
     head = np.full(HEAD, (1e-290 if edge == "floor" else 1.0) / HEAD)
-    acc = _sigma_unblocked(z.real.copy(), z.imag.copy(), a.real[:HEAD].copy(),
-                           a.imag[:HEAD].copy(), head)
+    acc = _sigma_unblocked(z, a[:HEAD], head)
     lim = abs(acc[0]) * 2.0**-55
     log_q = np.log(np.sqrt(x * x))
     if edge == "relative-slack":
@@ -495,8 +487,7 @@ def test_sigma_tail_bound_is_the_stated_formula(schedules):
         z = _adversarial_points(sch.a, trunc)
         zr, zi = z.real.copy(), z.imag.copy()
         with np.errstate(all="ignore"):
-            acc = _sigma_unblocked(zr, zi, a.real[:HEAD].copy(), a.imag[:HEAD].copy(),
-                                   delta[:HEAD].copy())
+            acc = _sigma_unblocked(z, a[:HEAD], delta[:HEAD])
             mods = np.hypot(a.real[HEAD:], a.imag[HEAD:])
             m, big_m = mods.min(), mods.max()
             d = np.max(np.abs(delta[HEAD:]))
@@ -551,10 +542,8 @@ def _nonfinite_points(a):
 
 
 def _check_u_windowed(z, a, r, eps):
-    args = (z.real.copy(), z.imag.copy(), a.real.copy(), a.imag.copy(),
-            r.copy(), eps.copy())
-    got = kernels.u_many(*args)
-    assert np.array_equal(got, _u_unblocked(*args), equal_nan=True)
+    got = kernels.u_many(z, a, r, eps)
+    assert np.array_equal(got, _u_unblocked(z, a, r, eps), equal_nan=True)
     return got
 
 
@@ -632,9 +621,7 @@ def test_u_matches_python_oracle(plateau):
 
 def test_min_eig_2x2_char_poly_example():
     # [[2, i], [-i, 2]] has eigenvalues 2 +- 1
-    got = kernels.min_eig_2x2_many(
-        np.array([2.0]), np.array([2.0]), np.array([0.0]), np.array([1.0])
-    )
+    got = kernels.min_eig_2x2_many(np.array([2.0]), np.array([2.0]), np.array([1j]))
     assert got[0] == pytest.approx(1.0, abs=1e-14)
 
 
@@ -642,9 +629,8 @@ def test_min_eig_2x2_char_poly_example():
 @given(a=finite, c=finite, br=finite, bi=finite)
 def test_min_eig_2x2_matches_eigvalsh(a, c, br, bi):
     H = np.array([[a, br + 1j * bi], [br - 1j * bi, c]])
-    got = kernels.min_eig_2x2_many(
-        np.array([a]), np.array([c]), np.array([br]), np.array([bi])
-    )[0]
+    got = kernels.min_eig_2x2_many(np.array([a]), np.array([c]),
+                                   np.array([complex(br, bi)]))[0]
     want = np.linalg.eigvalsh(H)[0]
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -654,9 +640,8 @@ def test_min_eig_2x2_matches_char_poly_roots():
     for _ in range(200):
         a, c = rng.uniform(-5, 5, 2)
         br, bi = rng.uniform(-5, 5, 2)
-        got = kernels.min_eig_2x2_many(
-            np.array([a]), np.array([c]), np.array([br]), np.array([bi])
-        )[0]
+        got = kernels.min_eig_2x2_many(np.array([a]), np.array([c]),
+                                       np.array([complex(br, bi)]))[0]
         roots = np.roots([1.0, -(a + c), a * c - (br * br + bi * bi)])
         assert got == pytest.approx(float(np.min(roots.real)), abs=1e-12)
 
@@ -664,9 +649,7 @@ def test_min_eig_2x2_matches_char_poly_roots():
 def test_min_eig_2x2_tiny_eigenvalue_accuracy():
     # det / lambda_max keeps relative accuracy when eigenvalues are far apart
     a, c, b = 3.5e3, 7.27e-90, 1.3e-50
-    got = kernels.min_eig_2x2_many(
-        np.array([a]), np.array([c]), np.array([b]), np.array([0.0])
-    )[0]
+    got = kernels.min_eig_2x2_many(np.array([a]), np.array([c]), np.array([b]))[0]
     want = c - b * b / a  # first-order expansion, corrections are O(1e-193)
     assert got == pytest.approx(want, rel=1e-12)
     assert got > 0.0
@@ -678,7 +661,7 @@ def test_jacobi_matches_eigvalsh(n):
     A = rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n))
     H = A + np.conj(np.transpose(A, (0, 2, 1)))
     want = np.array([np.linalg.eigvalsh(h)[0] for h in H])
-    got = kernels.jacobi_min_eig_many(H.real.copy(), H.imag.copy())
+    got = kernels.jacobi_min_eig_many(H)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -740,3 +723,73 @@ def test_min_eigs_batch_is_per_matrix():
                                                             signed]:
         alone = np.concatenate([min_eigs_batch(H[i : i + 1]) for i in range(len(H))])
         assert min_eigs_batch(H).tobytes() == alone.tobytes()
+
+
+# --- the layout of the kernel inputs -------------------------------------------
+
+def _column(x):
+    # column 0 of an (N, 3) batch: a strided view of the values of x
+    batch = np.full((x.size, 3), np.nan, dtype=x.dtype)
+    batch[:, 0] = x
+    view = batch[:, 0]
+    assert not view.flags.c_contiguous
+    return view
+
+
+def _layout_case(kernel, case, plateau):
+    # the kernel and its arguments, each a 1-D array or an (N, n, n) batch
+    if kernel == "sigma":
+        sch = make_schedule("thm1", case)
+        # pole hits, the tail's circles, points past 1.34e154 (the re-sum)
+        z = np.concatenate([_adversarial_points(sch.a, case), [2e154 + 1j, -3e160j]])
+        return kernels.sigma_many, (z, sch.a, sch.delta)
+    if kernel == "u":
+        z = np.concatenate([_disc_edge_points(plateau.a, plateau.r),
+                            _nonfinite_points(plateau.a)])
+        return kernels.u_many, (z, plateau.a, plateau.r, plateau.eps)
+    if kernel == "jacobi":
+        return kernels.jacobi_min_eig_many, (_hermitian_batches(case),)
+    H = _hermitian_batches(2)
+    b = H[:, 0, 1] if case == "complex" else np.random.default_rng(21).uniform(-3, 3, len(H))
+    return kernels.min_eig_2x2_many, (H[:, 0, 0].real, H[:, 1, 1].real, b)
+
+
+@pytest.mark.parametrize("kernel, case", [("sigma", 60), ("sigma", 400), ("u", "discs"),
+                                          ("min_eig_2x2", "real"),
+                                          ("min_eig_2x2", "complex"), ("jacobi", 3),
+                                          ("jacobi", 8)])
+def test_kernels_give_strided_views_the_bits_of_copies(kernel, case, plateau):
+    # the kernels take complex arrays as they are: a strided view of every
+    # argument (column 0 of an (N, 3) batch, every second matrix of a batch)
+    # and a contiguous copy of it give the same bytes, and neither is written
+    fn, args = _layout_case(kernel, case, plateau)
+    if kernel == "jacobi":
+        views = (args[0][::2],)
+    else:
+        views = tuple(_column(np.asarray(v)) for v in args)
+    before = [v.tobytes() for v in views]
+    with np.errstate(all="ignore"):
+        got = fn(*views)
+        want = fn(*(np.ascontiguousarray(v) for v in views))
+    assert got.tobytes() == want.tobytes()
+    assert [v.tobytes() for v in views] == before
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_min_eigs_batch_leaves_its_input_unchanged(n):
+    # the kernels read H's real and imaginary parts as views and rotate
+    # copies: H and the batch it is a view of keep every bit. Cases: every
+    # matrix but the diagonal ones with one NaN matrix that never converges,
+    # so none leaves at sweep 0; all of them; the diagonal ones alone, which
+    # all leave at sweep 0
+    nan = np.diag(np.arange(1.0, n + 1.0)).astype(np.complex128)
+    nan[0, 1] = nan[1, 0] = np.nan
+    batch = _hermitian_batches(n)
+    rotated = np.concatenate([batch[:16], batch[20:], nan[None]])
+    for H in (rotated, np.concatenate([batch, nan[None]]), batch[16:20]):
+        outer = np.stack([H, -H], axis=1)
+        view = outer[:, 0]
+        before, outer_before = H.tobytes(), outer.tobytes()
+        min_eigs_batch(H)
+        min_eigs_batch(view)
+        assert H.tobytes() == before and outer.tobytes() == outer_before
