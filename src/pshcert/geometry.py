@@ -20,7 +20,10 @@ z; the norm of g, a quotient and a product per coordinate for w; then a
 sum of squares), and a radial screen allows a relative 1e-13 for it
 (``_Scenario.radial_lower`` in ``constructions``). The rows it keeps go to
 ``contains``; the scenarios' ``defining`` skips the series wherever a ring
-bound proves a row outside (``_Scenario.screened_values``).
+bound proves a row outside (``_Scenario.screened_values``). A screened
+batch holds only its normals whole: Philox is counter-based, so its other
+draws are read from their own word positions one ``_BLOCK`` of rows at a
+time (``sample``).
 
 The dense angle sequence that drives all pole positions is the golden
 Kronecker sequence ``2*pi*frac(j*g)``; it is equidistributed, so its
@@ -273,6 +276,22 @@ def sample(region: Window | SublevelRegion, sampler: Sampler,
     same draws, screens them before any row is formed and returns a
     ``ScreenedBatch`` of the rows with ``not screen(t, s) >= 0``, each the
     same row of the unscreened sample, bit for bit.
+
+    A disk-window batch of C proposals, k = n - 1, consumes the 64-bit words
+    of its generator in this order: the radius uniforms u in [0, C), the
+    angle uniforms theta in [C, 2C), the (C, 2k) normals g from 2C on, and
+    the ball radii r directly after the last normal. The ziggurat draws
+    again on about 1% of its words, so r's first word is known only once
+    every normal is drawn. The screened batch therefore draws g whole, from
+    a generator skipped to word 2C, and holds it in blocks of ``_BLOCK``
+    rows, each freed once it is screened; r follows from the same
+    generator, and u and theta from two more generators of the same (seed,
+    stream), at words 0 and C. u, theta and r are drawn and screened one
+    block at a time, and only the kept rows' draws are held until they are
+    formed: at most the batch holds the normals (2k * 8 * C bytes), the
+    draws of the rows it keeps and block-sized temporaries. Streaming the
+    normals with the other draws would mean drawing them twice, once to
+    find where r starts.
     """
     if isinstance(region, SublevelRegion):
         return _rejection_sample(region, sampler)
@@ -285,27 +304,51 @@ def sample(region: Window | SublevelRegion, sampler: Sampler,
         _sample_annulus(rng, count, region.z_inner, region.z_radius, out[:, 0])
         _sample_ball(rng, count, region.n - 1, region.w_radius, out[:, 1:])
         return out
-    u, th = _draw_disk(rng, count)
-    g, r = _draw_ball(rng, count, region.n - 1, region.w_radius)
     if screen is not None:
-        # screened on t = z_radius^2 u and s = r^2 in blocks of _BLOCK rows
-        outside = np.empty(count, dtype=bool)
-        zr2 = region.z_radius * region.z_radius
-        for lo in range(0, count, _BLOCK):
-            rows = slice(lo, lo + _BLOCK)
-            rb = r[rows]
-            np.greater_equal(screen(zr2 * u[rows], rb * rb), 0.0, out=outside[rows])
+        return _sample_screened(region, sampler, screen)
+    out = np.empty((count, region.n), dtype=np.complex128)
+    _disk_rows(*_draw_disk(rng, count), region.z_radius, out[:, 0])
+    _sample_ball(rng, count, region.n - 1, region.w_radius, out[:, 1:])
+    return out
+
+
+def _skip(rng, words):
+    """``rng``, a fresh ``philox`` generator, moved past its first ``words``
+    64-bit words: Philox4x64 emits 4 words per counter step, and each double
+    of ``random()`` takes one."""
+    rng.bit_generator.advance(words // 4)
+    rng.random(words % 4)
+    return rng
+
+
+def _sample_screened(window, sampler, screen):
+    """The screened branch of ``sample`` (see there for the word positions):
+    the normals are drawn whole, held as ``_BLOCK``-row blocks and freed
+    block by block; u, theta and r are drawn and screened one block at a
+    time, and only the draws of the kept rows are held."""
+    count, k = sampler.count, window.n - 1
+    rng = _skip(sampler.generator(), 2 * count)  # g, then r
+    normals = [rng.standard_normal((min(_BLOCK, count - lo), 2 * k))
+               for lo in range(0, count, _BLOCK)]
+    u_rng, th_rng = sampler.generator(), _skip(sampler.generator(), count)
+    zr2 = window.z_radius * window.z_radius
+    kept = []
+    while normals:
+        g = normals.pop(0)
+        u, r = u_rng.random(len(g)), rng.random(len(g))
+        r **= 1.0 / (2 * k)
+        r *= window.w_radius
+        outside = screen(zr2 * u, r * r) >= 0.0
         # a row of zero normals forms w = 0, not |w| = r: it stays a candidate
-        outside[g[:, 0] == 0.0] = False
-        keep = np.flatnonzero(~outside)
-        del outside
-        u, th, g, r = u[keep], th[keep], g[keep], r[keep]
+        keep = np.flatnonzero(~outside | (g[:, 0] == 0.0))
+        kept.append((u[keep], th_rng.random(len(g))[keep], g[keep], r[keep]))
+    u, th, g, r = (np.concatenate(d) for d in zip(*kept))
+    del kept
     # only the kept rows are formed, z first, each factor in blocks of _BLOCK
-    pts = np.empty((len(u), region.n), dtype=np.complex128)
-    _disk_rows(u, th, region.z_radius, pts[:, 0])
-    del u, th
+    pts = np.empty((len(u), window.n), dtype=np.complex128)
+    _disk_rows(u, 2.0 * np.pi * th, window.z_radius, pts[:, 0])
     _ball_rows(g, r, pts[:, 1:])
-    return pts if screen is None else ScreenedBatch(pts, count)
+    return ScreenedBatch(pts, count)
 
 
 class EmptyRegionError(RuntimeError):
@@ -332,7 +375,7 @@ def _rejection_sample(region: SublevelRegion, sampler: Sampler) -> np.ndarray:
         pts = drawn if region.radial is None else drawn.points
         keep = region.contains(pts)
         k = min(int(np.sum(keep)), want - got)
-        out[got : got + k] = pts[keep][:k]
+        out[got : got + k] = pts[np.flatnonzero(keep)[:k]]
         got += k
         if got == want:
             return out

@@ -39,8 +39,10 @@ BACKEND_NAME = "numpy"
 # accumulator and two reused float64 temporaries (640 KiB in all) stay in L2
 # cache across the per-pole loop, where whole 10^5-point batches spill.
 # The layers above take their blocks from it too, so their working set stays
-# bounded as the batches grow: ``sample`` screens the draws of _BLOCK
-# proposals at a time and forms proposals in blocks of _BLOCK rows,
+# bounded as the batches grow: ``sample`` forms proposals in blocks of _BLOCK
+# rows, and a screened batch draws and screens u, theta and r of _BLOCK
+# proposals at a time from their own Philox word positions, holding only its
+# normals whole (in _BLOCK-row blocks, each freed once screened),
 # ``wirtinger_hessian_batch`` evaluates the stencils of _BLOCK // 5 points per
 # call (5 distinct z each, so about one block of distinct z for the series),
 # or of fewer points when that passes 16 * _BLOCK stencil rows (n >= 4),

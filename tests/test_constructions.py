@@ -994,13 +994,15 @@ def test_pole_rows_match_whole_array_reductions(deep_scenarios_by_n):
 
 def test_rejection_sample_working_set(scenarios_by_n):
     # one Omega1 sample at n = 3 draws P = 4 * want proposals per batch, about
-    # 13 batches. Live at the peak: the result (want * n complex), the draws
-    # of one batch (P * (2k + 3) float64: u, theta, the normals and the
-    # radii), the screen's mask (P bools), the block temporaries of the radial
-    # screen (4 float64 columns of _BLOCK rows) and the candidates it keeps,
-    # under P / 8 rows (6.7% here): each a formed row (n complex), its index
-    # and two gathered draws. The unscreened batch alone, P * n complex rows,
-    # would exceed the bound: the sampler that formed every row peaked at 11.6 MB
+    # 13 batches. The bound counts, at most: the result (want * n complex), the
+    # draws of one batch (P * (2k + 3) float64: u, theta, the normals and the
+    # radii; the sampler holds only the normals whole, which
+    # test_screened_batch_holds_only_the_normals_whole checks), a mask (P
+    # bools), the block temporaries of the radial screen (4 float64 columns of
+    # _BLOCK rows) and the candidates it keeps, under P / 8 rows (6.7% here):
+    # each a formed row (n complex), its index and two gathered draws. The
+    # unscreened batch alone, P * n complex rows, would exceed the bound: the
+    # sampler that formed every row peaked at 11.6 MB
     region = scenarios_by_n[3][0].domain_region()
     want, n, k = 25_000, 3, 2
     P = 4 * want
@@ -1064,15 +1066,54 @@ def test_radial_screen_keeps_every_member(scenarios_by_n, n):
         assert np.mean(kept) < most, (region.label, np.mean(kept))
 
 
-@pytest.mark.parametrize("size", [1, kernels._BLOCK + 1, 3 * kernels._BLOCK - 7])
-def test_screened_rows_equal_unscreened_rows(scenarios_by_n, size):
-    for sc, region in _radial_regions(scenarios_by_n[3]):
+def _check_screened_rows(pair, size):
+    """The screened batch of ``size`` proposals holds the kept rows of the
+    unscreened sample, bit for bit, in every radially screened region."""
+    for sc, region in _radial_regions(pair):
         sampler = Sampler(8, size, stream=3)
         batch = sample(region.window, sampler, screen=region.radial)
         kept = _kept_rows(region, sampler)
-        assert len(batch) == size and batch.points.shape == (np.sum(kept), 3)
+        assert len(batch) == size and batch.points.shape == (np.sum(kept), sc.n)
         np.testing.assert_array_equal(_bits(batch.points),
                                       _bits(sample(region.window, sampler)[kept]))
+
+
+@pytest.mark.parametrize("size", [1, kernels._BLOCK + 1, 3 * kernels._BLOCK - 7])
+def test_screened_rows_equal_unscreened_rows(scenarios_by_n, size):
+    _check_screened_rows(scenarios_by_n[3], size)
+
+
+@pytest.mark.parametrize("size", [2, 3, kernels._BLOCK + 2, kernels._BLOCK + 3,
+                                  4 * kernels._BLOCK])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_screened_draws_skip_to_their_words(scenarios_by_n, n, size):
+    # the screened sampler reads theta from word C and the normals from word
+    # 2C of a batch of C proposals, skipping whole Philox steps of 4 words and
+    # then C % 4 (or 2C % 4) single words: sizes of every residue mod 4
+    _check_screened_rows(scenarios_by_n[n], size)
+
+
+def test_screened_batch_holds_only_the_normals_whole(scenarios_by_n):
+    # one thm1-majorant proposal batch at n = 2: C = 380,000 proposals, of
+    # which the screen keeps 13%. The normals (2k * 8 * C bytes) are the only
+    # draws held whole, and each _BLOCK of them is freed once it is screened;
+    # u, theta and r are drawn a _BLOCK at a time. Drawing any one of them
+    # whole adds 8 * C bytes (2.9 MiB), and holding the normals in one array
+    # keeps all of them live next to the kept rows' draws
+    sc = scenarios_by_n[2][0]
+    region = sc.domain_region()
+    count, k = 380_000, 1
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        batch = sample(region.window, Sampler(42, count, stream=107_000),
+                       screen=region.radial)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == count and len(batch.points) > count // 10
+    bound = 2 * k * 8 * count + 2 * 2**20
+    assert peak < bound, (peak, bound)
 
 
 def test_screened_sample_needs_a_disk_window(scenarios_by_n):
