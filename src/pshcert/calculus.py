@@ -8,9 +8,9 @@ poles). The Wirtinger Hessian at p has entries
 
 computed from central differences of step h; for C^4 functions the
 entrywise error is O(h^2). Certification draws deterministic samples
-from a region, evaluates the stencils in blocks of points (see
-``wirtinger_hessian_batch``), and reduces the minimal eigenvalues into
-a Certificate.
+from a region, evaluates the stencils in blocks of points
+(``_stencil_block``: at most ``_BLOCK // 5`` points and ``_STENCIL_ROWS``
+stencil rows), and reduces the minimal eigenvalues into a Certificate.
 """
 
 from __future__ import annotations
@@ -120,6 +120,18 @@ def _stencil_offsets(n: int, h: float):
     return offsets[order], inverse[plus], inverse[minus], pair_idx
 
 
+#: stencil rows per ``f`` call, at most, at every n
+_STENCIL_ROWS = 8 * kernels._BLOCK
+
+
+def _stencil_block(n: int) -> int:
+    """Points per stencil block at dimension n: ``_BLOCK // 5`` (5 distinct z
+    per stencil, so about one kernel block of distinct z for the series), or
+    fewer where their S = 1 + 4n + 8n(n - 1) stencil rows each would pass
+    ``_STENCIL_ROWS`` (from n = 3 on: 2148 points at n = 3, 272 at n = 8)."""
+    return min(kernels._BLOCK // 5, _STENCIL_ROWS // (1 + 4 * n + 8 * n * (n - 1)))
+
+
 def wirtinger_hessian_batch(f, points, h: float):
     """Wirtinger Hessians at (N, n) points from blocked stencil evaluations.
 
@@ -127,13 +139,11 @@ def wirtinger_hessian_batch(f, points, h: float):
     construction and ok[i] is False when any stencil value at point i
     was nonfinite (those H rows are zeroed).
 
-    ``f`` is called on the stencils of ``_BLOCK // 5`` points at a time,
-    and of fewer when that would pass ``16 * _BLOCK`` stencil rows (from
-    n = 4 on; at n = 8 a stencil has 481 rows): each stencil holds 5
-    distinct z at every n, so a call gives the series at most about one
-    kernel block of distinct z, while the stencil grid and f's temporaries
-    stay block-sized at every n. ``f`` must be elementwise, so the values,
-    hence H, are those of one call on every stencil, bit for bit.
+    ``f`` is called on the stencils of one ``_stencil_block(n)`` of points
+    at a time, so a call gives the series at most about one kernel block of
+    distinct z, and the stencil grid and f's temporaries stay within one row
+    budget at every n. ``f`` must be elementwise, so the values, hence H,
+    are those of one call on every stencil, bit for bit.
 
     Each H_jk, j < k, is written in one pass from the pair's (4, 4) quads of
     ``_stencil_offsets`` (xx, yy, xy, yx, each over ++, +-, -+, --).
@@ -143,7 +153,7 @@ def wirtinger_hessian_batch(f, points, h: float):
     offsets, plus, minus, pair_idx = _stencil_offsets(n, h)
     nst = offsets.shape[0]
     vals = np.empty((npts, nst), dtype=np.float64)
-    step = min(kernels._BLOCK // 5, 16 * kernels._BLOCK // nst)
+    step = _stencil_block(n)
     for lo in range(0, npts, step):
         grid = points[lo : lo + step, None, :] + offsets[None, :, :]
         vals[lo : lo + step] = np.reshape(f(grid.reshape(-1, n)), (-1, nst))
@@ -193,14 +203,14 @@ def levi_floors(f, points, h: float) -> np.ndarray:
     """Smallest eigenvalue of the FD Levi form of f at each point, -inf where
     a stencil value was nonfinite.
 
-    The Hessians and their eigenvalues run per block of ``_BLOCK // 5``
-    points (one stencil block of ``wirtinger_hessian_batch``), so only the
-    N floors outlive a block. Both eigenvalue kernels treat each matrix on
+    The points are walked in blocks of ``_stencil_block(n)``, each one
+    ``f`` call, one Hessian batch and one eigenvalue call, so only the N
+    floors outlive a block. Both eigenvalue kernels treat each matrix on
     its own, so the floors are those of one whole-batch call, bit for bit.
     """
     points = np.asarray(points, dtype=np.complex128)
     floors = np.empty(points.shape[0])
-    step = kernels._BLOCK // 5
+    step = _stencil_block(points.shape[1])
     for lo in range(0, points.shape[0], step):
         H, ok = wirtinger_hessian_batch(f, points[lo : lo + step], h)
         floors[lo : lo + step] = np.where(ok, min_eigs_batch(H), -np.inf)
@@ -259,8 +269,8 @@ def certify_psh(
 
     Draws ``sampler.count`` points (skipping any for which ``exclude``
     returns True, refilling deterministically), computes their FD Levi
-    floors with ``levi_floors`` (in blocks of ``_BLOCK // 5`` points), and
-    passes when every smallest eigenvalue is at least
+    floors with ``levi_floors`` (one ``_stencil_block`` of points at a
+    time), and passes when every smallest eigenvalue is at least
     ``-tolerance``. Stencil failures appear as -inf margins with
     witnesses. Raises ``EmptyRegionError`` when 50 draws
     still leave fewer than ``sampler.count`` points.

@@ -591,7 +591,8 @@ class Thm2Scenario(_Scenario):
         times the bump taper(|z|^2)|w|^2 (|w| < 5/2) or 0. The taper is
         evaluated, with u, once per run of equal z (grouped FD stencils), same
         bits."""
-        z, w = _split(pts)[:2]
+        pts = np.atleast_2d(np.asarray(pts, dtype=np.complex128))
+        z, w = pts[:, 0], pts[:, 1:]
         u, lam = kernels.per_distinct_z(lambda zs: np.stack((
             self.plateau._distinct_values(zs),
             kernels.taper_many(zs.real**2 + zs.imag**2)[0])), z)

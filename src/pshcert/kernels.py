@@ -45,13 +45,14 @@ BACKEND_NAME = "numpy"
 # normals whole (in _BLOCK-row blocks, each freed once screened),
 # ``wirtinger_hessian_batch`` evaluates the stencils of _BLOCK // 5 points per
 # call (5 distinct z each, so about one block of distinct z for the series),
-# or of fewer points when that passes 16 * _BLOCK stencil rows (n >= 4),
-# ``levi_floors`` takes the Hessians and eigenvalues of one such block at a
-# time, the (N, J) pole distances of the certificates run over blocks of
-# 16 * _BLOCK entries, ``TaperedForm.sampled_epsilon`` draws its directions
-# and forms its quotients for _BLOCK rows at a time, and ``emit_grid``
-# evaluates whole grid rows of about _BLOCK cells at a time. Each splits only
-# elementwise or row-by-row work, so every value keeps its bits.
+# or of fewer points when that passes 8 * _BLOCK stencil rows (n >= 3),
+# ``levi_floors`` walks its points in those same blocks (one stencil call,
+# one Hessian batch and one eigenvalue call each), the (N, J) pole distances
+# of the certificates run over blocks of 16 * _BLOCK entries,
+# ``TaperedForm.sampled_epsilon`` draws its directions and forms its
+# quotients for _BLOCK rows at a time, and ``emit_grid`` evaluates whole grid
+# rows of about _BLOCK cells at a time. Each splits only elementwise or
+# row-by-row work, so every value keeps its bits.
 _BLOCK = 16384
 
 # The log-pole tail of ``sigma_many``: the first _HEAD_POLES poles are summed

@@ -222,17 +222,28 @@ def _log_pole_target(Z):
                 + (Z[:, 0] ** 3).real)
 
 
-STEP = kernels._BLOCK // 5  # points per stencil call
+STEP = kernels._BLOCK // 5  # points per stencil call, at most
+ROWS = 8 * kernels._BLOCK  # stencil rows per f call, at most
+
+
+def _per_call(n):
+    # the points per stencil call (and per levi_floors block) at dimension n
+    return min(STEP, ROWS // _stencil_offsets(n, H_STEP)[0].shape[0])
+
+
+def _blocks(npts, step):
+    return [min(step, npts - lo) for lo in range(0, npts, step)]
 
 
 @pytest.mark.parametrize("npts", [1, STEP - 1, STEP, STEP + 1, 3 * STEP + 7])
 @pytest.mark.parametrize("n", [2, 3])
 def test_blocked_hessian_equals_one_call(n, npts):
+    step = _per_call(n)
     rng = np.random.default_rng(npts + n)
     pts = rng.uniform(-1, 1, (npts, n)) + 1j * rng.uniform(-1, 1, (npts, n))
     # pole hits (w_1 = 0.3) and NaN rows on both sides of the block edges
-    hits = [i for i in (0, STEP - 1, STEP, npts - 1) if i < npts]
-    nans = [i for i in (STEP + 1, 2 * STEP - 1, 2 * STEP) if i < npts]
+    hits = [i for i in (0, step - 1, step, npts - 1) if i < npts]
+    nans = [i for i in (step + 1, 2 * step - 1, 2 * step) if i < npts]
     pts[hits, 1] = 0.3
     for i in nans:
         pts[i, i % n] = np.nan
@@ -252,20 +263,21 @@ def test_blocked_hessian_equals_one_call(n, npts):
     offsets = _stencil_offsets(n, H_STEP)[0]
     nst = offsets.shape[0]
     grid = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, n)
-    assert [len(c) for c in calls] == [min(STEP, npts - lo) * nst
-                                       for lo in range(0, npts, STEP)]
+    assert [len(c) for c in calls] == [b * nst for b in _blocks(npts, step)]
     assert np.concatenate(calls).tobytes() == grid.tobytes()
 
 
 def test_hessian_working_set_is_block_sized():
-    # 10^4 points at n = 3: f sees STEP points' stencils per call. Live at the
-    # peak: vals (N*S float64), H (N*n*n complex), and per block the stencil
-    # grid (STEP*S*n complex) plus f's temporaries, which for this f (three
-    # (STEP*S,) float64 arrays) are less than one more grid. One call on every
-    # stencil would hold the whole grid, N*S*n*16 bytes = 29.3 MB, alone
+    # 10^4 points at n = 3: f sees _per_call(3) points' stencils per call.
+    # Live at the peak: vals (N*S float64), H (N*n*n complex), and per block
+    # the stencil grid (per_call*S*n complex) plus f's temporaries, which for
+    # this f (three (per_call*S,) float64 arrays) are less than one more grid.
+    # One call on every stencil would hold the whole grid, N*S*n*16 bytes =
+    # 29.3 MB, alone
     npts, n = 10_000, 3
     nst = _stencil_offsets(n, H_STEP)[0].shape[0]
-    bound = npts * nst * 8 + npts * n * n * 16 + 2 * (STEP * nst * n * 16)
+    per_call = _per_call(n)
+    bound = npts * nst * 8 + npts * n * n * 16 + 2 * (per_call * nst * n * 16)
     assert bound < npts * nst * n * 16
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1, 1, (npts, n)) + 1j * rng.uniform(-1, 1, (npts, n))
@@ -284,16 +296,13 @@ def test_hessian_working_set_is_block_sized():
     assert peak < bound, (peak, bound)
 
 
-ROWS = 16 * kernels._BLOCK  # stencil rows per f call, at most
-
-
 @pytest.mark.parametrize("n", [4, 8])
 def test_large_n_hessian_calls_are_row_bounded(n):
-    # from n = 4 on, STEP stencils pass ROWS rows: f sees ROWS // S points'
+    # from n = 3 on, STEP stencils pass ROWS rows: f sees ROWS // S points'
     # stencils per call, in order, and H keeps the bits of one call
     nst = _stencil_offsets(n, H_STEP)[0].shape[0]
     per_call = ROWS // nst
-    assert per_call < STEP
+    assert per_call < STEP and per_call == _per_call(n)
     npts = 2 * per_call + 3
     rng = np.random.default_rng(n)
     pts = rng.uniform(-1, 1, (npts, n)) + 1j * rng.uniform(-1, 1, (npts, n))
@@ -311,20 +320,19 @@ def test_large_n_hessian_calls_are_row_bounded(n):
     assert np.array_equal(ok, ok_one) and np.sum(~ok) == 4
 
 
-def test_levi_floors_working_set_at_n8():
-    # 4000 points at n = 8, 481 stencil rows each. Live at the peak, per
-    # Hessian block of STEP points: the stencil values (STEP*S float64), H
-    # (STEP*n*n complex) and Jacobi's copies and temporaries (under 8 more
-    # STEP*n*n float64 arrays); per f call, one grid of ROWS stencil rows
-    # (ROWS*n complex) and this f's temporaries (three ROWS*n float64 arrays).
-    # With the calls sized in points, one grid held STEP*S rows (202 MB) and
-    # the peak was 397 MiB
-    npts, n = 4000, 8
+def _levi_floors_peak(n, npts):
+    # the tracemalloc peak of levi_floors on npts points of a diagonal
+    # quadratic (Levi form diag(1, ..., n)), and its row-budget bound. Live at
+    # the peak: the floors (N float64); per levi_floors block of _per_call(n)
+    # points, the stencil values (per_call*S float64), H (per_call*n*n
+    # complex) and Jacobi's copies and temporaries (under 8 more per_call*n*n
+    # float64 arrays); per f call, one grid of at most ROWS stencil rows
+    # (ROWS*n complex) and this f's temporaries (three ROWS*n float64 arrays)
     nst = _stencil_offsets(n, H_STEP)[0].shape[0]
-    bound = (STEP * nst * 8 + STEP * n * n * 16 + 8 * STEP * n * n * 8
-             + ROWS * n * 16 + 3 * ROWS * n * 8)
-    assert bound < STEP * nst * n * 16
-    rng = np.random.default_rng(8)
+    per_call = _per_call(n)
+    bound = (npts * 8 + per_call * nst * 8 + per_call * n * n * 16
+             + 8 * per_call * n * n * 8 + ROWS * n * 16 + 3 * ROWS * n * 8)
+    rng = np.random.default_rng(n)
     pts = rng.uniform(-1, 1, (npts, n)) + 1j * rng.uniform(-1, 1, (npts, n))
     w = np.arange(1.0, n + 1.0)
 
@@ -339,22 +347,44 @@ def test_levi_floors_working_set_at_n8():
     finally:
         tracemalloc.stop()
     np.testing.assert_allclose(floors, 1.0, atol=1e-5)
+    return peak, bound
+
+
+def test_levi_floors_working_set_at_n8():
+    # 4000 points at n = 8, 481 stencil rows each. With the calls sized in
+    # points, one grid held STEP*S rows (202 MB) and the peak was 397 MiB
+    n = 8
+    peak, bound = _levi_floors_peak(n, 4000)
+    assert bound < STEP * _stencil_offsets(n, H_STEP)[0].shape[0] * n * 16
+    assert peak < bound, (peak, bound)
+
+
+def test_levi_floors_working_set_at_n3():
+    # 2 * 10^4 points at n = 3, 61 stencil rows each: one block is 2148
+    # points (131,028 rows). Blocks of STEP points (199,836 rows) peaked at
+    # 20.5 MiB, over this bound; row-budgeted blocks peak at 13.5 MiB
+    n = 3
+    peak, bound = _levi_floors_peak(n, 20_000)
+    old_rows = STEP * _stencil_offsets(n, H_STEP)[0].shape[0]
+    assert bound < old_rows * n * 16 + 3 * old_rows * n * 8
     assert peak < bound, (peak, bound)
 
 
 def test_levi_floors_working_set_is_block_sized():
     # 6 * 10^4 points at n = 3: the Hessians and their Jacobi eigenvalues run
     # per stencil block, so only the N floors outlive a block. Live at the
-    # peak: the floors (N float64), and per block the stencil values
-    # (STEP*S float64), H (STEP*n*n complex), two stencil grids (STEP*S*n
-    # complex, as above) and Jacobi's copies and temporaries (under 8 more
-    # STEP*n*n float64 arrays). The unblocked floors held vals and H for
-    # every point, N*(S*8 + n*n*16) bytes = 37.9 MB, on top of one grid
+    # peak: the floors (N float64), and per block of _per_call(3) points the
+    # stencil values (per_call*S float64), H (per_call*n*n complex), two
+    # stencil grids (per_call*S*n complex, as above) and Jacobi's copies and
+    # temporaries (under 8 more per_call*n*n float64 arrays). The unblocked
+    # floors held vals and H for every point, N*(S*8 + n*n*16) bytes =
+    # 37.9 MB, on top of one grid
     npts, n = 60_000, 3
     nst = _stencil_offsets(n, H_STEP)[0].shape[0]
-    bound = (npts * 8 + STEP * nst * 8 + STEP * n * n * 16 + 2 * (STEP * nst * n * 16)
-             + 8 * STEP * n * n * 8)
-    assert bound < npts * (nst * 8 + n * n * 16) + STEP * nst * n * 16
+    per_call = _per_call(n)
+    bound = (npts * 8 + per_call * nst * 8 + per_call * n * n * 16
+             + 2 * (per_call * nst * n * 16) + 8 * per_call * n * n * 8)
+    assert bound < npts * (nst * 8 + n * n * 16) + per_call * nst * n * 16
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, (npts, n)) + 1j * rng.uniform(-1, 1, (npts, n))
 
@@ -378,8 +408,9 @@ def test_levi_floors_equal_one_batch(monkeypatch):
     # stencils on the block edges; the Hessian sees one stencil block a call
     rng = np.random.default_rng(5)
     for n in (2, 3):
+        step = _per_call(n)
         pts = rng.uniform(-1, 1, (2 * STEP + 9, n)) + 1j * rng.uniform(-1, 1, (2 * STEP + 9, n))
-        pts[[0, STEP - 1, STEP, -1], 0] = 0.0
+        pts[[0, step - 1, step, -1], 0] = 0.0
 
         def f(Z):
             with np.errstate(divide="ignore"):
@@ -397,9 +428,40 @@ def test_levi_floors_equal_one_batch(monkeypatch):
         monkeypatch.setattr(calculus, "wirtinger_hessian_batch", counted)
         got = levi_floors(f, pts, H_STEP)
         monkeypatch.undo()
-        assert sizes == [STEP, STEP, 9]
+        assert sizes == _blocks(len(pts), step)
         assert got.tobytes() == want.tobytes()
         assert np.sum(got == -np.inf) == 4
+
+
+@pytest.mark.parametrize("n", range(2, calculus.MAX_EIG_DIM + 1))
+def test_levi_floors_one_f_call_per_hessian_block(monkeypatch, n):
+    # each levi_floors block is one Hessian batch whose stencils reach f in
+    # one call, and the floors are those of one whole-batch call, bit for bit
+    step = _per_call(n)
+    nst = _stencil_offsets(n, H_STEP)[0].shape[0]
+    npts = 2 * step + 5
+    rng = np.random.default_rng(20 + n)
+    pts = rng.uniform(-1, 1, (npts, n)) + 1j * rng.uniform(-1, 1, (npts, n))
+    pts[[0, step - 1, step, npts - 1], 1] = 0.3
+    H, ok = _one_call_hessian(_log_pole_target, pts, H_STEP)
+    want = np.where(ok, min_eigs_batch(H), -np.inf)
+    calls, sizes = [], []
+    hessian = calculus.wirtinger_hessian_batch
+
+    def f(Z):
+        calls.append(len(Z))
+        return _log_pole_target(Z)
+
+    def counted(f, points, h):
+        sizes.append(len(points))
+        return hessian(f, points, h)
+
+    monkeypatch.setattr(calculus, "wirtinger_hessian_batch", counted)
+    got = levi_floors(f, pts, H_STEP)
+    assert sizes == _blocks(npts, step)
+    assert calls == [s * nst for s in sizes]
+    assert got.tobytes() == want.tobytes()
+    assert np.sum(got == -np.inf) == 4
 
 
 # --- minimal eigenvalues ----------------------------------------------------

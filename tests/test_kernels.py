@@ -701,7 +701,9 @@ def test_min_eigs_batch_bytes_pinned():
 
 
 def _thm2_window_block(n):
-    # the Hessians of the first levi_floors block of seed-42 thm2-window-psd-fd
+    # the Hessians of the first _BLOCK // 5 = 3276 points of seed-42
+    # thm2-window-psd-fd, in one batch (levi_floors takes them in blocks of
+    # calculus._stencil_block(n) points, 724 at n = 5; the floors are the same)
     cfg = CertifyConfig(n=n, seed=42)
     sc = build_thm2(cfg, build_plateau(cfg.j_max))
     pts = sample(sc.strict_window_resolvable(), Sampler(42, cfg.samples, stream=208))
