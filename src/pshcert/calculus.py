@@ -16,6 +16,7 @@ stencil rows), and reduces the minimal eigenvalues into a Certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -79,6 +80,7 @@ def make_certificate(name, margins, tolerance, points=None):
 # Wirtinger Hessian stencils
 # ---------------------------------------------------------------------------
 
+@cache
 def _stencil_offsets(n: int, h: float):
     """Offsets (S, n) complex and the index maps of Hessian assembly: +h and
     -h along each real axis (x_j = 2j, y_j = 2j + 1), and ``pair_idx``
@@ -87,6 +89,8 @@ def _stencil_offsets(n: int, h: float):
 
     Sorted stably by z-component, so each stencil is 5 runs of equal z for
     ``series_values``; the zero offset stays at index 0, read as the centre.
+    Built once per (n, h), a few KiB, and returned read-only: ``levi_floors``
+    asks for it once per stencil block.
     """
     offsets = [np.zeros(n, dtype=np.complex128)]
 
@@ -117,7 +121,10 @@ def _stencil_offsets(n: int, h: float):
     order = np.lexsort((offsets[:, 0].imag, offsets[:, 0].real, offsets[:, 0] != 0))
     inverse = np.argsort(order)
     pair_idx = inverse[np.array(pair_idx, dtype=np.intp).reshape(-1, 4, 4)]
-    return offsets[order], inverse[plus], inverse[minus], pair_idx
+    built = offsets[order], inverse[plus], inverse[minus], pair_idx
+    for a in built:
+        a.flags.writeable = False
+    return built
 
 
 #: stencil rows per ``f`` call, at most, at every n

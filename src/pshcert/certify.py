@@ -23,6 +23,8 @@ from .geometry import product_points
 from .kernels import _BLOCK, BACKEND_NAME
 from .config import MAX_GRID_CELLS, CertifyConfig, ConfigError
 from .constructions import (
+    _W0_THM1,
+    _W0_THM2,
     build_plateau,
     build_tapered_form,
     build_thm1,
@@ -145,11 +147,12 @@ def _form_constants(form) -> dict:
 
 
 def _thm1_text(built: SuiteBuilder) -> str:
-    return render_schedule(built.thm1.schedule, {"w0_modulus": 2.0, "n": built.cfg.n})
+    extras = {"w0_modulus": _W0_THM1, "n": built.cfg.n}
+    return render_schedule(built.thm1.schedule, extras)
 
 
 def _thm2_text(built: SuiteBuilder, with_form: bool = False) -> str:
-    extras = {"w0_modulus": 4.0, "n": built.cfg.n}
+    extras = {"w0_modulus": _W0_THM2, "n": built.cfg.n}
     if with_form:
         extras.update(_form_constants(built.form), small_c=built.form.small_c)
     return render_schedule(built.plateau.thm2_schedule, extras)

@@ -38,10 +38,6 @@ from .geometry import (
     Sampler,
     SublevelRegion,
     Window,
-    _ball_rows,
-    _disk_rows,
-    _draw_ball,
-    _draw_disk,
     _row_sum,
     _sample_annulus,
     _sample_ball,
@@ -52,6 +48,7 @@ from .geometry import (
     philox,
     product_points,
     sample,
+    window_rows,
 )
 from .logpoles import (
     PoleSchedule,
@@ -307,24 +304,17 @@ class TaperedForm:
     def sampled_epsilon(self, n: int, count: int, seed: int) -> float:
         """Min of H_S(z, xi)/(|xi_1|^2 + taper |xi'|^2), z in D x B(0,R).
 
-        One generator, ``philox(seed, 23)``, draws the disk's radius
-        uniforms and angles, then the ball's normals and radii, all whole,
-        and the z rows are formed from them. The directions xi are then
-        drawn from the same generator one ``_BLOCK`` of rows at a time, and
-        each block's quotients are formed and reduced to their minimum.
-        Philox continues one stream across the blocks and every quotient is
-        computed per row, so the floor is the same float as that of one
-        whole-sample evaluation; the working set is the draws and z plus
-        block-sized temporaries.
+        One generator, ``philox(seed, 23)``, draws the rows z whole through
+        ``window_rows``, which forms their z column before it draws their w
+        block. The directions xi are then drawn from the same generator one
+        ``_BLOCK`` of rows at a time, and each block's quotients are formed
+        and reduced to their minimum. Philox continues one stream across the
+        blocks and every quotient is computed per row, so the floor is the
+        same float as that of one whole-sample evaluation; the working set is
+        z, the w draws and block-sized temporaries.
         """
         rng = philox(seed, 23)
-        u, th = _draw_disk(rng, count)
-        g, r = _draw_ball(rng, count, n - 1, self.radius)
-        z = np.empty((count, n), dtype=np.complex128)
-        _disk_rows(u, th, 1.0, z[:, 0])
-        del u, th
-        _ball_rows(g, r, z[:, 1:])
-        del g, r
+        z = window_rows(rng, Window(n, 1.0, self.radius), count)
         mins = []
         for lo in range(0, count, kernels._BLOCK):
             zb = z[lo : lo + kernels._BLOCK]
@@ -751,14 +741,14 @@ def closed_polydisk_samples(n: int, count: int, seed: int, stream: int) -> np.nd
     rng = philox(seed, stream)
     k = n - 1
     m = min(max(count // 16, 8), 256)
-    z_in = _sample_disk(rng, count - 2 * m)
-    w_in = _sample_ball(rng, count - 2 * m, k, 1.0)
+    inner = window_rows(rng, Window(n, 1.0, 1.0), count - 2 * m)
     z_bd = np.exp(2j * np.pi * rng.random(m))
     w_for_zbd = _sample_ball(rng, m, k, 1.0)
     z_for_wbd = _sample_disk(rng, m)
     w_bd = _unit_directions(rng, m, k)
-    return product_points(np.concatenate([z_in, z_bd, z_for_wbd]),
-                          np.concatenate([w_in, w_for_zbd, w_bd]))
+    faces = product_points(np.concatenate([z_bd, z_for_wbd]),
+                           np.concatenate([w_for_zbd, w_bd]))
+    return np.concatenate([inner, faces])
 
 
 def closed_disk_samples(count: int, seed: int, stream: int) -> np.ndarray:
@@ -1069,9 +1059,7 @@ def tapered_form_properties(form: TaperedForm, cfg: CertifyConfig) -> list[Certi
 
     # plateau identity: on |z1|^2 <= 1/4 the form's Levi matrix is
     # diag(C, 1, ..., 1)
-    rng = philox(seed, 402)
-    z1 = _sample_disk(rng, 200) * 0.5
-    pts = product_points(z1, _sample_ball(rng, 200, n - 1, form.radius))
+    pts = window_rows(philox(seed, 402), Window(n, 0.5, form.radius), 200)
     D = np.diag([form.quad_weight] + [1.0] * (n - 1)).astype(np.complex128)
     worst = float(np.max(np.abs(form.levi_matrix(pts) - D)))
     certs.append(

@@ -7,7 +7,9 @@ given (seed, stream, count, region) tuple reproduces the identical
 point sequence bit for bit, independent of thread count. Every draw of
 the package starts from ``philox``, and the point shapes that the
 constructions draw (disk, ball, sphere, shell) and assemble
-(``product_points``) live here.
+(``product_points``) live here. Every unscreened row of a product window
+is drawn by ``window_rows``: its z column is drawn and formed before the
+w block is drawn.
 
 Rejection sampling of a ``SublevelRegion`` screens its proposals once,
 on their raw draws, and the screen may not drop a member, so the members,
@@ -161,15 +163,14 @@ def _row_sum(term, width):
     return acc
 
 
-def _sample_ball(rng, count, k, radius, out=None):
-    """Uniform points of the ball of ``radius`` around 0 in C^k, (count, k), into
-    ``out`` if given: ``g / |g| * r``, |g| summed as in ``np.linalg.norm``.
+def _sample_ball(rng, count, k, radius):
+    """Uniform points of the ball of ``radius`` around 0 in C^k, (count, k):
+    ``g / |g| * r``, |g| summed as in ``np.linalg.norm``.
 
     The normals g and then the radius uniforms are drawn whole
     (``_draw_ball``) and formed by ``_ball_rows``.
     """
-    if out is None:
-        out = np.empty((count, k), dtype=np.complex128)
+    out = np.empty((count, k), dtype=np.complex128)
     return _ball_rows(*_draw_ball(rng, count, k, radius), out)
 
 
@@ -245,7 +246,7 @@ def _disk_rows(u, th, outer, out):
     """Points ``(outer * sqrt(u)) * e^{i theta}`` into ``out``, in blocks of
     ``_BLOCK`` (elementwise, so the same bits whatever the blocks or the
     other rows), keeping e^{i theta} block-sized. ``_sample_disk`` scaled by
-    ``outer`` does not have these bits."""
+    ``outer`` has these bits only where ``outer`` is a power of two."""
     for lo in range(0, len(u), _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         np.multiply(outer * np.sqrt(u[rows]), np.exp(1j * th[rows]), out=out[rows])
@@ -264,13 +265,27 @@ class ScreenedBatch:
         return self.drawn
 
 
+def window_rows(rng, window: Window, count: int) -> np.ndarray:
+    """``count`` uniform rows of ``window`` from ``rng``, (count, n): z is drawn
+    (radius uniforms, then angles, or the annulus loop) and formed, then w
+    (normals, then radii), so the z draws are freed before w is drawn."""
+    out = np.empty((count, window.n), dtype=np.complex128)
+    if window.z_inner != 0.0:
+        _sample_annulus(rng, count, window.z_inner, window.z_radius, out[:, 0])
+    else:
+        _disk_rows(*_draw_disk(rng, count), window.z_radius, out[:, 0])
+    _ball_rows(*_draw_ball(rng, count, window.n - 1, window.w_radius), out[:, 1:])
+    return out
+
+
 def sample(region: Window | SublevelRegion, sampler: Sampler,
            screen: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
            ) -> np.ndarray | ScreenedBatch:
     """Draw ``sampler.count`` points of a ``Window`` or a ``SublevelRegion``.
 
-    Returns an (N, n) complex array. A window draws from one generator in
-    a fixed order: the z block first, then the w block.
+    Returns an (N, n) complex array. A window is ``window_rows`` of the
+    sampler's generator: the z column is drawn and formed first, then the
+    w block.
 
     ``screen`` (a ``SublevelRegion.radial``, for a disk window) makes the
     same draws, screens them before any row is formed and returns a
@@ -295,21 +310,11 @@ def sample(region: Window | SublevelRegion, sampler: Sampler,
     """
     if isinstance(region, SublevelRegion):
         return _rejection_sample(region, sampler)
-    rng = sampler.generator()
-    count = sampler.count
+    if screen is None:
+        return window_rows(sampler.generator(), region, sampler.count)
     if region.z_inner != 0.0:
-        if screen is not None:
-            raise ValueError("a radial screen needs a disk window (z_inner = 0)")
-        out = np.empty((count, region.n), dtype=np.complex128)
-        _sample_annulus(rng, count, region.z_inner, region.z_radius, out[:, 0])
-        _sample_ball(rng, count, region.n - 1, region.w_radius, out[:, 1:])
-        return out
-    if screen is not None:
-        return _sample_screened(region, sampler, screen)
-    out = np.empty((count, region.n), dtype=np.complex128)
-    _disk_rows(*_draw_disk(rng, count), region.z_radius, out[:, 0])
-    _sample_ball(rng, count, region.n - 1, region.w_radius, out[:, 1:])
-    return out
+        raise ValueError("a radial screen needs a disk window (z_inner = 0)")
+    return _sample_screened(region, sampler, screen)
 
 
 def _skip(rng, words):

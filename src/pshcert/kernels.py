@@ -37,22 +37,9 @@ BACKEND_NAME = "numpy"
 
 # Points per block of the pole kernels: the block's coordinates,
 # accumulator and two reused float64 temporaries (640 KiB in all) stay in L2
-# cache across the per-pole loop, where whole 10^5-point batches spill.
-# The layers above take their blocks from it too, so their working set stays
-# bounded as the batches grow: ``sample`` forms proposals in blocks of _BLOCK
-# rows, and a screened batch draws and screens u, theta and r of _BLOCK
-# proposals at a time from their own Philox word positions, holding only its
-# normals whole (in _BLOCK-row blocks, each freed once screened),
-# ``wirtinger_hessian_batch`` evaluates the stencils of _BLOCK // 5 points per
-# call (5 distinct z each, so about one block of distinct z for the series),
-# or of fewer points when that passes 8 * _BLOCK stencil rows (n >= 3),
-# ``levi_floors`` walks its points in those same blocks (one stencil call,
-# one Hessian batch and one eigenvalue call each), the (N, J) pole distances
-# of the certificates run over blocks of 16 * _BLOCK entries,
-# ``TaperedForm.sampled_epsilon`` draws its directions and forms its
-# quotients for _BLOCK rows at a time, and ``emit_grid`` evaluates whole grid
-# rows of about _BLOCK cells at a time. Each splits only elementwise or
-# row-by-row work, so every value keeps its bits.
+# cache across the per-pole loop, where whole 10^5-point batches spill. The
+# layers above size their blocks from it too, each as its docstring says, and
+# split only elementwise or row-by-row work, so every value keeps its bits.
 _BLOCK = 16384
 
 # The log-pole tail of ``sigma_many``: the first _HEAD_POLES poles are summed

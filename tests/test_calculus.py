@@ -464,6 +464,28 @@ def test_levi_floors_one_f_call_per_hessian_block(monkeypatch, n):
     assert np.sum(got == -np.inf) == 4
 
 
+def test_levi_floors_builds_the_stencil_once(monkeypatch):
+    # the offsets of one (n, h) are built on first use and shared, read-only,
+    # by every later stencil block: 4 blocks of n = 8 points take one build, a
+    # second call none, and the floors are those of a stencil built afresh
+    # for every block, bit for bit
+    n = 8
+    npts = 3 * _per_call(n) + 5
+    rng = np.random.default_rng(28)
+    pts = rng.uniform(-1, 1, (npts, n)) + 1j * rng.uniform(-1, 1, (npts, n))
+    _stencil_offsets.cache_clear()
+    got = levi_floors(_log_pole_target, pts, H_STEP)
+    assert _stencil_offsets.cache_info().misses == 1
+    again = levi_floors(_log_pole_target, pts, H_STEP)
+    assert _stencil_offsets.cache_info().misses == 1
+    monkeypatch.setattr(calculus, "_stencil_offsets", _stencil_offsets.__wrapped__)
+    want = levi_floors(_log_pole_target, pts, H_STEP)
+    assert got.tobytes() == again.tobytes() == want.tobytes()
+    for a in _stencil_offsets(n, H_STEP):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
 # --- minimal eigenvalues ----------------------------------------------------
 
 def test_hermitian_min_eig_examples():

@@ -322,6 +322,17 @@ def test_suite_builder_objects_freed_without_cycle_collector():
         gc.enable()
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_schedule_texts_state_the_built_w0(n):
+    # the schedule exports read w0's modulus from the constants that the
+    # scenarios are built with
+    built = certify.SuiteBuilder(CertifyConfig(n=n, samples=100, plateau_checks=8))
+    for text, sc in ((certify._thm1_text(built), built.thm1),
+                     (certify._thm2_text(built), built.thm2)):
+        line = next(ln for ln in text.splitlines() if ln.startswith("# w0_modulus="))
+        assert float(line.split("=")[1]) == abs(sc.w0[0]), line
+
+
 def test_psh_sample_shortfall_becomes_failing_report(monkeypatch):
     # an exclusion radius beyond the example1 window leaves no point to
     # certify; the report says so instead of certifying an empty set

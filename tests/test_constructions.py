@@ -20,6 +20,7 @@ from pshcert.constructions import (
     build_tapered_form,
     build_thm1,
     build_thm2,
+    closed_polydisk_samples,
     example1_check,
     example_defining,
     plateau_properties,
@@ -36,6 +37,9 @@ from pshcert.geometry import (
     _draw_disk,
     _sample_ball,
     _sample_disk,
+    _unit_directions,
+    philox,
+    product_points,
     sample,
 )
 from pshcert.logpoles import pole_discs, pole_rows, ring_bound_table, ring_cells
@@ -420,9 +424,10 @@ def test_sampled_epsilon_blocks_keep_the_floor(tapered, n):
 
 
 def test_sampled_epsilon_memory_grows_by_its_draws(tapered):
-    # at n = 2 the draws and rows of a point hold 72 bytes: the radius
-    # uniform u, the angle, two normals and the ball radius (5 float64), and
-    # the row z (2 complex128). The directions xi and the quotients are
+    # at n = 2 the draws and rows of a point hold at most 72 bytes: the
+    # radius uniform u, the angle, two normals and the ball radius (5
+    # float64), and the row z (2 complex128); z is formed before the w draws,
+    # so 56 of them are live at once. The directions xi and the quotients are
     # block-sized, so from 10^5 to 4 * 10^5 points the peak grows by at most
     # 72 B per added point (plus 1 MiB); the whole-sample evaluation held
     # xi three times over (normals, normalised, complex) besides z
@@ -437,6 +442,53 @@ def test_sampled_epsilon_memory_grows_by_its_draws(tapered):
 
     small, large = peak(100_000), peak(400_000)
     assert large - small <= 300_000 * 72 + 2**20, (small, large)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_epsilon_holds_z_and_the_w_draws(n):
+    # the rows z (n complex128) are formed column by column: z first, then
+    # the w draws (2k normals and the ball radius, float64), with the z draws
+    # freed before them. So 10^5 points peak at z, the w draws and one block
+    # of temporaries (four complex128 columns of _BLOCK rows); holding the z
+    # draws until the w draws are made (16 B more per point) fails
+    form = build_tapered_form(n)
+    count, k = 100_000, n - 1
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        form.sampled_epsilon(n, count, 42)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bound = 16 * n * count + 8 * (2 * k + 1) * count + 4 * 16 * kernels._BLOCK
+    assert peak <= bound, (peak, bound)
+
+
+def _closed_polydisk_concatenated(n, count, seed, stream):
+    """``closed_polydisk_samples`` as it was composed before ``window_rows``:
+    the unit-disk z, then the unit-ball w, concatenated with the faces."""
+    rng = philox(seed, stream)
+    k = n - 1
+    m = min(max(count // 16, 8), 256)
+    z_in = _sample_disk(rng, count - 2 * m)
+    w_in = _sample_ball(rng, count - 2 * m, k, 1.0)
+    z_bd = np.exp(2j * np.pi * rng.random(m))
+    w_for_zbd = _sample_ball(rng, m, k, 1.0)
+    z_for_wbd = _sample_disk(rng, m)
+    w_bd = _unit_directions(rng, m, k)
+    return product_points(np.concatenate([z_in, z_bd, z_for_wbd]),
+                          np.concatenate([w_in, w_for_zbd, w_bd]))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closed_polydisk_interior_keeps_its_bits(n):
+    # the interior is window_rows of the unit polydisk, drawn from the
+    # generator the faces continue: the same rows as the concatenation
+    for seed in (0, 7, 42):
+        for count in (100, 10_000):
+            got = closed_polydisk_samples(n, count, seed, 103)
+            want = _closed_polydisk_concatenated(n, count, seed, 103)
+            assert got.tobytes() == want.tobytes(), (seed, count)
 
 
 @pytest.mark.parametrize("k", range(1, 8))

@@ -20,8 +20,12 @@ from pshcert.geometry import (
     _unit_directions,
     golden_angles,
     path_connected_probe,
+    philox,
+    product_points,
     sample,
+    window_rows,
 )
+from pshcert.config import MAX_SEED, TAPER_RADIUS
 from pshcert.kernels import _BLOCK
 
 
@@ -217,6 +221,20 @@ def test_product_window_bytes_pinned(window, count, sha):
     pts = sample(window, Sampler(42, count, stream=5))
     assert pts.shape == (count, window.n)
     assert hashlib.sha256(pts.tobytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_window_rows_at_half_radius_equal_scaled_unit_disk(n):
+    # the plateau-identity check's draws: 0.5 is a power of two, so the z
+    # rows formed at radius 0.5 have the bits of the unit-disk rows times
+    # 0.5, and the ball rows follow from the same generator
+    for seed in (0, 1, 42, MAX_SEED):
+        for count in (200, _BLOCK + 3):
+            got = window_rows(philox(seed, 402), Window(n, 0.5, TAPER_RADIUS), count)
+            rng = philox(seed, 402)
+            z = _sample_disk(rng, count) * 0.5
+            want = product_points(z, _sample_ball(rng, count, n - 1, TAPER_RADIUS))
+            assert got.tobytes() == want.tobytes(), (seed, count)
 
 
 def test_sublevel_rejection_sampling():
