@@ -1,4 +1,9 @@
-"""Run configuration shared by the construction checks and the CLI."""
+"""Run configuration shared by the construction checks and the CLI.
+
+``CertifyConfig`` holds what the command line sets; the module constants
+fix the constructions and the size of their checks, and every report
+echoes both in ``config_echo``.
+"""
 
 from __future__ import annotations
 
@@ -19,14 +24,6 @@ MAX_TRUNC = 1015
 #: tolerances (example1-floor-near-one fails at 2e-4)
 FD_STEP_MIN = 1e-5
 FD_STEP_MAX = 1e-4
-
-#: most plateau discs checked per report. plateau-laplacian-floor steps its
-#: stencils by r_j * 1e-3 with r_j = 1/(4j(j+1)), so the rounding of the
-#: |z|^2 part grows like eps/h^2 ~ j^4: with samples=100 and seeds 42-57 the
-#: lemma21 and all reports pass at 79 checks (1000 seeds pass every disc up
-#: to 79, the worst disc margin is 0.05 at j = 77); seed 43 fails at 80
-#: (margin -0.21), seed 42 at 100 (-0.87), 200 (-39.4) and 1015 (-2.76e4)
-MAX_PLATEAU_CHECKS = 79
 
 #: largest seed: ``geometry.philox`` keys its generator with
 #: np.asarray([seed, stream]), which turns float64 from 2**63 on and merges
@@ -52,6 +49,8 @@ FLAT_MARGIN = 5e-3
 POLE_MARGIN = 1e-2
 BAND_MARGIN = 1e-2
 EXAMPLE1_EXCLUSION = 5e-2
+SUBMEAN_PROBES = 1000  # probes of the circle-mean and other disk-probe checks
+PLATEAU_CHECKS = 50  # plateau discs checked one by one
 
 _ECHOED_CONSTANTS = {
     "c_level": C_LEVEL,
@@ -61,6 +60,8 @@ _ECHOED_CONSTANTS = {
     "pole_margin": POLE_MARGIN,
     "band_margin": BAND_MARGIN,
     "example1_exclusion": EXAMPLE1_EXCLUSION,
+    "submean_probes": SUBMEAN_PROBES,
+    "plateau_checks": PLATEAU_CHECKS,
 }
 
 
@@ -72,10 +73,11 @@ class ConfigError(ValueError):
 class CertifyConfig:
     """Knobs of a certification run; defaults reproduce the shipped reports.
 
+    The fields are exactly the options of ``pshcert certify``.
     ``samples`` is the per-certificate sample count; whole-domain bound
     checks and the tapered-form inequality use ``big_samples`` (10x).
-    ``submean_probes`` and ``plateau_checks`` size the circle-mean and
-    per-disc plateau checks.
+    The circle-mean and per-disc plateau checks are sized by the constants
+    ``SUBMEAN_PROBES`` and ``PLATEAU_CHECKS``.
     """
 
     n: int = 2
@@ -84,8 +86,6 @@ class CertifyConfig:
     seed: int = 42
     tol: float = 1e-6
     fd_step: float = 1e-4
-    submean_probes: int = 1000
-    plateau_checks: int = 50
 
     @property
     def big_samples(self) -> int:
@@ -93,7 +93,7 @@ class CertifyConfig:
 
     @property
     def j_max(self) -> int:
-        return max(self.trunc, self.plateau_checks)
+        return max(self.trunc, PLATEAU_CHECKS)
 
     def validate(self) -> "CertifyConfig":
         for f in fields(self):
@@ -116,12 +116,6 @@ class CertifyConfig:
             )
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be finite and positive, got {self.tol}")
-        if self.submean_probes < 1 or self.plateau_checks < 1:
-            raise ConfigError("submean_probes and plateau_checks must be >= 1")
-        if self.plateau_checks > MAX_PLATEAU_CHECKS:
-            raise ConfigError(
-                f"plateau_checks must be at most {MAX_PLATEAU_CHECKS}, got {self.plateau_checks}"
-            )
         return self
 
     def echo(self) -> dict:

@@ -29,8 +29,10 @@ from .config import (
     C_LEVEL,
     EXAMPLE1_EXCLUSION,
     FLAT_MARGIN,
+    PLATEAU_CHECKS,
     POLE_MARGIN,
     PSD_TOL,
+    SUBMEAN_PROBES,
     TAPER_RADIUS,
     CertifyConfig,
 )
@@ -797,7 +799,7 @@ def thm1_properties(sc: Thm1Scenario, cfg: CertifyConfig) -> list[Certificate]:
         "thm1-series-bound-disk", 1.0 - (np.abs(sc.sigma(zd)) + sc.sigma_tail(zd)), 0.0, zd))
 
     # sub-mean-value margins of the truncated series
-    zs, rs = _submean_pairs(sc.schedule, cfg.submean_probes, seed, 101)
+    zs, rs = _submean_pairs(sc.schedule, SUBMEAN_PROBES, seed, 101)
     margins = circle_mean_test(sc.sigma, zs, rs)
     certs.append(make_certificate("thm1-series-submean", margins, 1e-9, zs))
 
@@ -887,7 +889,7 @@ def plateau_properties(plateau: PlateauFunction,
                        cfg: CertifyConfig) -> list[Certificate]:
     certs = []
     seed = cfg.seed
-    jc = min(cfg.plateau_checks, plateau.j_max)
+    jc = min(PLATEAU_CHECKS, plateau.j_max)
 
     # value 1 exactly at every pole
     vals = plateau.values(plateau.a[:jc])
@@ -958,8 +960,8 @@ def plateau_properties(plateau: PlateauFunction,
 
     # sub-mean-value property
     rng = philox(seed, 303)
-    z0 = _sample_disk(rng, cfg.submean_probes) * 3.0
-    rad = rng.uniform(1e-4, 0.05, cfg.submean_probes)
+    z0 = _sample_disk(rng, SUBMEAN_PROBES) * 3.0
+    rad = rng.uniform(1e-4, 0.05, SUBMEAN_PROBES)
     margins = circle_mean_test(plateau.values, z0, rad)
     certs.append(make_certificate("plateau-submean", margins, 1e-6, z0))
 
@@ -1028,7 +1030,7 @@ def tapered_form_properties(form: TaperedForm, cfg: CertifyConfig) -> list[Certi
 
     # analytic Levi matrix vs finite differences, matrix-norm relative
     rng = philox(seed, 401)
-    count = cfg.submean_probes
+    count = SUBMEAN_PROBES
     z1 = _sample_disk(rng, 4 * count)
     margin10h = 10 * cfg.fd_step
     keep = (np.abs(np.abs(z1) - np.sqrt(0.5)) > margin10h) & (
@@ -1080,7 +1082,7 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
 
     # certified lower bound >= -1 off the plateau discs
     rng = philox(seed, 201)
-    z = _sample_disk(rng, cfg.submean_probes) * 3.0
+    z = _sample_disk(rng, SUBMEAN_PROBES) * 3.0
     near = sc.schedule.a[:10] + 1e-12 * np.exp(2j * np.pi * rng.random(10))
     z = np.concatenate([z, near])
     z = z[sc.schedule.outside_all_discs(z)]
@@ -1093,12 +1095,10 @@ def thm2_properties(sc: Thm2Scenario, cfg: CertifyConfig) -> list[Certificate]:
         make_certificate("thm2-bounded-slab", 3.0 - np.abs(pts[:, 0]), 0.0, pts)
     )
 
-    # closed polydisk inside the domain
+    # closed polydisk inside the domain (with certified series tail)
     pts = closed_polydisk_samples(sc.n, cfg.samples, seed, 203)
-    certs.append(
-        make_certificate("thm2-closure-membership", -sc.defining_values(pts),
-                         0.0, pts)
-    )
+    d = sc.defining_values(pts) + sc.sigma_tail(pts[:, 0])
+    certs.append(make_certificate("thm2-closure-membership", -d, 0.0, pts))
 
     # the 2 <= |w| <= 3 band meets the domain only over the plateau discs
     rng = philox(seed, 204)

@@ -154,14 +154,13 @@ def make_schedule(
 # series evaluation with certified tails
 # ---------------------------------------------------------------------------
 
-def _checked_trunc(schedule: PoleSchedule, trunc: Optional[int]) -> int:
-    trunc = schedule.j_max if trunc is None else trunc
+def _checked_trunc(schedule: PoleSchedule, trunc: int) -> int:
     if not 1 <= trunc <= schedule.j_max:
         raise ValueError(f"trunc must be in [1, {schedule.j_max}], got {trunc}")
     return trunc
 
 
-def series_values(schedule: PoleSchedule, z, trunc: Optional[int] = None):
+def series_values(schedule: PoleSchedule, z, trunc: int):
     """The series over the first ``trunc`` poles at each point, float64: -inf
     exactly when z hits one of them. ``tail_error_radius`` bounds the rest.
 
@@ -185,8 +184,7 @@ _RING_SCALE = 2.0**12
 _RING_CELLS = 2**16
 
 
-def ring_bound_table(schedule: PoleSchedule,
-                     trunc: Optional[int] = None) -> np.ndarray:
+def ring_bound_table(schedule: PoleSchedule, trunc: int) -> np.ndarray:
     """Lower bounds ``S * log(min(1, gap_c - 1e-12))`` of the truncated series, per cell.
 
     ``S`` is the sum of the first ``trunc`` coefficients and ``gap_c`` the

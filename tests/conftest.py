@@ -29,7 +29,7 @@ def children_import_this_checkout():
 
 @pytest.fixture(scope="session")
 def small_cfg():
-    return CertifyConfig(samples=300, submean_probes=60, plateau_checks=10)
+    return CertifyConfig(samples=300)
 
 
 @pytest.fixture(scope="session")

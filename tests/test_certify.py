@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from pshcert.certify import (
 from pshcert.cli import _build_parser, _config_from_args, main
 from pshcert.config import (
     MAX_GRID_CELLS,
-    MAX_PLATEAU_CHECKS,
     MAX_TRUNC,
     PSD_TOL,
     CertifyConfig,
@@ -32,7 +33,7 @@ from pshcert.config import (
 
 @pytest.fixture(scope="module")
 def tiny_cfg():
-    return CertifyConfig(samples=200, submean_probes=40, plateau_checks=8)
+    return CertifyConfig(samples=200)
 
 
 # --- canonical serialization ------------------------------------------------
@@ -65,27 +66,11 @@ def test_config_validation():
             CertifyConfig(fd_step=bad).validate()
     for good in (1e-5, 3e-5, 1e-4):
         CertifyConfig(fd_step=good).validate()
-    # zero probes or checks used to fail plateau certificates on 0 samples
-    for bad in (dict(submean_probes=0), dict(plateau_checks=0),
-                dict(plateau_checks=-3)):
-        with pytest.raises(ConfigError):
-            CertifyConfig(samples=100, **bad).validate()
-    # past MAX_PLATEAU_CHECKS the Laplacian stencils of the small outer discs
-    # lose |z|^2 to rounding: plateau-laplacian-floor used to fail there
-    # (margin -0.21 at 80 checks and seed 43, -2.76e4 at 1015 and seed 42)
-    for bad in (MAX_PLATEAU_CHECKS + 1, 100, 200, MAX_TRUNC):
-        with pytest.raises(ConfigError, match="plateau_checks"):
-            CertifyConfig(samples=100, plateau_checks=bad).validate()
-    for seed in (42, 43):
-        report = run_suite("lemma21", CertifyConfig(samples=100, seed=seed,
-                                                    plateau_checks=MAX_PLATEAU_CHECKS))
-        assert report.status == "pass", seed
     # integer fields take integers only: a float seed used to run as its
     # integer part and echo the float, and a float n or samples raised a raw
     # TypeError after validation
-    for bad in (dict(seed=1.5), dict(trunc=True), dict(plateau_checks=8.5),
-                dict(n=2.0), dict(samples=150.5), dict(submean_probes=40.0),
-                dict(seed=False), dict(n=np.float64(3))):
+    for bad in (dict(seed=1.5), dict(trunc=True), dict(n=2.0),
+                dict(samples=150.5), dict(seed=False), dict(n=np.float64(3))):
         with pytest.raises(ConfigError, match="must be an integer"):
             CertifyConfig(**bad).validate()
     assert CertifyConfig(n=np.int64(3), seed=np.int64(7), samples=np.int32(150)).validate()
@@ -100,6 +85,25 @@ def test_config_validation():
 def test_cli_defaults_are_config_defaults(argv):
     args = _build_parser().parse_args(argv)
     assert _config_from_args(args) == CertifyConfig()
+
+
+def test_config_fields_are_the_certify_options():
+    # a value that no command line sets is a constant of config, not a field
+    args = vars(_build_parser().parse_args(["certify", "all"]))
+    not_config = {"command", "suite", "report", "dump_schedule"}
+    assert {f.name for f in fields(CertifyConfig)} == set(args) - not_config
+
+
+def test_import_loads_no_optional_package():
+    # ``import pshcert`` pulls in numpy only: the benchmark times fresh
+    # imports, and these installed packages would each add to them
+    code = ("import sys, pshcert; "
+            "print(' '.join(m for m in ('scipy', 'mpmath', 'hypothesis', 'pytest') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_seed_must_fit_in_int64(capsys):
@@ -165,22 +169,22 @@ def test_report_bytes_are_stable(tiny_cfg):
 def test_thm1_series_point_count_pinned(tiny_cfg, monkeypatch):
     # every certificate evaluates the series once on its points; the closure
     # membership reads its tail radii from tail_error_radius, not from a second
-    # series pass over its 200 points (16377 points when it did)
+    # series pass over its 200 points (78777 points when it did)
     points = []
     series = constructions.series_values
 
-    def counted(schedule, z, trunc=None):
+    def counted(schedule, z, trunc):
         points.append(np.size(z))
         return series(schedule, z, trunc)
 
     monkeypatch.setattr(constructions, "series_values", counted)
     assert run_suite("thm1", tiny_cfg).passed
-    assert (sum(points), len(points)) == (16177, 23)
+    assert (sum(points), len(points)) == (78577, 23)
 
 
 def test_thm2_small_truncation_passes():
     # pole lines must be drawn among the trunc poles of the truncated
-    # series, not among all j_max = max(trunc, plateau_checks) poles
+    # series, not among all j_max = max(trunc, PLATEAU_CHECKS) poles
     report = run_suite("thm2", CertifyConfig(trunc=10, samples=500))
     assert report.passed, [c.name for c in report.certificates if not c.passed]
 
@@ -188,13 +192,13 @@ def test_thm2_small_truncation_passes():
 # sha256 of serialize_report(run_suite(suite, tiny_cfg at n)); perfbench
 # pins only the full-size "all" reports at n = 2 and n = 3
 _REPORT_PINS = {
-    ("example1", 2): "653dbb365637e35e41dc7575546655edb47f55a80230e9949741b66aad66e8bf",
-    ("thm1", 2): "58f388872cfb8449db8a7ac75d66f438c370b226f03e3c0bf5e2a7b7a9339b6c",
-    ("lemma21", 2): "505b552337e72d2194fe8c55bbe17b1aa5bbe2368e6824164e7e14e9079e80e1",
-    ("lemma3", 2): "acc147345e490cd33d6e40018bb8acfedbd90351a3cebe98ef11111aa49ae458",
-    ("thm2", 2): "0833d8cbc785eb3f8a6dc4f331b41758a2363442556ad67e9d2d43961c825332",
-    ("all", 2): "7433f8eff7525c4fb80c98981d971e356ceef1358683e06a9f6d649fd570bb6e",
-    ("all", 3): "033d3a5d7d6d6cf34ac9fa4cc2d1383436d9af37405a8e020e7e9bd5337985dc",
+    ("example1", 2): "159f7bbfb528549b569646c40b277b04adb6feb5a8dd34aa8411ebaffcad6b01",
+    ("thm1", 2): "8280bb503cec0ccf2baa8e6340467f8e603851580c93538ee5fefca459085e5f",
+    ("lemma21", 2): "022d3d7aa5c486eaba7a7bdd10b7279f6656de5f4b11b058b67db13d1362b5c5",
+    ("lemma3", 2): "a79c2cc53201290c28cf1cbd2d6a18c5dd547d2e92b5f51197ddb6d2e0d7b4f1",
+    ("thm2", 2): "2ff43421dd8ff20f43dc50791e73eda33cbdc26d63ea455dbf39090cff2fad1c",
+    ("all", 2): "1ebb44feb5fcc7af9ecc5903c0ee7aeb2d1c8628958f15cc8a7d41bc4e4f02ce",
+    ("all", 3): "e04a6d003e9c5545764289ab2a4fb7ed9a14f0d1de82bd3c98986b0ec2dfa34f",
 }
 
 
@@ -207,8 +211,8 @@ def test_suite_report_bytes_pinned(suite, n, tiny_cfg):
 # sha256 of the "all" report at trunc 400, where sigma_many sums 336 poles
 # past its head only where their terms may not round away
 _DEEP_REPORT_PINS = {
-    2: "3c63b0024751909be66488b6a671ca5b092ce83da88b32960134e529d13350df",
-    3: "6dace7a8e39e910bacb7fe791bcd6dfc8bf54a14212113d733b8759396c10095",
+    2: "d2c845a25bfbdfc1421bf128cd36283c77eaf7b83da31ff83b1e5238f631eec1",
+    3: "f9644d041532f5ddab27d21de80e7a8d4fb863690c00d59e572d0fc04fa8312f",
 }
 
 
@@ -311,7 +315,7 @@ def test_suite_builder_objects_freed_without_cycle_collector():
     import gc
     import weakref
 
-    built = certify.SuiteBuilder(CertifyConfig(samples=100, plateau_checks=8))
+    built = certify.SuiteBuilder(CertifyConfig(samples=100))
     assert built.thm2.small_c.hex() == built.form.small_c.hex()
     refs = [weakref.ref(built.thm1), weakref.ref(built.thm2)]
     gc.disable()
@@ -326,7 +330,7 @@ def test_suite_builder_objects_freed_without_cycle_collector():
 def test_schedule_texts_state_the_built_w0(n):
     # the schedule exports read w0's modulus from the constants that the
     # scenarios are built with
-    built = certify.SuiteBuilder(CertifyConfig(n=n, samples=100, plateau_checks=8))
+    built = certify.SuiteBuilder(CertifyConfig(n=n, samples=100))
     for text, sc in ((certify._thm1_text(built), built.thm1),
                      (certify._thm2_text(built), built.thm2)):
         line = next(ln for ln in text.splitlines() if ln.startswith("# w0_modulus="))
@@ -339,7 +343,7 @@ def test_psh_sample_shortfall_becomes_failing_report(monkeypatch):
     from pshcert import constructions
 
     monkeypatch.setattr(constructions, "EXAMPLE1_EXCLUSION", 10.0)
-    cfg = CertifyConfig(samples=100, submean_probes=40, plateau_checks=8)
+    cfg = CertifyConfig(samples=100)
     report = run_suite("example1", cfg)
     assert not report.passed
     assert [c.name for c in report.certificates] == ["construction-failure"]

@@ -219,8 +219,7 @@ def test_plateau_nonfinite_laplacian_raises(monkeypatch):
         for _ in range(2):
             with pytest.raises(RuntimeError, match="nonfinite Laplacian"):
                 read()
-    report = run_suite("lemma21", CertifyConfig(samples=100, submean_probes=40,
-                                                plateau_checks=8))
+    report = run_suite("lemma21", CertifyConfig(samples=100))
     [cert] = report.certificates
     assert cert.name == "construction-failure"
     assert "nonfinite Laplacian" in cert.witnesses[0]["error"]
@@ -296,7 +295,7 @@ def test_plateau_property_bundle(plateau, small_cfg):
 def test_plateau_disc_margins_match_per_disc_loops(plateau, monkeypatch):
     # the branch-continuity and Laplacian-floor margins, one disc at a
     # time as separate loops, against the rows of the bundle's one batch
-    cfg = CertifyConfig(seed=7, plateau_checks=50)
+    cfg = CertifyConfig(seed=7)
     seen = {}
     make = constructions.make_certificate
 
@@ -331,7 +330,8 @@ def test_plateau_disc_margins_match_per_disc_loops(plateau, monkeypatch):
 def test_plateau_laplacian_chunks_equal_one_stack(plateau, checks, monkeypatch):
     # the Laplacian floors run over chunks of _EPS_DISCS discs; their margins
     # and those of branch continuity equal one stack of every checked disc
-    cfg = CertifyConfig(seed=7, plateau_checks=checks)
+    monkeypatch.setattr(constructions, "PLATEAU_CHECKS", checks)
+    cfg = CertifyConfig(seed=7)
     seen, chunks = {}, []
     make, annulus = constructions.make_certificate, constructions._annulus_laplacians
 
@@ -706,6 +706,19 @@ def test_thm2_property_bundle(thm2, small_cfg):
     assert all(c.passed for c in certs), [c.name for c in certs if not c.passed]
 
 
+def test_closure_certificates_add_the_series_tail(thm1, thm2, small_cfg, monkeypatch):
+    # both closure memberships certify Omega, not its truncation: a tail
+    # radius of 2, above either closure margin at these 100 points (1.41
+    # for thm1, 0.40 for thm2), pushes the closed polydisk out of both
+    monkeypatch.setattr(constructions, "tail_error_radius",
+                        lambda schedule, absz, trunc: np.full_like(absz, 2.0))
+    cfg = dataclasses.replace(small_cfg, samples=100)
+    for name, certs in (("thm1-closure-membership", thm1_properties(thm1, cfg)),
+                        ("thm2-closure-membership", thm2_properties(thm2, cfg))):
+        [cert] = [c for c in certs if c.name == name]
+        assert not cert.passed, name
+
+
 def test_thm2_line_slice_path(thm2):
     # within the w0 slice the defining function is -inf everywhere, so a
     # straight segment from the basepoint to the first pole stays inside
@@ -719,7 +732,7 @@ def test_thm2_line_slice_path(thm2):
 def test_dimension_three_smoke():
     from pshcert.calculus import min_eigs_batch
 
-    cfg = CertifyConfig(n=3, samples=200, submean_probes=40, plateau_checks=8)
+    cfg = CertifyConfig(n=3, samples=200)
     sc = build_thm2(cfg, build_plateau(cfg.j_max))
     pts = sample(sc.strict_window_resolvable(), Sampler(7, 100))
     assert pts.shape == (100, 3)
@@ -740,7 +753,7 @@ def test_dimension_three_smoke():
 def test_domain_region_survives_scenario_of_other_dimension():
     # each region holds its own defining function, so building an n=3
     # scenario leaves an earlier n=2 region's samples unchanged
-    small = dict(samples=200, submean_probes=40, plateau_checks=8)
+    small = dict(samples=200)
     region2 = build_thm1(CertifyConfig(**small)).domain_region()
     before = sample(region2, Sampler(3, 100))
     region3 = build_thm1(CertifyConfig(n=3, **small)).domain_region()

@@ -105,7 +105,7 @@ def test_disc_separation_margins_match_triu_oracle(j_max):
 
 
 def test_series_at_pole_is_neg_inf(sch1):
-    assert series_values(sch1, sch1.a[:1])[0] == -np.inf
+    assert series_values(sch1, sch1.a[:1], sch1.j_max)[0] == -np.inf
     assert np.isfinite(tail_error_radius(sch1, np.abs(sch1.a[:1]), sch1.j_max)[0])
 
 
@@ -113,7 +113,7 @@ def test_series_at_origin_matches_direct_sum(sch1):
     want = sum(
         d * math.log(abs(a)) for d, a in zip(sch1.delta, sch1.a)
     )
-    vals = series_values(sch1, np.asarray([0j]))
+    vals = series_values(sch1, np.asarray([0j]), sch1.j_max)
     assert vals[0] == pytest.approx(want, rel=1e-12)
     assert vals[0] > 0.0
     assert tail_error_radius(sch1, np.asarray([0.0]), sch1.j_max)[0] < 2.0**-60
@@ -123,7 +123,7 @@ def test_series_bounded_on_closed_disk(sch1):
     rng = np.random.default_rng(0)
     z = np.sqrt(rng.random(10_000)) * np.exp(2j * np.pi * rng.random(10_000))
     errs = tail_error_radius(sch1, np.abs(z), sch1.j_max)
-    assert np.max(np.abs(series_values(sch1, z)) + errs) < 1.0
+    assert np.max(np.abs(series_values(sch1, z, sch1.j_max)) + errs) < 1.0
 
 
 def test_error_radius_monotone_in_truncation(sch1):
@@ -173,12 +173,12 @@ def test_series_runs_match_per_point_evaluation(sch1, monkeypatch):
     with np.errstate(invalid="ignore"):
         for arr in (z, np.stack([z, z], axis=1)[:, 0], z[:0], z[:1], z[-1:]):
             kernel_points.clear()
-            vals = series_values(sch1, arr)
+            vals = series_values(sch1, arr, sch1.j_max)
             assert kernel_points == [_bit_runs(arr)]
-            want = np.concatenate([series_values(sch1, arr[i:i + 1])
+            want = np.concatenate([series_values(sch1, arr[i:i + 1], sch1.j_max)
                                    for i in range(arr.size)] + [np.empty(0)])
             assert vals.tobytes() == want.tobytes()
-        assert np.sum(series_values(sch1, z) == -np.inf) == 5
+        assert np.sum(series_values(sch1, z, sch1.j_max) == -np.inf) == 5
 
 
 def test_truncation_validation(sch1):
@@ -223,7 +223,7 @@ def test_lower_bound_is_actually_below_series(sch2):
     z = rng.uniform(-3, 3, 2000) + 1j * rng.uniform(-3, 3, 2000)
     z = z[sch2.outside_all_discs(z)]
     lows = series_lower_bounds_off_discs(sch2, z)
-    assert np.all(lows <= series_values(sch2, z) + 1e-15)
+    assert np.all(lows <= series_values(sch2, z, sch2.j_max) + 1e-15)
 
 
 def _pointwise_ring_bound(schedule, absz, trunc):
@@ -254,7 +254,7 @@ def test_ring_table_below_pointwise_ring_bound(trunc):
     # per-point ring bound at least the cell's entry; the cells that hold
     # a pole modulus are -inf, and far out the entry is S * log 1 = 0
     sch = make_schedule("thm1", trunc)
-    table = ring_bound_table(sch)
+    table = ring_bound_table(sch, sch.j_max)
     assert table.shape == (2**16,)
     moduli = np.abs(sch.a)
     np.testing.assert_array_equal(table[ring_cells(moduli**2)], -np.inf)
