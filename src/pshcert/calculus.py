@@ -25,7 +25,6 @@ import numpy as np
 from . import kernels
 from .geometry import EmptyRegionError, Sampler, SublevelRegion, Window, sample
 
-MAX_EIG_DIM = 8
 MAX_WITNESSES = 10  # witnesses a failing certificate records, worst first
 CIRCLE_NODES = 64  # nodes of every circle mean
 
@@ -191,17 +190,14 @@ def wirtinger_hessian_batch(f, points, h: float):
 
 def min_eigs_batch(H: np.ndarray) -> np.ndarray:
     """Smallest eigenvalues of an (N, n, n) batch of Hermitian matrices,
-    2 <= n <= 8.
+    2 <= n <= ``config.MAX_N``.
 
     2x2 matrices use the closed form (det/lambda_max when positive,
     which stays accurate for tiny minimal eigenvalues); larger sizes use
     cyclic Jacobi. H goes to the kernels as it is, of any strides, and
     keeps its bits: Jacobi rotates copies of its real and imaginary parts.
     """
-    n = H.shape[1]
-    if n > MAX_EIG_DIM:
-        raise ValueError(f"matrix dimension {n} exceeds {MAX_EIG_DIM}")
-    if n == 2:
+    if H.shape[1] == 2:
         return kernels.min_eig_2x2_many(H[:, 0, 0].real, H[:, 1, 1].real, H[:, 0, 1])
     return kernels.jacobi_min_eig_many(H)
 
@@ -268,9 +264,9 @@ def certify_psh(
     region: Window | SublevelRegion,
     sampler: Sampler,
     h: float,
-    tolerance: float = 1e-6,
+    tolerance: float,
+    name: str,
     exclude: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    name: str = "psh",
 ) -> Certificate:
     """Sampled Levi-form positivity certificate on a region.
 

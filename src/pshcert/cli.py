@@ -22,6 +22,16 @@ from .certify import GRID_FUNCTIONS, SUITES, emit_grid, run_suite, serialize_rep
 from .config import CertifyConfig, ConfigError
 
 
+def _add_config_options(parser, names) -> None:
+    """One ``--<field>`` per CertifyConfig field in ``names``, in field
+    order, with the field's type, default and ``metadata["help"]``."""
+    for f in fields(CertifyConfig):
+        if f.name in names:
+            parser.add_argument("--" + f.name.replace("_", "-"),
+                                type=int if f.type == "int" else float,
+                                default=f.default, help=f.metadata.get("help"))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pshcert",
@@ -31,15 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("certify", help="run a certificate suite")
     pc.add_argument("suite", choices=list(SUITES))
-    pc.add_argument("--n", type=int, default=CertifyConfig.n,
-                    help="ambient complex dimension")
-    pc.add_argument("--trunc", type=int, default=CertifyConfig.trunc,
-                    help="series truncation order")
-    pc.add_argument("--samples", type=int, default=CertifyConfig.samples,
-                    help="samples per certificate")
-    pc.add_argument("--seed", type=int, default=CertifyConfig.seed)
-    pc.add_argument("--tol", type=float, default=CertifyConfig.tol)
-    pc.add_argument("--fd-step", type=float, default=CertifyConfig.fd_step)
+    _add_config_options(pc, [f.name for f in fields(CertifyConfig)])
     pc.add_argument("--report", metavar="PATH", help="write the canonical report")
     pc.add_argument("--dump-schedule", metavar="PATH",
                     help="write the full-precision schedule export that the "
@@ -53,9 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="grid rectangle, xmin:xmax,ymin:ymax")
     pg.add_argument("--res", required=True, help="resolution NXxNY")
     pg.add_argument("--out", required=True, help="output CSV path")
-    pg.add_argument("--n", type=int, default=CertifyConfig.n)
-    pg.add_argument("--trunc", type=int, default=CertifyConfig.trunc)
-    pg.add_argument("--seed", type=int, default=CertifyConfig.seed)
+    _add_config_options(pg, ("n", "trunc", "seed"))
     return parser
 
 

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
+
+#: largest ambient dimension n; no larger Levi form reaches the eigenvalue kernels
+MAX_N = 8
 
 #: largest series truncation order: the thm2 coefficients delta_j underflow
 #: to exactly 0 from j = 1016 on (thm1 from j = 1071), and a zero term on
@@ -73,16 +76,17 @@ class ConfigError(ValueError):
 class CertifyConfig:
     """Knobs of a certification run; defaults reproduce the shipped reports.
 
-    The fields are exactly the options of ``pshcert certify``.
+    The fields, with their types, defaults and ``metadata["help"]``, are
+    the options of ``pshcert certify``.
     ``samples`` is the per-certificate sample count; whole-domain bound
     checks and the tapered-form inequality use ``big_samples`` (10x).
     The circle-mean and per-disc plateau checks are sized by the constants
     ``SUBMEAN_PROBES`` and ``PLATEAU_CHECKS``.
     """
 
-    n: int = 2
-    trunc: int = 60
-    samples: int = 10_000
+    n: int = field(default=2, metadata={"help": "ambient complex dimension"})
+    trunc: int = field(default=60, metadata={"help": "series truncation order"})
+    samples: int = field(default=10_000, metadata={"help": "samples per certificate"})
     seed: int = 42
     tol: float = 1e-6
     fd_step: float = 1e-4
@@ -98,10 +102,12 @@ class CertifyConfig:
     def validate(self) -> "CertifyConfig":
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.type == "int" and (type(v) is bool or not isinstance(v, numbers.Integral)):
-                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
-        if not 2 <= self.n <= 8:
-            raise ConfigError(f"ambient dimension n must be in [2, 8], got {self.n}")
+            kind, what = ((numbers.Integral, "an integer") if f.type == "int"
+                          else (numbers.Real, "a real number"))
+            if type(v) is bool or not isinstance(v, kind):
+                raise ConfigError(f"{f.name} must be {what}, got {v!r}")
+        if not 2 <= self.n <= MAX_N:
+            raise ConfigError(f"ambient dimension n must be in [2, {MAX_N}], got {self.n}")
         if not 1 <= self.trunc <= MAX_TRUNC:
             raise ConfigError(
                 f"truncation order must be in [1, {MAX_TRUNC}], got {self.trunc}"

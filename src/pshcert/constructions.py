@@ -148,14 +148,9 @@ class PlateauFunction:
         return make_schedule("thm2", self.j_max, self.log_rho)
 
     def values(self, z) -> np.ndarray:
-        """u at each z; a run of adjacent equal z (grouped FD stencils) is
-        evaluated once (``kernels.per_distinct_z``), with the same bits."""
-        return kernels.per_distinct_z(self._distinct_values, z)
-
-    def _distinct_values(self, zs):
-        """u at the 1-D complex zs, with no search for runs. ``u_many`` reads
-        eps_j only at the discs that hold a point, so only those are probed."""
-        return kernels.u_many(zs, self.a, self.r, self.disc_eps)
+        """u at each complex z. ``u_many`` reads eps_j only at the discs that
+        hold a point, so only those are probed."""
+        return kernels.u_many(z, self.a, self.r, self.disc_eps)
 
 
 def _perturbation_values(a_j: complex, r_j: float, z: np.ndarray) -> np.ndarray:
@@ -586,7 +581,7 @@ class Thm2Scenario(_Scenario):
         pts = np.atleast_2d(np.asarray(pts, dtype=np.complex128))
         z, w = pts[:, 0], pts[:, 1:]
         u, lam = kernels.per_distinct_z(lambda zs: np.stack((
-            self.plateau._distinct_values(zs),
+            self.plateau.values(zs),
             kernels.taper_many(zs.real**2 + zs.imag**2)[0])), z)
         nw2 = _norm2(w)
         inner = nw2 < _THETA_CUT**2

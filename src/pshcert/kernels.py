@@ -44,10 +44,8 @@ _BLOCK = 16384
 
 # The log-pole tail of ``sigma_many``: the first _HEAD_POLES poles are summed
 # at every point, and the rest only where a per-point bound cannot prove each
-# of their terms below a quarter ulp of the sum (see there). A tail shorter
-# than _MIN_TAIL poles costs less than the bound's passes and is summed.
+# of their terms below a quarter ulp of the sum (see there).
 _HEAD_POLES = 64
-_MIN_TAIL = 4
 _TAIL_GUARD = 1e-12  # times 1 + |z| + M, off the gap to the tail moduli
 _TAIL_REL = 1e-9  # relative slack of the bound
 _TAIL_ABS = 5e-13  # absolute slack, in units of log|z - a_j|
@@ -144,11 +142,10 @@ def sigma_many(z, a, delta):
     """sum_j delta_j * log|z - a_j| at each point z, -inf on an exact pole hit.
 
     Every point adds its terms in pole order. The first ``_HEAD_POLES`` are
-    added at every point. When at least ``_MIN_TAIL`` poles follow, the
-    others are added only at the points that ``_tail_points`` returns:
-    everywhere else each of their terms t_j is below |acc| * 2^-55, a quarter
-    ulp of the head sum acc, so ``acc + t_j`` rounds back to acc and
-    skipping the tail keeps every bit.
+    added at every point, the others only at the points that ``_tail_points``
+    returns: everywhere else each of their terms t_j is below
+    |acc| * 2^-55, a quarter ulp of the head sum acc, so ``acc + t_j``
+    rounds back to acc and skipping the tail keeps every bit.
 
     Error budget of the bound on t_j = fl(delta_j * fl(0.5 * fl(log d2))),
     d2 the computed |z - a_j|^2 (u = 2^-53):
@@ -178,7 +175,7 @@ def sigma_many(z, a, delta):
     (zr, zi), (ar, ai) = _real_imag(z), _real_imag(a)
     out = np.zeros_like(zr)
     npts, npoles = zr.shape[0], ar.shape[0]
-    head = _HEAD_POLES if npoles - _HEAD_POLES >= _MIN_TAIL else npoles
+    head = min(_HEAD_POLES, npoles)
     if head < npoles:
         moduli = np.hypot(ar[head:], ai[head:])
         big = np.max(np.abs(delta[head:]))

@@ -17,7 +17,7 @@ from pshcert.calculus import (
     min_eigs_batch,
     wirtinger_hessian_batch,
 )
-from pshcert.config import CertifyConfig
+from pshcert.config import MAX_N, CertifyConfig
 from pshcert.constructions import build_thm1
 from pshcert.geometry import EmptyRegionError, Sampler, Window
 
@@ -433,7 +433,7 @@ def test_levi_floors_equal_one_batch(monkeypatch):
         assert np.sum(got == -np.inf) == 4
 
 
-@pytest.mark.parametrize("n", range(2, calculus.MAX_EIG_DIM + 1))
+@pytest.mark.parametrize("n", range(2, MAX_N + 1))
 def test_levi_floors_one_f_call_per_hessian_block(monkeypatch, n):
     # each levi_floors block is one Hessian batch whose stencils reach f in
     # one call, and the floors are those of one whole-batch call, bit for bit
@@ -494,11 +494,6 @@ def test_hermitian_min_eig_examples():
     assert got[0] == pytest.approx(1.0, abs=1e-15)
     assert got[1] == pytest.approx(1.0, abs=1e-13)
     assert got[2] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_hermitian_min_eig_rejects_bad_input():
-    with pytest.raises(ValueError):
-        min_eigs_batch(np.eye(9)[None])
 
 
 @settings(max_examples=100, deadline=None)
@@ -639,7 +634,7 @@ def test_certify_psh_negative_case_with_witnesses():
         return -_sq_all(Z)
 
     region = Window(2, 1.0, 1.0)
-    cert = certify_psh(f, region, Sampler(1, 200), H_STEP, name="neg")
+    cert = certify_psh(f, region, Sampler(1, 200), H_STEP, tolerance=1e-6, name="neg")
     assert not cert.passed
     assert cert.worst_margin == pytest.approx(-1.0, abs=1e-6)
     assert 0 < len(cert.witnesses) <= 10
@@ -648,7 +643,7 @@ def test_certify_psh_negative_case_with_witnesses():
 def test_certify_psh_exclusion_refills_to_count():
     region = Window(2, 1.0, 1.0)
     cert = certify_psh(
-        _sq_all, region, Sampler(1, 300), H_STEP,
+        _sq_all, region, Sampler(1, 300), H_STEP, tolerance=1e-6,
         exclude=lambda pts: np.abs(np.atleast_2d(pts)[:, 0]) < 0.5,
         name="excl",
     )
@@ -660,6 +655,6 @@ def test_certify_psh_shortfall_raises():
     # an exclusion that rejects every point used to certify an empty set
     region = Window(2, 1.0, 1.0)
     with pytest.raises(EmptyRegionError, match="excl-all: delivered 0/300 points"):
-        certify_psh(_sq_all, region, Sampler(1, 300), H_STEP,
+        certify_psh(_sq_all, region, Sampler(1, 300), H_STEP, tolerance=1e-6,
                     exclude=lambda pts: np.ones(len(pts), dtype=bool),
                     name="excl-all")

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +76,13 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="must be an integer"):
             CertifyConfig(**bad).validate()
     assert CertifyConfig(n=np.int64(3), seed=np.int64(7), samples=np.int32(150)).validate()
+    # tol and fd_step take real numbers only: a bool tol used to pass and echo
+    # true, and a string one raised a raw TypeError in the range checks
+    for bad in (dict(tol=True), dict(tol="1e-6"), dict(fd_step="1e-4"),
+                dict(fd_step=False), dict(tol=None), dict(tol=1e-6 + 0j)):
+        with pytest.raises(ConfigError, match="must be a real number"):
+            CertifyConfig(**bad).validate()
+    assert CertifyConfig(tol=np.float64(1e-6), fd_step=np.float32(1e-4)).validate()
     assert CertifyConfig().validate() is not None
 
 
@@ -92,6 +101,33 @@ def test_config_fields_are_the_certify_options():
     args = vars(_build_parser().parse_args(["certify", "all"]))
     not_config = {"command", "suite", "report", "dump_schedule"}
     assert {f.name for f in fields(CertifyConfig)} == set(args) - not_config
+
+
+def test_grid_options_are_n_trunc_seed():
+    # pshcert grid sets exactly these fields, as ints with the fields' defaults
+    base = ["grid", "u", "--slice", "none", "--region", "0:1,0:1", "--res", "2x2",
+            "--out", "g.csv"]
+    not_config = {"command", "function_id", "slice_spec", "region", "res", "out"}
+    defaults = {f.name: f.default for f in fields(CertifyConfig)}
+    args = vars(_build_parser().parse_args(base))
+    assert {k: v for k, v in args.items() if k not in not_config} == {
+        k: defaults[k] for k in ("n", "trunc", "seed")}
+    args = _build_parser().parse_args(base + ["--n", "3", "--trunc", "7", "--seed", "5"])
+    assert [(type(v), v) for v in (args.n, args.trunc, args.seed)] == [
+        (int, 3), (int, 7), (int, 5)]
+
+
+def test_every_benchmark_span_is_installed():
+    # perfbench/spans.py raises when a name it wraps is no longer referenced
+    # in pshcert, so a refactor that unhooks one fails here, not only in CI
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        str(root / d) for d in ("src", "perfbench")))
+    code = "import spans; spans.install(spans.Tracer()); print('installed')"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "installed"
 
 
 def test_import_loads_no_optional_package():

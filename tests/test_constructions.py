@@ -226,53 +226,46 @@ def test_plateau_nonfinite_laplacian_raises(monkeypatch):
 
 
 def test_plateau_runs_match_per_point_evaluation(plateau, thm2, monkeypatch):
-    # runs of one z (grouped FD stencils) reach u_many, and the taper of the
-    # thm2 bump, once; the values are those of evaluating every point on its
-    # own, bit for bit
+    # u at runs of one z equals u at every point on its own, bit for bit; the
+    # thm2 witness (grouped FD stencils) sends each run of z to u_many and to
+    # the taper of its bump once, with the values of a per-point evaluation
     a = plateau.a
     z = np.array(
         [0.3 + 0.2j] * 4 + [a[0]] * 3 + [a[0] + 1e-3] * 2 + [a[1], a[0]]
         + [complex(0.0, 0.0), complex(-0.0, 0.0), complex(-0.0, 0.0)]
         + [complex(np.nan, 0.0)] * 2 + [complex(np.inf, 1.0)] * 2
         + [a[5] + 0.25 * plateau.r[5]] * 5, dtype=np.complex128)
-    kernel_points = []
-    real_u = kernels.u_many
-
-    def counted(zr, *args):
-        kernel_points.append(zr.size)
-        return real_u(zr, *args)
-
-    monkeypatch.setattr(kernels, "u_many", counted)
     with np.errstate(invalid="ignore"):
         for arr in (z, np.stack([z, z], axis=1)[:, 0], z[:0], z[:1]):
-            kernel_points.clear()
-            vals = plateau.values(arr)
-            bits = [np.asarray([c]).tobytes() for c in arr]
-            assert kernel_points == [sum(1 for i, b in enumerate(bits)
-                                         if i == 0 or b != bits[i - 1])]
             want = np.concatenate([plateau.values(arr[i:i + 1])
                                    for i in range(arr.size)] + [np.empty(0)])
-            assert vals.tobytes() == want.tobytes()
+            assert plateau.values(arr).tobytes() == want.tobytes()
 
-    taper_points = []
-    real_taper = kernels.taper_many
+    u_points, taper_points = [], []
+    real_u, real_taper = kernels.u_many, kernels.taper_many
+
+    def counted_u(zr, *args):
+        u_points.append(zr.size)
+        return real_u(zr, *args)
 
     def counted_taper(t):
         taper_points.append(t.size)
         return real_taper(t)
 
-    monkeypatch.setattr(kernels, "taper_many", counted_taper)
     zt = np.concatenate([z, [0.8 + 0.1j] * 3 + [0.9j, 0.75 + 0j]])
     w = 0.5 * np.cos(np.arange(zt.size)) * (1 + np.arange(zt.size) % 7)
     pts = np.stack([zt, w], axis=1)  # a strided z column, as in the stencils
     with np.errstate(invalid="ignore"):
-        phi = thm2.witness_values(pts)
-        bits = [np.asarray([c]).tobytes() for c in zt]
-        assert taper_points == [sum(1 for i, b in enumerate(bits)
-                                    if i == 0 or b != bits[i - 1])]
-        assert taper_points[0] < zt.size
         want = np.concatenate([thm2.witness_values(pts[i:i + 1])
                                for i in range(zt.size)])
+        monkeypatch.setattr(kernels, "u_many", counted_u)
+        monkeypatch.setattr(kernels, "taper_many", counted_taper)
+        phi = thm2.witness_values(pts)
+        monkeypatch.undo()
+        bits = [np.asarray([c]).tobytes() for c in zt]
+        runs = sum(1 for i, b in enumerate(bits) if i == 0 or b != bits[i - 1])
+        assert u_points == taper_points == [runs]
+        assert runs < zt.size
         bump = phi - np.where(w**2 < 2.5**2, plateau.values(zt), 1.0)
     assert phi.tobytes() == want.tobytes()
     assert np.any(bump[-5:] > 0.0) and np.any(w**2 >= 2.5**2)
